@@ -1,9 +1,16 @@
 """Functional-inequality checkers over tables and unit-bet curves.
 
-Each checker scans its full index range in lexicographic order, counts every
-violation exactly, and keeps the first ``max_witnesses`` violating indices
-with both sides of the comparison (see :mod:`redblack.reports`).  Index
-combinations that would touch the undefined stake pair ``(0, 0)`` are
+Every checker builds both sides of its inequality as numpy arrays and hands
+them to the kernel :func:`redblack.reports.scan_slabs`, which counts every
+violation exactly and keeps the first ``max_witnesses`` with both sides of
+the comparison.  The two-index scans are one slab; the three-index
+composition scans are one two-dimensional slab per leading index ``x``, in
+ascending ``x``.  C order within a slab is lexicographic order of the
+reported index, so witnesses come out in lexicographic scan order, and
+memory stays O(M^2) however large the O(M^3) scan.  Both sides are the same
+IEEE products and sums a term-by-term scan computes.
+
+Index combinations that would touch the undefined stake pair ``(0, 0)`` are
 skipped and counted; combinations that only involve entries unreachable in
 play (stakes summing past the total money) are evaluated and flagged.
 
@@ -15,38 +22,30 @@ The checks and what passing them buys:
 * ``supermultiplicative`` implies the timid player's values are excessive
   against a bold opponent, and transports exactly to the ``sincov``
   composition law of the pair-of-fortunes form.
+
+:func:`supermultiplicative_terms` and :func:`product_bound_terms` keep the
+term-by-term form of two scans as reference oracles for tests.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from typing import Iterator
 
+import numpy as np
+
 from .families import ExtendedTable, SincovTable
-from .game import UnitBetCurve, WinProbTable, unit_bet_curve
+from .game import UnitBetCurve, WinProbTable
 from .reports import (
     DEFAULT_TOL,
     DEFAULT_WITNESS_CAP,
     CheckReport,
-    Witness,
-    evaluate_inequality,
+    Slab,
+    scan_slabs,
 )
 
 _Term = tuple[tuple[int, ...], float, float, str]
-
-
-def bold_inequality_terms(curve: UnitBetCurve) -> Iterator[_Term]:
-    """Terms of the bold-play inequality, then of curve monotonicity.
-
-    Difference part, for ``0 <= y <= x <= M``:
-    ``curve(y) - curve(x) <= curve(x - y) * (curve(y) - 1)``.
-    Monotonicity part, for ``0 <= x < M``: ``curve(x) <= curve(x + 1)``.
-    """
-    phi = curve.values
-    for x in range(curve.M + 1):
-        for y in range(x + 1):
-            yield (x, y), phi[y] - phi[x], phi[x - y] * (phi[y] - 1.0), "difference"
-    for x in range(curve.M):
-        yield (x, x + 1), phi[x], phi[x + 1], "nondecreasing"
 
 
 def check_bold_inequality(
@@ -57,12 +56,27 @@ def check_bold_inequality(
 ) -> CheckReport:
     """The one-variable inequality behind bold play, plus monotonicity.
 
+    Difference part, for ``0 <= y <= x <= M``:
+    ``curve(y) - curve(x) <= curve(x - y) * (curve(y) - 1)``.
+    Monotonicity part, for ``0 <= x < M``: ``curve(x) <= curve(x + 1)``.
     Witnesses are lexicographic within each constraint tag, with all
     ``difference`` terms scanned before the ``nondecreasing`` ones.
     """
-    return evaluate_inequality(
-        "bold-inequality", bold_inequality_terms(curve), tol=tol, max_witnesses=max_witnesses
+    phi = np.array(curve.values, dtype=np.float64)
+    x = np.arange(curve.M + 1)[:, None]
+    y = np.arange(curve.M + 1)[None, :]
+    s = np.arange(curve.M)
+    slabs = (
+        Slab(
+            phi[y] - phi[x],
+            phi[np.maximum(x - y, 0)] * (phi[y] - 1.0),
+            y <= x,
+            (x, y),
+            "difference",
+        ),
+        Slab(phi[:-1], phi[1:], True, (s, s + 1), "nondecreasing"),
     )
+    return scan_slabs("bold-inequality", slabs, tol=tol, max_witnesses=max_witnesses)
 
 
 def product_bound_terms(curve: UnitBetCurve) -> Iterator[_Term]:
@@ -84,10 +98,15 @@ def check_product_bound(
     max_witnesses: int | None = DEFAULT_WITNESS_CAP,
 ) -> CheckReport:
     """The product form of the bold-play condition (implied by
-    ``bold-inequality`` whenever the curve is nondecreasing)."""
-    return evaluate_inequality(
-        "product-bound", product_bound_terms(curve), tol=tol, max_witnesses=max_witnesses
-    )
+    ``bold-inequality`` whenever the curve is nondecreasing), over the
+    ranges of :func:`product_bound_terms`."""
+    phi = np.array(curve.values, dtype=np.float64)
+    x = np.arange(curve.M + 1)[:, None]
+    a = np.arange(curve.M + 1)[None, :]
+    # running[x, a] = phi(x) * phi(x - 1) * ... * phi(x - a), multiplied in that order
+    running = np.cumprod(np.where(a <= x, phi[np.maximum(x - a, 0)], 1.0), axis=1)
+    slab = Slab((1.0 - phi[a]) * running, phi[x] - phi[a], a <= x, (x, a), "product-bound")
+    return scan_slabs("product-bound", [slab], tol=tol, max_witnesses=max_witnesses)
 
 
 def supermultiplicative_terms(
@@ -133,15 +152,38 @@ def check_supermultiplicative(
     tol: float = DEFAULT_TOL,
     max_witnesses: int | None = DEFAULT_WITNESS_CAP,
 ) -> CheckReport:
-    """Winning two stages in a row is never better than staking the sum at once."""
-    terms, skipped, flagged = supermultiplicative_terms(table)
-    return evaluate_inequality(
+    """Winning two stages in a row is never better than staking the sum at once.
+
+    Scans the ranges of :func:`supermultiplicative_terms`.  ``skipped`` is
+    ``M + 1``, the triples ``(0, 0, b)``.  ``flagged`` is ``C(M + 2, 3)``:
+    for each ``x`` and ``a``, exactly the ``x`` largest stakes ``b`` give
+    ``x + a + b > M``, and ``sum_x x * (M - x + 1) = M (M + 1) (M + 2) / 6``.
+    """
+    M = table.M
+    P = table.array
+    a = np.arange(M + 1)[:, None]
+    b = np.arange(M + 1)[None, :]
+    ab = np.minimum(a + b, M)
+    within = a + b <= M
+
+    def slabs() -> Iterator[Slab]:
+        for x in range(M + 1):
+            n = M - x + 1  # 0 <= a <= M - x; x + a > 0 drops the skipped (0, 0, b)
+            yield Slab(
+                P[x, :n, None] * P[x:],
+                P[x, ab[:n]],
+                within[:n] & (x + a[:n] > 0),
+                (x, a[:n], b),
+                "supermultiplicative",
+            )
+
+    return scan_slabs(
         "supermultiplicative",
-        terms,
+        slabs(),
         tol=tol,
         max_witnesses=max_witnesses,
-        skipped=skipped,
-        flagged=flagged,
+        skipped=M + 1,
+        flagged=math.comb(M + 2, 3),
     )
 
 
@@ -156,40 +198,32 @@ def check_supermultiplicative_extended(
 
     Scans all integer triples with each of ``x``, ``a``, ``b`` in
     ``[-span, M + span]``, skipping exactly the triples that would evaluate
-    the undefined pair ``(0, 0)``.
+    the undefined pair ``(0, 0)``: for ``span >= 0`` there are
+    ``M + 2 span + 1`` with ``(x, a) = (0, 0)``, plus ``2 span`` each with
+    ``(x + a, b) = (0, 0)`` or ``(x, a + b) = (0, 0)`` but not ``x = a = 0``.
     """
-    M = extended.M
-    lo, hi = -span, M + span
-
-    def hits_undefined(x: int, a: int, b: int) -> bool:
-        return (x, a) == (0, 0) or (x + a, b) == (0, 0) or (x, a + b) == (0, 0)
-
+    lo, hi = -span, extended.M + span
+    # x + a and a + b range over 2 lo .. 2 hi; E[i + o, j + o] = value(i, j)
+    o = -min(lo, 2 * lo)
+    E = extended.grid(-o, max(hi, 2 * hi))
+    a = np.arange(lo, hi + 1)[:, None]
+    b = np.arange(lo, hi + 1)[None, :]
+    scanned = slice(lo + o, hi + o + 1)
     skipped = 0
 
-    def terms() -> Iterator[_Term]:
+    def slabs() -> Iterator[Slab]:
         nonlocal skipped
         for x in range(lo, hi + 1):
-            for a in range(lo, hi + 1):
-                for b in range(lo, hi + 1):
-                    if hits_undefined(x, a, b):
-                        skipped += 1
-                        continue
-                    yield (
-                        (x, a, b),
-                        extended.value(x, a) * extended.value(x + a, b),
-                        extended.value(x, a + b),
-                        "supermultiplicative-extended",
-                    )
+            lhs = E[x + o, scanned, None] * E[x + lo + o : x + hi + o + 1, scanned]
+            rhs = E[x + o, a + b + o]
+            defined = ~(np.isnan(lhs) | np.isnan(rhs))  # nan only at (0, 0)
+            skipped += defined.size - int(np.count_nonzero(defined))
+            yield Slab(lhs, rhs, defined, (x, a, b), "supermultiplicative-extended")
 
-    # Materialize so the skipped count is final before the report is built.
-    collected = list(terms())
-    return evaluate_inequality(
-        "supermultiplicative-extended",
-        collected,
-        tol=tol,
-        max_witnesses=max_witnesses,
-        skipped=skipped,
+    report = scan_slabs(
+        "supermultiplicative-extended", slabs(), tol=tol, max_witnesses=max_witnesses
     )
+    return dataclasses.replace(report, skipped=skipped)
 
 
 def check_sincov(
@@ -201,33 +235,23 @@ def check_sincov(
     """Composition law of the pair-of-fortunes form:
     ``F(x, a) * F(a, b) <= F(x, b)`` for ``0 <= x <= a <= b <= M``.
 
-    Triples evaluating the undefined entry ``(0, 0)`` — exactly those with
-    ``x = a = 0`` — are skipped.  Restricted to playable stakes this is the
-    same comparison, term for term, as ``supermultiplicative`` under the
-    substitution ``a -> x + a, b -> x + a + b``.
+    Triples evaluating the undefined entry ``(0, 0)`` — exactly the
+    ``M + 1`` with ``x = a = 0`` — are skipped.  Restricted to playable
+    stakes this is the same comparison, term for term, as
+    ``supermultiplicative`` under the substitution
+    ``a -> x + a, b -> x + a + b``.
     """
     M = F.M
-    skipped = 0
+    G = F.array
+    a = np.arange(M + 1)[:, None]
+    b = np.arange(M + 1)[None, :]
+    ordered = (b >= a) & (a > 0)  # a > 0 drops the skipped (0, 0, b)
 
-    def terms() -> Iterator[_Term]:
-        nonlocal skipped
-        for x in range(M + 1):
-            for a in range(x, M + 1):
-                for b in range(a, M + 1):
-                    if x == 0 and a == 0:
-                        skipped += 1
-                        continue
-                    yield (
-                        (x, a, b),
-                        F.value(x, a) * F.value(a, b),
-                        F.value(x, b),
-                        "sincov",
-                    )
+    def slabs() -> Iterator[Slab]:
+        for x in range(M + 1):  # rows x <= a <= M
+            yield Slab(G[x, x:, None] * G[x:], G[x], ordered[x:], (x, a[x:], b), "sincov")
 
-    collected = list(terms())
-    return evaluate_inequality(
-        "sincov", collected, tol=tol, max_witnesses=max_witnesses, skipped=skipped
-    )
+    return scan_slabs("sincov", slabs(), tol=tol, max_witnesses=max_witnesses, skipped=M + 1)
 
 
 def check_uniqueness_conditions(
@@ -245,32 +269,14 @@ def check_uniqueness_conditions(
     ``1 <= y <= M``).  For these witnesses ``margin`` is the shortfall of
     the required strict gap.
     """
-    curve = unit_bet_curve(table)
-    phi = curve.values
-    witnesses: list[Witness] = []
-    violations = 0
-    counts: dict[str, int] = {}
-
-    def record(index: tuple[int, ...], lhs: float, rhs: float, constraint: str) -> None:
-        nonlocal violations
-        violations += 1
-        counts[constraint] = counts.get(constraint, 0) + 1
-        if max_witnesses is None or len(witnesses) < max_witnesses:
-            witnesses.append(Witness(index, lhs, rhs, rhs + eps_strict - lhs, constraint))
-
-    for x in range(table.M):
-        if not phi[x + 1] > phi[x] + eps_strict:
-            record((x, x + 1), phi[x + 1], phi[x], "strictly-increasing")
-    for y in range(1, table.M + 1):
-        if not table.prob(1, y) > eps_strict:
-            record((1, y), table.prob(1, y), 0.0, "unit-stake-positivity")
-
-    return CheckReport(
-        name="uniqueness-conditions",
-        passed=violations == 0,
-        violations=violations,
-        witnesses=tuple(witnesses),
-        skipped=0,
-        tolerance=eps_strict,
-        constraint_counts=tuple(sorted(counts.items())),
+    P = table.array
+    phi = P[:, 1]
+    x = np.arange(table.M)
+    y = np.arange(1, table.M + 1)
+    slabs = (
+        Slab(phi[1:], phi[:-1], True, (x, x + 1), "strictly-increasing"),
+        Slab(P[1, 1:], 0.0, True, (1, y), "unit-stake-positivity"),
+    )
+    return scan_slabs(
+        "uniqueness-conditions", slabs, tol=eps_strict, max_witnesses=max_witnesses, strict=True
     )

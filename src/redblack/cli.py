@@ -15,7 +15,8 @@ parameters, input paths, seed, tolerance — no timestamps) and is written
 with sorted keys and repr floats, so reruns are byte-identical.
 
 The comparison tolerance resolves as ``--tol`` over the ``REDBLACK_TOL``
-environment variable over the built-in default ``1e-12``.
+environment variable over the built-in default ``1e-12``; a non-finite
+tolerance is a usage error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -74,14 +76,18 @@ class _UsageError(Exception):
 
 def _resolve_tol(arg_tol: float | None) -> float:
     if arg_tol is not None:
-        return arg_tol
-    raw = os.environ.get(_ENV_TOL)
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise _UsageError(f"{_ENV_TOL} must be a float, got {raw!r}") from exc
+        tol = arg_tol
+    else:
+        raw = os.environ.get(_ENV_TOL)
+        if raw is None:
+            return DEFAULT_TOL
+        try:
+            tol = float(raw)
+        except ValueError as exc:
+            raise _UsageError(f"{_ENV_TOL} must be a float, got {raw!r}") from exc
+    if not math.isfinite(tol):
+        raise _UsageError(f"tolerance must be finite, got {tol!r}")
+    return tol
 
 
 def _read_json(path: str) -> Any:
@@ -198,6 +204,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args.tol)
     cap = args.max_witnesses
+    if cap < 0:
+        raise _UsageError(f"--max-witnesses must be >= 0, got {cap}")
     table = _load_table(args.table)
     curve = unit_bet_curve(table)
     reports = [

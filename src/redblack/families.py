@@ -23,14 +23,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from functools import cached_property
+from typing import Any, Callable, Sequence
 
-from .game import UndefinedEntryError, UnitBetCurve, WinProbTable
+import numpy as np
+
+from .game import UndefinedEntryError, UnitBetCurve, WinProbTable, _nan_array
 from .reports import (
     DEFAULT_TOL,
     DEFAULT_WITNESS_CAP,
     CheckReport,
-    evaluate_inequality,
+    Slab,
+    scan_slabs,
 )
 
 
@@ -228,20 +232,18 @@ def check_submultiplicative(
     a callable; values through ``M - 1`` are used.
     """
     if callable(k):
-        kv = [float(k(t)) for t in range(M)]
+        values = [float(k(t)) for t in range(M)]
     else:
         if len(k) < M:
             raise ValueError(f"need k on 0..{M - 1}, got only {len(k)} values")
-        kv = [float(v) for v in k[:M]]
-
-    def terms() -> Iterator[tuple[tuple[int, ...], float, float, str]]:
-        for t in range(M):
-            for y in range(M - t):
-                yield (t, y), kv[t + y], kv[t] * kv[y], "submultiplicative"
-
-    return evaluate_inequality(
-        "submultiplicative", terms(), tol=tol, max_witnesses=max_witnesses
+        values = [float(v) for v in k[:M]]
+    kv = np.array(values, dtype=np.float64)
+    t = np.arange(M)[:, None]
+    y = np.arange(M)[None, :]
+    slab = Slab(
+        kv[np.minimum(t + y, M - 1)], kv[t] * kv[y], t + y <= M - 1, (t, y), "submultiplicative"
     )
+    return scan_slabs("submultiplicative", [slab], tol=tol, max_witnesses=max_witnesses)
 
 
 @dataclass(frozen=True)
@@ -303,6 +305,11 @@ class SincovTable:
         assert value is not None
         return value
 
+    @cached_property
+    def array(self) -> np.ndarray:
+        """Read-only float array of ``F`` with ``nan`` at every undefined pair."""
+        return _nan_array(self.rows)
+
     def to_json_dict(self) -> dict[str, Any]:
         return {"M": self.M, "pairs": [list(row) for row in self.rows]}
 
@@ -346,6 +353,15 @@ class ExtendedTable:
         if x + y > self.base.M:
             return 1.0
         return self.base.prob(x, y)
+
+    def grid(self, lo: int, hi: int) -> np.ndarray:
+        """``value(x, y)`` for ``x, y`` in ``lo..hi`` as an array indexed by
+        ``(x - lo, y - lo)``, with ``nan`` at the undefined pair ``(0, 0)``."""
+        x = np.arange(lo, hi + 1)[:, None]
+        y = np.arange(lo, hi + 1)[None, :]
+        M = self.base.M
+        inside = self.base.array[np.clip(x, 0, M), np.clip(y, 0, M)]
+        return np.where((x < 0) | (y < 0), 0.0, np.where(x + y > M, 1.0, inside))
 
 
 def extend_table(table: WinProbTable) -> ExtendedTable:

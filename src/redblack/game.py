@@ -38,8 +38,9 @@ from .reports import (
     DEFAULT_WITNESS_CAP,
     CheckReport,
     FairnessReport,
+    Slab,
     Witness,
-    evaluate_inequality,
+    scan_slabs,
 )
 
 
@@ -90,6 +91,13 @@ def _validate_probability(value: Any, where: str) -> float:
     if not (0.0 <= value <= 1.0):
         raise ValueError(f"probability {where} must lie in [0, 1], got {value!r}")
     return value
+
+
+def _nan_array(rows: tuple[tuple[float | None, ...], ...]) -> np.ndarray:
+    """Read-only float array of nested rows, with ``nan`` for ``None``."""
+    data = np.array([[np.nan if v is None else v for v in row] for row in rows], dtype=np.float64)
+    data.setflags(write=False)
+    return data
 
 
 @dataclass(frozen=True)
@@ -155,22 +163,16 @@ class WinProbTable:
     @cached_property
     def array(self) -> np.ndarray:
         """Read-only float array of the table with ``nan`` at ``(0, 0)``."""
-        data = np.array(
-            [[np.nan if v is None else v for v in row] for row in self.rows],
-            dtype=np.float64,
-        )
-        data.setflags(write=False)
-        return data
+        return _nan_array(self.rows)
 
     @property
     def unreachable_entries(self) -> int:
-        """Count of stored entries whose stakes exceed the money in play."""
-        return sum(
-            1
-            for a in range(self.M + 1)
-            for b in range(self.M + 1)
-            if a + b > self.M
-        )
+        """Count of stored entries whose stakes exceed the money in play.
+
+        Stake ``a`` has exactly ``a`` partners ``b <= M`` with ``a + b > M``,
+        so the count is ``M (M + 1) / 2``.
+        """
+        return self.M * (self.M + 1) // 2
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"M": self.M, "entries": [list(row) for row in self.rows]}
@@ -410,13 +412,13 @@ def check_border(
     Checks ``P(0, b) = 0`` and ``P(a, 0) = 1`` for ``a, b >= 1`` as
     two-sided equalities: the reported ``lhs`` is the absolute deviation.
     """
-    def terms() -> Iterator[tuple[tuple[int, ...], float, float, str]]:
-        for b in range(1, table.M + 1):
-            yield (0, b), abs(table.prob(0, b) - 0.0), 0.0, "zero-stake-row"
-        for a in range(1, table.M + 1):
-            yield (a, 0), abs(table.prob(a, 0) - 1.0), 0.0, "zero-stake-column"
-
-    return evaluate_inequality("border", terms(), tol=tol, max_witnesses=max_witnesses)
+    P = table.array
+    s = np.arange(table.M + 1)
+    slabs = (
+        Slab(np.abs(P[0] - 0.0), 0.0, s >= 1, (0, s), "zero-stake-row"),
+        Slab(np.abs(P[:, 0] - 1.0), 0.0, s >= 1, (s, 0), "zero-stake-column"),
+    )
+    return scan_slabs("border", slabs, tol=tol, max_witnesses=max_witnesses)
 
 
 def check_fairness(
@@ -429,38 +431,45 @@ def check_fairness(
 
     Verdicts: ``fair`` (all equal within ``tol``), ``subfair`` (none above,
     some below), ``superfair`` (none below, some above), else ``neither``.
+    An entry is ``below`` when ``P(a, b) < a/(a+b) - tol`` and it is not
+    already ``above``.
     """
-    above: list[Witness] = []
-    below: list[Witness] = []
-    above_count = below_count = 0
-    for a in range(table.M + 1):
-        for b in range(table.M + 1):
-            if a + b == 0 or a + b > table.M:
-                continue
-            value = table.prob(a, b)
-            benchmark = a / (a + b)
-            if value > benchmark + tol:
-                above_count += 1
-                if max_witnesses is None or len(above) < max_witnesses:
-                    above.append(Witness((a, b), value, benchmark, value - benchmark, "above-even-odds"))
-            elif value < benchmark - tol:
-                below_count += 1
-                if max_witnesses is None or len(below) < max_witnesses:
-                    below.append(Witness((a, b), value, benchmark, benchmark - value, "below-even-odds"))
-    if above_count and below_count:
+    a = np.arange(table.M + 1)[:, None]
+    b = np.arange(table.M + 1)[None, :]
+    value = table.array
+    with np.errstate(invalid="ignore"):
+        benchmark = a / (a + b)
+    playable = (a + b > 0) & (a + b <= table.M)
+    above_hit = value > benchmark + tol
+    above = scan_slabs(
+        "fairness",
+        [Slab(value, benchmark, playable, (a, b), "above-even-odds")],
+        tol=tol,
+        max_witnesses=max_witnesses,
+    )
+    # value < benchmark - tol, rounded exactly as -value > -benchmark + tol
+    below = scan_slabs(
+        "fairness",
+        [Slab(-value, -benchmark, playable & ~above_hit, (a, b), "below-even-odds")],
+        tol=tol,
+        max_witnesses=max_witnesses,
+    )
+    if above.violations and below.violations:
         verdict = "neither"
-    elif above_count:
+    elif above.violations:
         verdict = "superfair"
-    elif below_count:
+    elif below.violations:
         verdict = "subfair"
     else:
         verdict = "fair"
     return FairnessReport(
         verdict=verdict,
-        above=tuple(above),
-        below=tuple(below),
-        above_count=above_count,
-        below_count=below_count,
+        above=above.witnesses,
+        below=tuple(
+            Witness(w.index, -w.lhs, -w.rhs, w.margin, w.constraint) for w in below.witnesses
+        ),
+        above_count=above.violations,
+        below_count=below.violations,
         unreachable_entries=table.unreachable_entries,
         tolerance=tol,
     )

@@ -1,12 +1,22 @@
-"""Counterexample witnesses and verdict reports shared by every checker.
+"""Counterexample witnesses, verdict reports and the one inequality kernel.
 
-All inequality scans in this package funnel through :func:`evaluate_inequality`
-so that the semantics are uniform:
+Every inequality check in this package runs through :func:`scan_slabs`, so
+the semantics are uniform:
 
 * a term ``lhs <= rhs`` counts as violated exactly when ``lhs > rhs + tol``;
 * the exact number of violations is always counted, even past the witness cap;
-* the retained witnesses are the first violations in the scan order, which
-  every caller arranges to be lexicographic in the reported index.
+* the retained witnesses are the first violations in scan order.
+
+A check hands the kernel its terms as :class:`Slab` arrays, in ascending
+order of the leading reported index: the whole range for a two-index
+check, one two-dimensional plane per leading index ``x`` for a three-index
+one.  Within a slab, positions are taken in C order, which is lexicographic
+order of the reported index, so witnesses come out in lexicographic scan
+order.  Memory is O(M^2) per slab.  Witnesses hold plain Python ints and
+floats: the compared values are the same IEEE results a term-by-term scan
+computes, so reports and the artifacts serialized from them do not depend
+on how a scan is sliced.  :func:`evaluate_inequality` feeds an iterable of
+terms through the same kernel.
 
 Reports are plain frozen dataclasses with deterministic JSON dict forms, so
 artifacts serialized from them are byte-identical across runs.
@@ -14,10 +24,13 @@ artifacts serialized from them are byte-identical across runs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 DEFAULT_TOL = 1e-12
 DEFAULT_WITNESS_CAP = 16
@@ -113,6 +126,90 @@ class CheckReport:
         }
 
 
+class Slab(NamedTuple):
+    """One plane of an inequality scan: ``lhs <= rhs`` wherever ``valid`` holds.
+
+    ``lhs``, ``rhs`` and ``valid`` broadcast to one shape.  ``index`` holds
+    the coordinates of the reported index, each an int or an integer array
+    broadcastable to that shape; a violation at position ``p`` reports
+    ``tuple(c[p] for c in index)``.  Every position of a slab carries the
+    tag ``constraint``.
+    """
+
+    lhs: Any
+    rhs: Any
+    valid: Any
+    index: tuple[Any, ...]
+    constraint: str
+
+
+def scan_slabs(
+    name: str,
+    slabs: Iterable[Slab],
+    *,
+    tol: float = DEFAULT_TOL,
+    max_witnesses: int | None = DEFAULT_WITNESS_CAP,
+    skipped: int = 0,
+    flagged: int = 0,
+    strict: bool = False,
+) -> CheckReport:
+    """The inequality kernel: count and witness violations slab by slab.
+
+    A valid position violates ``lhs <= rhs`` exactly when
+    ``lhs > rhs + tol``.  With ``strict`` the requirement is instead the
+    strict gap ``lhs > rhs + tol``, violated wherever that comparison fails,
+    and a witness's ``margin`` is the shortfall ``rhs + tol - lhs``.  Slabs
+    must arrive in report order; within a slab, violations are taken in C
+    order of its positions.  A negative ``max_witnesses`` keeps none.
+    """
+    violations = 0
+    witnesses: list[Witness] = []
+    counts: dict[str, int] = {}
+    for slab in slabs:
+        lhs, rhs, valid = np.broadcast_arrays(slab.lhs, slab.rhs, slab.valid)
+        hit = lhs > rhs + tol
+        hit = (~hit if strict else hit) & valid
+        found = int(np.count_nonzero(hit))
+        if not found:
+            continue
+        violations += found
+        counts[slab.constraint] = counts.get(slab.constraint, 0) + found
+        room = found
+        if max_witnesses is not None:
+            room = max(0, min(found, max_witnesses - len(witnesses)))
+        if room:
+            witnesses.extend(_slab_witnesses(slab, hit, lhs, rhs, room, tol, strict))
+    return CheckReport(
+        name=name,
+        passed=violations == 0,
+        violations=violations,
+        witnesses=tuple(witnesses),
+        skipped=skipped,
+        tolerance=tol,
+        flagged=flagged,
+        constraint_counts=tuple(sorted(counts.items())),
+    )
+
+
+def _slab_witnesses(
+    slab: Slab,
+    hit: np.ndarray,
+    lhs: np.ndarray,
+    rhs: np.ndarray,
+    room: int,
+    tol: float,
+    strict: bool,
+) -> list[Witness]:
+    """The first ``room`` violations of one slab as plain-Python witnesses."""
+    pos = np.unravel_index(np.flatnonzero(hit)[:room], hit.shape)
+    coords = [np.broadcast_to(c, hit.shape)[pos].tolist() for c in slab.index]
+    indices = zip(*coords) if coords else itertools.repeat(())
+    return [
+        Witness(index, l, r, r + tol - l if strict else l - r, slab.constraint)
+        for index, l, r in zip(indices, lhs[pos].tolist(), rhs[pos].tolist())
+    ]
+
+
 def evaluate_inequality(
     name: str,
     terms: Iterable[tuple[tuple[int, ...], float, float, str]],
@@ -125,25 +222,25 @@ def evaluate_inequality(
     """Scan ``(index, lhs, rhs, constraint)`` terms for ``lhs <= rhs + tol``.
 
     ``terms`` must already be in the order witnesses should be reported in.
+    Each run of terms sharing a constraint and an index length becomes one
+    slab of :func:`scan_slabs`.
     """
-    violations = 0
-    witnesses: list[Witness] = []
-    counts: dict[str, int] = {}
-    for index, lhs, rhs, constraint in terms:
-        if lhs > rhs + tol:
-            violations += 1
-            counts[constraint] = counts.get(constraint, 0) + 1
-            if max_witnesses is None or len(witnesses) < max_witnesses:
-                witnesses.append(Witness(tuple(index), lhs, rhs, lhs - rhs, constraint))
-    return CheckReport(
-        name=name,
-        passed=violations == 0,
-        violations=violations,
-        witnesses=tuple(witnesses),
-        skipped=skipped,
-        tolerance=tol,
-        flagged=flagged,
-        constraint_counts=tuple(sorted(counts.items())),
+
+    def slabs() -> Iterator[Slab]:
+        runs = itertools.groupby(terms, key=lambda term: (term[3], len(term[0])))
+        for (constraint, _), run in runs:
+            indices, lhs, rhs, _ = zip(*run)
+            coords = np.array(indices, dtype=np.int64).T
+            yield Slab(
+                np.array(lhs, dtype=np.float64),
+                np.array(rhs, dtype=np.float64),
+                True,
+                tuple(coords),
+                constraint,
+            )
+
+    return scan_slabs(
+        name, slabs(), tol=tol, max_witnesses=max_witnesses, skipped=skipped, flagged=flagged
     )
 
 

@@ -48,7 +48,8 @@ from .reports import (
     DEFAULT_TOL,
     DEFAULT_WITNESS_CAP,
     CheckReport,
-    evaluate_inequality,
+    Slab,
+    scan_slabs,
 )
 
 DEFAULT_VI_TOL = 1e-13
@@ -429,17 +430,13 @@ def check_bold_excessive(
     """
     if values is None:
         values = bold_timid_values(curve)
-    q = values.q
-
-    def terms() -> Iterator[tuple[tuple[int, ...], float, float, str]]:
-        for x in range(1, curve.M):
-            for a in range(x + 1):
-                lhs = curve[a] * q[x + 1] + (1.0 - curve[a]) * q[x - a]
-                yield (x, a), lhs, q[x], "bold-excessive"
-
-    return evaluate_inequality(
-        "bold-excessive", terms(), tol=tol, max_witnesses=max_witnesses
-    )
+    c = np.array(curve.values, dtype=np.float64)
+    q = np.array(values.q, dtype=np.float64)
+    x = np.arange(1, curve.M)[:, None]
+    a = np.arange(curve.M)[None, :]
+    lhs = c[a] * q[x + 1] + (1.0 - c[a]) * q[np.maximum(x - a, 0)]
+    slab = Slab(lhs, q[x], a <= x, (x, a), "bold-excessive")
+    return scan_slabs("bold-excessive", [slab], tol=tol, max_witnesses=max_witnesses)
 
 
 def check_timid_excessive(
@@ -458,16 +455,13 @@ def check_timid_excessive(
     """
     if values is None:
         values = bold_timid_values(unit_bet_curve(table))
-    q = values.q
-
-    def terms() -> Iterator[tuple[tuple[int, ...], float, float, str]]:
-        for x in range(table.M):
-            for b in range(1, table.M - x + 1):
-                yield (x, b), q[x], table.prob(x, b) * q[x + b], "timid-excessive"
-
-    return evaluate_inequality(
-        "timid-excessive", terms(), tol=tol, max_witnesses=max_witnesses
-    )
+    M = table.M
+    q = np.array(values.q, dtype=np.float64)
+    x = np.arange(M)[:, None]
+    b = np.arange(1, M + 1)[None, :]
+    rhs = table.array[x, b] * q[np.minimum(x + b, M)]
+    slab = Slab(q[x], rhs, x + b <= M, (x, b), "timid-excessive")
+    return scan_slabs("timid-excessive", [slab], tol=tol, max_witnesses=max_witnesses)
 
 
 @dataclass(frozen=True)

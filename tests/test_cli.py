@@ -190,6 +190,16 @@ class TestCheck:
     def test_missing_table(self, capsys) -> None:
         assert run(["check", "--table", "/no/such/file.json"], capsys)[0] == 2
 
+    def test_negative_witness_cap_is_a_usage_error(
+        self, pow2_m3_file: Path, tmp_path: Path, capsys, monkeypatch
+    ) -> None:
+        monkeypatch.setattr("redblack.cli.check_border", lambda *a, **k: pytest.fail("scanned"))
+        out = tmp_path / "check.json"
+        args = ["check", "--table", str(pow2_m3_file), "--max-witnesses", "-1", "--out", str(out)]
+        code, _, err = run(args, capsys)
+        assert code == 2 and "--max-witnesses" in err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_bold_timid_product_form(self, pow2_m3_file: Path, tmp_path: Path, capsys) -> None:
@@ -393,6 +403,24 @@ class TestToleranceResolution:
         monkeypatch.setenv("REDBLACK_TOL", "not-a-float")
         code, _, err = run(["check", "--table", str(pow2_m3_file)], capsys)
         assert code == 2 and "REDBLACK_TOL" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_flag_is_a_usage_error(
+        self, pow2_m3_file: Path, tmp_path: Path, capsys, monkeypatch, value: str
+    ) -> None:
+        monkeypatch.setattr("redblack.cli.check_border", lambda *a, **k: pytest.fail("scanned"))
+        out = tmp_path / "check.json"
+        args = ["check", "--table", str(pow2_m3_file), f"--tol={value}", "--out", str(out)]
+        code, _, err = run(args, capsys)
+        assert code == 2 and "tolerance must be finite" in err
+        assert not out.exists()
+
+    def test_non_finite_env_is_a_usage_error(self, pow2_m3_file: Path, capsys, monkeypatch) -> None:
+        monkeypatch.setenv("REDBLACK_TOL", "nan")
+        code, _, err = run(["check", "--table", str(pow2_m3_file)], capsys)
+        assert code == 2 and "tolerance must be finite" in err
+        code, _, err = run(["nash", "--table", str(pow2_m3_file), "--x0", "1"], capsys)
+        assert code == 2 and "tolerance must be finite" in err
 
     def test_env_feeds_the_manifest(self, pow2_m3_file: Path, tmp_path: Path, capsys, monkeypatch) -> None:
         monkeypatch.setenv("REDBLACK_TOL", "1e-6")
