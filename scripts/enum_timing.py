@@ -1,0 +1,43 @@
+"""Time exhaustive equilibrium enumeration on the p = 2 power family at M = 7.
+
+    PYTHONPATH=src python scripts/enum_timing.py
+
+First checks the criterion-6 per-start counts at M = 6
+(120/120/240/720/2880).  Then enumerates every start x0 = 1..6 of
+``power_family(7, 2)`` from a cold cache, 720² profile pairs, and prints the
+wall time, the per-start counts and the peak resident memory of the process.
+It is kept out of the test suite because the M = 7 run takes seconds and
+about 130 MiB.
+"""
+
+from __future__ import annotations
+
+import resource
+import sys
+import time
+
+import redblack as rb
+
+M6_COUNTS = [120, 120, 240, 720, 2880]
+
+
+def main() -> int:
+    table = rb.power_family(6, 2)
+    counts = [len(rb.enumerate_equilibria(table, x0)) for x0 in range(1, 6)]
+    if counts != M6_COUNTS:
+        print(f"M = 6 counts {counts}, expected {M6_COUNTS}", file=sys.stderr)
+        return 1
+    print(f"M = 6 counts {counts}: ok")
+
+    table = rb.power_family(7, 2)
+    start = time.perf_counter()
+    counts = [len(rb.enumerate_equilibria(table, x0)) for x0 in range(1, 7)]
+    elapsed = time.perf_counter() - start
+    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"M = 7 counts {counts}")
+    print(f"M = 7 all starts: {elapsed:.2f} s, peak RSS {peak_mib:.0f} MiB")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

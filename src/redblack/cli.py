@@ -59,6 +59,7 @@ from .game import (
 from .montecarlo import SimConfig, compare_exact, replay_trial, simulate
 from .reports import DEFAULT_TOL, DEFAULT_WITNESS_CAP, canonical_json
 from .solver import (
+    DEFAULT_ENUM_CAP,
     absorption_certain,
     bold_timid_values,
     enumerate_equilibria,
@@ -472,14 +473,14 @@ def build_parser() -> argparse.ArgumentParser:
     nash.add_argument("--profile", default="bold-timid")
     nash.add_argument("--x0", type=int, required=True)
     nash.add_argument("--tol", type=float, default=None)
-    nash.add_argument("--cap", type=int, default=8, help="enumeration money cap")
+    nash.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help="enumeration money cap")
     nash.add_argument("--out", default=None)
 
     enum = sub.add_parser("enum", help="all stationary deterministic equilibria at x0")
     enum.add_argument("--table", required=True)
     enum.add_argument("--x0", type=int, required=True)
     enum.add_argument("--tol", type=float, default=None)
-    enum.add_argument("--cap", type=int, default=8)
+    enum.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
     enum.add_argument("--out", default=None)
 
     sim = sub.add_parser("sim", help="seeded Monte Carlo with exact cross-check")

@@ -16,18 +16,29 @@ Hand-derived reference values frozen below:
 * the ``cycle_m4`` fixture's doctored entries make the profile with stakes
   (0, 1, 1, 2, 0) on both sides loop 1 -> 3 -> 1 forever, giving both
   players exact value zero on the interior.
+
+``_oracle_values`` keeps the per-pair path that the batched engine
+replaced: a scalar chain, a Python reachability fixpoint and a system
+assembled entry by entry.  The engine must reproduce it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import redblack as rb
 from redblack.game import Player
-from redblack.solver import _chain_arrays, _iterate_chain
+from redblack.solver import (
+    DEFAULT_TIE_TOL,
+    _chain_arrays,
+    _iterate_chain,
+    _pairwise_value_tensors,
+    _stake_rows,
+)
 
 
 def _timid_timid(M: int) -> rb.Profile:
@@ -40,6 +51,70 @@ def _bold_timid(M: int) -> rb.Profile:
 
 def _bold_bold(M: int) -> rb.Profile:
     return rb.Profile(rb.bold_strategy(Player.ONE, M), rb.bold_strategy(Player.TWO, M))
+
+
+def _oracle_absorbs(M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray) -> bool:
+    reached = [False] * (M + 1)
+    reached[0] = reached[M] = True
+    changed = True
+    while changed:
+        changed = False
+        for i in range(M - 1):
+            if reached[i + 1]:
+                continue
+            if (p[i] > 0.0 and reached[up[i]]) or (p[i] < 1.0 and reached[dn[i]]):
+                reached[i + 1] = True
+                changed = True
+    return all(reached)
+
+
+def _oracle_values(
+    table: rb.WinProbTable, first: rb.StationaryStrategy, second: rb.StationaryStrategy
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Both players' value vectors of one profile and whether its chain absorbs."""
+    M = table.M
+    xs = range(1, M)
+    p = np.array([table.array[first.bets[x], second.bets[M - x]] for x in xs])
+    up = np.array([x + second.bets[M - x] for x in xs])
+    dn = np.array([x - first.bets[x] for x in xs])
+    if not _oracle_absorbs(M, p, up, dn):
+        q = _iterate_chain(M, p, up, dn, M)[0]
+        t = _iterate_chain(M, p, up, dn, 0)[0]
+        return q, t, False
+    n = M - 1
+    A = np.zeros((n, n))
+    cI = np.zeros(n)
+    cII = np.zeros(n)
+    for i in range(n):
+        for prob, target in ((p[i], up[i]), (1.0 - p[i], dn[i])):
+            if 0 < target < M:
+                A[i, target - 1] += prob
+            elif target == M:
+                cI[i] += prob
+            else:
+                cII[i] += prob
+    solution = np.linalg.solve(np.eye(n) - A, np.stack([cI, cII], axis=1))
+    q = np.array([0.0, *np.clip(solution[:, 0], 0.0, 1.0), 1.0])
+    t = np.array([1.0, *np.clip(solution[:, 1], 0.0, 1.0), 0.0])
+    return q, t, True
+
+
+MAKERS = {
+    "pow1": lambda M: rb.power_family(M, 1),
+    "pow2": lambda M: rb.power_family(M, 2),
+    "min_exp": lambda M: rb.min_exp_table(M, 1.0),
+    "el": rb.exp_difference_table,
+}
+
+# (maker, M) pairs; "cycle" is the ``cycle_m4`` fixture, whose cycling
+# pairs take the iterative path inside enumeration.
+ORACLE_CASES = [(maker, M) for maker in MAKERS for M in (3, 4, 5)] + [("cycle", 4)]
+
+
+def _oracle_table(maker: str, M: int, request) -> rb.WinProbTable:
+    if maker == "cycle":
+        return request.getfixturevalue("cycle_m4")
+    return MAKERS[maker](M)
 
 
 class TestValueVector:
@@ -153,10 +228,63 @@ class TestHittingValues:
         assert values.t == (1.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_iteration_diagnostics(self, pow2_m3: rb.WinProbTable) -> None:
-        p, up, dn = _chain_arrays(pow2_m3, _timid_timid(3))
-        u, sweeps, monotone = _iterate_chain(3, p, up, dn, 3)
+        profile = _timid_timid(3)
+        p, up, dn = _chain_arrays(
+            pow2_m3, _stake_rows([profile.first]), _stake_rows([profile.second])
+        )
+        u, sweeps, monotone = _iterate_chain(3, p[0], up[0], dn[0], 3)
         assert monotone and sweeps > 1
         assert u[1] == pytest.approx(1 / 13, abs=1e-10)
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("maker,M", ORACLE_CASES)
+    def test_tensors_are_bit_identical_to_per_pair_oracle(
+        self, maker: str, M: int, request
+    ) -> None:
+        table = _oracle_table(maker, M, request)
+        firsts, seconds, VI, VII = _pairwise_value_tensors(table)
+        verdicts = set()
+        for i, first in enumerate(firsts):
+            for j, second in enumerate(seconds):
+                q, t, absorbs = _oracle_values(table, first, second)
+                assert np.array_equal(VI[i, j], q) and np.array_equal(VII[i, j], t)
+                assert rb.absorption_certain(table, rb.Profile(first, second)) is absorbs
+                verdicts.add(absorbs)
+        assert verdicts == ({True, False} if maker == "cycle" else {True})
+
+    @pytest.mark.parametrize("maker,M", ORACLE_CASES)
+    def test_enumerated_best_responses_match_per_pair_oracle(
+        self, maker: str, M: int, request
+    ) -> None:
+        table = _oracle_table(maker, M, request)
+        for owner in (Player.ONE, Player.TWO):
+            for opponent in (rb.timid_strategy(owner, M), rb.bold_strategy(owner, M)):
+                responses = list(rb.all_strategies(owner.other, M))
+                if owner is Player.TWO:
+                    rows = np.array([_oracle_values(table, s, opponent)[0] for s in responses])
+                else:
+                    rows = np.array([_oracle_values(table, opponent, s)[1] for s in responses])
+                maxima = rows.max(axis=0)
+                got = rb.enumerate_best_response(table, opponent)
+                assert got.values == tuple(maxima.tolist())
+                assert got.per_state == tuple(
+                    tuple(np.nonzero(rows[:, x] >= maxima[x] - DEFAULT_TIE_TOL)[0].tolist())
+                    for x in range(M + 1)
+                )
+
+    def test_cold_tensor_build_memory_is_blocked(self) -> None:
+        """Row blocks keep the working set near the 1.6 MiB of output tensors."""
+        table = rb.power_family(6, 2)
+        table.array  # built and cached outside the traced region
+        tracemalloc.start()
+        try:
+            _, _, VI, _ = _pairwise_value_tensors.__wrapped__(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert VI.shape == (120, 120, 7)
+        assert peak < 4 * 2**20
 
 
 class TestStrategyEnumeration:
@@ -215,12 +343,7 @@ class TestBestResponse:
         for M in (2, 3, 4, 5)
     ])
     def test_agrees_with_exhaustive_enumeration(self, maker: str, M: int) -> None:
-        table = {
-            "pow1": lambda n: rb.power_family(n, 1),
-            "pow2": lambda n: rb.power_family(n, 2),
-            "min_exp": lambda n: rb.min_exp_table(n, 1.0),
-            "el": rb.exp_difference_table,
-        }[maker](M)
+        table = MAKERS[maker](M)
         opponents = [
             rb.timid_strategy(Player.TWO, M),
             rb.bold_strategy(Player.TWO, M),
