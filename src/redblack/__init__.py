@@ -17,23 +17,19 @@ from .reports import (
     FairnessReport,
     Witness,
     canonical_json,
-    evaluate_inequality,
 )
 from .game import (
     GameError,
-    GameSpec,
     IllegalBetError,
     Player,
     Profile,
     StationaryStrategy,
-    StepDistribution,
     UndefinedEntryError,
     UnitBetCurve,
     WinProbTable,
     bold_strategy,
     check_border,
     check_fairness,
-    step_distribution,
     timid_strategy,
     unit_bet_curve,
 )
@@ -103,22 +99,18 @@ __all__ = [
     "FairnessReport",
     "Witness",
     "canonical_json",
-    "evaluate_inequality",
     # game
     "GameError",
-    "GameSpec",
     "IllegalBetError",
     "Player",
     "Profile",
     "StationaryStrategy",
-    "StepDistribution",
     "UndefinedEntryError",
     "UnitBetCurve",
     "WinProbTable",
     "bold_strategy",
     "check_border",
     "check_fairness",
-    "step_distribution",
     "timid_strategy",
     "unit_bet_curve",
     # families

@@ -67,25 +67,6 @@ class Player(Enum):
         return Player.TWO if self is Player.ONE else Player.ONE
 
 
-@dataclass(frozen=True)
-class GameSpec:
-    """Total money ``M`` and player I's initial fortune ``x0``."""
-
-    M: int
-    x0: int
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.M, int) and self.M >= 2):
-            raise ValueError(f"total money must be an integer >= 2, got {self.M!r}")
-        if not (isinstance(self.x0, int) and 0 <= self.x0 <= self.M):
-            raise ValueError(f"initial fortune must lie in 0..{self.M}, got {self.x0!r}")
-
-    @property
-    def y0(self) -> int:
-        """Player II's initial fortune."""
-        return self.M - self.x0
-
-
 def _validate_probability(value: Any, where: str) -> float:
     value = float(value)
     if not (0.0 <= value <= 1.0):
@@ -362,43 +343,6 @@ class Profile:
             StationaryStrategy(Player.ONE, first),
             StationaryStrategy(Player.TWO, second),
         )
-
-
-@dataclass(frozen=True)
-class StepDistribution:
-    """One-stage law of player I's next fortune."""
-
-    up_state: int
-    up_prob: float
-    down_state: int
-    down_prob: float
-
-    def support(self) -> dict[int, float]:
-        """Next-fortune distribution with zero-probability atoms dropped."""
-        out: dict[int, float] = {}
-        for state, prob in ((self.up_state, self.up_prob), (self.down_state, self.down_prob)):
-            if prob > 0.0:
-                out[state] = out.get(state, 0.0) + prob
-        return out
-
-
-def step_distribution(table: WinProbTable, x: int, a: int, b: int) -> StepDistribution:
-    """The law of the next fortune from ``x`` under stakes ``(a, b)``.
-
-    Absorbing fortunes return a point mass at themselves.  Stakes must be
-    feasible: ``0 <= a <= x`` and ``0 <= b <= M - x``.
-    """
-    M = table.M
-    if not 0 <= x <= M:
-        raise IndexError(f"fortune {x} outside 0..{M}")
-    if not 0 <= a <= x:
-        raise IllegalBetError(f"player I cannot stake {a} holding {x}")
-    if not 0 <= b <= M - x:
-        raise IllegalBetError(f"player II cannot stake {b} holding {M - x}")
-    if x in (0, M):
-        return StepDistribution(x, 1.0, x, 0.0)
-    p = table.prob(a, b)  # raises at the undefined pair (0, 0)
-    return StepDistribution(x + b, p, x - a, 1.0 - p)
 
 
 def check_border(

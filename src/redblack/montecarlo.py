@@ -11,9 +11,12 @@ in isolation (:func:`replay_trial`) to audit the vectorized stepping.
 
 A trial walks player I's fortune until absorption at ``0`` or ``M``, or
 until the step horizon is hit (such trials are reported as truncated, never
-as wins).  :func:`compare_exact` scores the empirical win frequency against
-an exact value vector with a z-statistic, and refuses to judge when too
-many trials were truncated.
+as wins).  The walk follows the chain the solver builds for the profile
+(``solver._chain_arrays``), so simulation and exact values share one
+definition of every step; a replay reads the stakes back from it.
+:func:`compare_exact` scores the empirical win frequency against an exact
+value vector with a z-statistic, and refuses to judge when too many trials
+were truncated.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Any
 import numpy as np
 
 from .game import Profile, WinProbTable
-from .solver import ValueVector
+from .solver import ValueVector, _chain_arrays, _stake_rows
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -134,21 +137,22 @@ class SimResult:
         }
 
 
-def _profile_step_tables(
-    table: WinProbTable, profile: Profile
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-fortune up-probability and both targets (boundaries self-loop)."""
+def _fortune_chain(
+    table: WinProbTable, profile: Profile, config: SimConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The profile's chain indexed by fortune ``0..M``, and the step horizon.
+
+    Up-probability, up and down targets come from the solver's chain; the
+    boundaries self-loop with up-probability zero.  Rejects a start outside
+    ``0..M`` and resolves the ``64 * M`` horizon default.
+    """
     M = table.M
-    p = np.zeros(M + 1)
-    up = np.arange(M + 1, dtype=np.int64)
-    dn = np.arange(M + 1, dtype=np.int64)
-    for x in range(1, M):
-        a = profile.first.bets[x]
-        b = profile.second.bets[M - x]
-        p[x] = table.prob(a, b)
-        up[x] = x + b
-        dn[x] = x - a
-    return p, up, dn
+    chain = _chain_arrays(table, _stake_rows([profile.first]), _stake_rows([profile.second]))
+    if not 0 <= config.x0 <= M:
+        raise ValueError(f"initial fortune {config.x0} outside 0..{M}")
+    p, up, dn = (row[0] for row in chain)
+    horizon = config.horizon if config.horizon is not None else 64 * M
+    return np.pad(p, 1), np.r_[0, up, M], np.r_[0, dn, M], horizon
 
 
 def _run_chunk(
@@ -196,14 +200,9 @@ def simulate(
     chunking.
     """
     M = table.M
-    if profile.M != M:
-        raise ValueError("profile and table disagree on the total money")
-    if not 0 <= config.x0 <= M:
-        raise ValueError(f"initial fortune {config.x0} outside 0..{M}")
+    p, up, dn, horizon = _fortune_chain(table, profile, config)
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
-    horizon = config.horizon if config.horizon is not None else 64 * M
-    p, up, dn = _profile_step_tables(table, profile)
 
     chunk = -(-config.trials // jobs)  # ceil division
     bounds = [
@@ -259,23 +258,23 @@ class TrialPath:
 def replay_trial(
     table: WinProbTable, profile: Profile, config: SimConfig, trial: int
 ) -> TrialPath:
-    """Re-walk one trial with scalar arithmetic; bit-identical to the batch."""
+    """Re-walk one trial with scalar arithmetic; bit-identical to the batch.
+
+    The stakes are read back from the chain: ``a = x - dn[x]`` and
+    ``b = up[x] - x``.
+    """
     M = table.M
     if not 0 <= trial < config.trials:
         raise ValueError(f"trial {trial} outside 0..{config.trials - 1}")
-    horizon = config.horizon if config.horizon is not None else 64 * M
+    p, up, dn, horizon = _fortune_chain(table, profile, config)
+    p, up, dn = p.tolist(), up.tolist(), dn.tolist()
     x = config.x0
     stages: list[tuple[int, int, int, int]] = []
     for step in range(horizon):
         if x in (0, M):
             break
-        a = profile.first.bets[x]
-        b = profile.second.bets[M - x]
-        stages.append((step, x, a, b))
-        if step_uniform(config.seed, trial, step) < table.prob(a, b):
-            x += b
-        else:
-            x -= a
+        stages.append((step, x, x - dn[x], up[x] - x))
+        x = up[x] if step_uniform(config.seed, trial, step) < p[x] else dn[x]
     return TrialPath(
         trial=trial,
         stages=tuple(stages),

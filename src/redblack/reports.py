@@ -15,8 +15,7 @@ order of the reported index, so witnesses come out in lexicographic scan
 order.  Memory is O(M^2) per slab.  Witnesses hold plain Python ints and
 floats: the compared values are the same IEEE results a term-by-term scan
 computes, so reports and the artifacts serialized from them do not depend
-on how a scan is sliced.  :func:`evaluate_inequality` feeds an iterable of
-terms through the same kernel.
+on how a scan is sliced.
 
 Reports are plain frozen dataclasses with deterministic JSON dict forms, so
 artifacts serialized from them are byte-identical across runs.
@@ -28,7 +27,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 import numpy as np
 
@@ -81,37 +80,6 @@ class CheckReport:
     tolerance: float
     flagged: int = 0
     constraint_counts: tuple[tuple[str, int], ...] = ()
-
-    def witnesses_for(self, constraint: str) -> tuple[Witness, ...]:
-        return tuple(w for w in self.witnesses if w.constraint == constraint)
-
-    def merge(
-        self, other: "CheckReport", *, max_witnesses: int | None = None
-    ) -> "CheckReport":
-        """Combine reports over disjoint slices of one index range.
-
-        Witnesses of both inputs are pooled and re-sorted; pass reports built
-        with an unlimited cap if the merged result must preserve the
-        first-``max_witnesses`` contract of a single full scan.
-        """
-        if other.name != self.name or other.tolerance != self.tolerance:
-            raise ValueError("only reports of the same check can be merged")
-        counts: dict[str, int] = {}
-        for label, n in self.constraint_counts + other.constraint_counts:
-            counts[label] = counts.get(label, 0) + n
-        merged = tuple(sorted(self.witnesses + other.witnesses))
-        if max_witnesses is not None:
-            merged = merged[:max_witnesses]
-        return CheckReport(
-            name=self.name,
-            passed=self.passed and other.passed,
-            violations=self.violations + other.violations,
-            witnesses=merged,
-            skipped=self.skipped + other.skipped,
-            tolerance=self.tolerance,
-            flagged=self.flagged + other.flagged,
-            constraint_counts=tuple(sorted(counts.items())),
-        )
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -208,40 +176,6 @@ def _slab_witnesses(
         Witness(index, l, r, r + tol - l if strict else l - r, slab.constraint)
         for index, l, r in zip(indices, lhs[pos].tolist(), rhs[pos].tolist())
     ]
-
-
-def evaluate_inequality(
-    name: str,
-    terms: Iterable[tuple[tuple[int, ...], float, float, str]],
-    *,
-    tol: float = DEFAULT_TOL,
-    max_witnesses: int | None = DEFAULT_WITNESS_CAP,
-    skipped: int = 0,
-    flagged: int = 0,
-) -> CheckReport:
-    """Scan ``(index, lhs, rhs, constraint)`` terms for ``lhs <= rhs + tol``.
-
-    ``terms`` must already be in the order witnesses should be reported in.
-    Each run of terms sharing a constraint and an index length becomes one
-    slab of :func:`scan_slabs`.
-    """
-
-    def slabs() -> Iterator[Slab]:
-        runs = itertools.groupby(terms, key=lambda term: (term[3], len(term[0])))
-        for (constraint, _), run in runs:
-            indices, lhs, rhs, _ = zip(*run)
-            coords = np.array(indices, dtype=np.int64).T
-            yield Slab(
-                np.array(lhs, dtype=np.float64),
-                np.array(rhs, dtype=np.float64),
-                True,
-                tuple(coords),
-                constraint,
-            )
-
-    return scan_slabs(
-        name, slabs(), tol=tol, max_witnesses=max_witnesses, skipped=skipped, flagged=flagged
-    )
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,12 @@ matches play (nobody is ever paid).  The linear solve is used only when the
 chain provably absorbs from every fortune; otherwise a monotone iteration
 from zero converges to the minimal fixed point from below.
 
+The chain a profile induces is built only by :func:`_chain_arrays`, which
+:mod:`redblack.montecarlo` walks as well; it rejects a profile whose total
+money differs from the table's.  The iteration tolerance, sweep budget and
+tie tolerance are the module constants :data:`DEFAULT_VI_TOL`,
+:data:`DEFAULT_MAX_SWEEPS` and :data:`DEFAULT_TIE_TOL`.
+
 One batched engine computes every profile's values, a single profile
 included.  It gathers the chains of a block of profile pairs from two stake
 matrices at once, runs a vectorised backward-reachability fixpoint to find
@@ -137,9 +143,12 @@ def _chain_arrays(
     ``firsts`` holds ``B`` player-I stake rows and ``seconds`` ``K``
     player-II stake rows (see :func:`_stake_rows`).  Row ``i * K + j`` of
     each ``(B * K, M - 1)`` result is the chain of first ``i`` against
-    second ``j``; column ``x - 1`` is interior fortune ``x``.
+    second ``j``; column ``x - 1`` is interior fortune ``x``.  Stake rows
+    whose length is not ``M + 1`` raise ``ValueError``.
     """
     M = table.M
+    if firsts.shape[1] != M + 1 or seconds.shape[1] != M + 1:
+        raise ValueError("profile and table disagree on the total money")
     xs = np.arange(1, M)
     a = firsts[:, None, 1:M]
     b = seconds[:, M - xs][None]
@@ -205,9 +214,6 @@ def _iterate_chain(
     up: np.ndarray,
     dn: np.ndarray,
     goal: int,
-    *,
-    tol_vi: float = DEFAULT_VI_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> tuple[np.ndarray, int, bool]:
     """Monotone iteration from zero toward the minimal fixed point.
 
@@ -218,16 +224,16 @@ def _iterate_chain(
     u = np.zeros(M + 1)
     u[goal] = 1.0
     monotone = True
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, DEFAULT_MAX_SWEEPS + 1):
         fresh = p * u[up] + (1.0 - p) * u[dn]
         delta = float(np.max(np.abs(fresh - u[1:M]))) if M > 1 else 0.0
         if np.min(fresh - u[1:M]) < 0.0:
             monotone = False
         u[1:M] = fresh
-        if delta < tol_vi:
+        if delta < DEFAULT_VI_TOL:
             return u, sweep, monotone
     raise RuntimeError(
-        f"value iteration did not settle within {max_sweeps} sweeps"
+        f"value iteration did not settle within {DEFAULT_MAX_SWEEPS} sweeps"
     )
 
 
@@ -237,8 +243,6 @@ def _block_values(
     seconds: np.ndarray,
     *,
     method: str = "auto",
-    tol_vi: float = DEFAULT_VI_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both players' value vectors for every pair of two blocks of stake rows.
 
@@ -263,8 +267,8 @@ def _block_values(
     t[solvable, 1:M] = uII
     for k in np.flatnonzero(~solvable):
         chain = (M, p[k], up[k], dn[k])
-        q[k] = _iterate_chain(*chain, M, tol_vi=tol_vi, max_sweeps=max_sweeps)[0]
-        t[k] = _iterate_chain(*chain, 0, tol_vi=tol_vi, max_sweeps=max_sweeps)[0]
+        q[k] = _iterate_chain(*chain, M)[0]
+        t[k] = _iterate_chain(*chain, 0)[0]
     return q, t
 
 
@@ -289,12 +293,7 @@ def _value_grid(
 
 
 def hitting_values(
-    table: WinProbTable,
-    profile: Profile,
-    *,
-    method: str = "auto",
-    tol_vi: float = DEFAULT_VI_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    table: WinProbTable, profile: Profile, *, method: str = "auto"
 ) -> ValueVector:
     """Both players' winning probabilities under a fixed profile.
 
@@ -308,8 +307,6 @@ def hitting_values(
         _stake_rows([profile.first]),
         _stake_rows([profile.second]),
         method=method,
-        tol_vi=tol_vi,
-        max_sweeps=max_sweeps,
     )
     return ValueVector(table.M, tuple(q[0].tolist()), tuple(t[0].tolist()))
 
@@ -359,19 +356,13 @@ def _response_actions(
     return [(b, table.prob(a, b), x + b, x - a) for b in range(1, M - x + 1)]
 
 
-def best_response(
-    table: WinProbTable,
-    opponent: StationaryStrategy,
-    *,
-    tie_tol: float = DEFAULT_TIE_TOL,
-    tol_vi: float = DEFAULT_VI_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-) -> BestResponse:
+def best_response(table: WinProbTable, opponent: StationaryStrategy) -> BestResponse:
     """Optimal stationary response by value iteration from zero.
 
     The extracted strategy prefers, among stakes whose one-stage value ties
-    the optimum within ``tie_tol``, those making ranked progress toward the
-    responder's goal (breaking remaining ties toward the smallest stake).
+    the optimum within :data:`DEFAULT_TIE_TOL`, those making ranked
+    progress toward the responder's goal (breaking remaining ties toward
+    the smallest stake).
     The progress rule matters when the table holds exact zeros and ones: a
     merely greedy stake can stall in a cycle whose value the iteration
     already priced as if the goal were reached.
@@ -383,22 +374,22 @@ def best_response(
 
     values = [0.0] * (M + 1)
     values[goal] = 1.0
-    for _ in range(max_sweeps):
+    for _ in range(DEFAULT_MAX_SWEEPS):
         delta = 0.0
         for x in range(1, M):
             best = max(p * values[u] + (1.0 - p) * values[d] for _, p, u, d in moves[x])
             delta = max(delta, abs(best - values[x]))
             values[x] = best
-        if delta < tol_vi:
+        if delta < DEFAULT_VI_TOL:
             break
     else:
-        raise RuntimeError(f"value iteration did not settle within {max_sweeps} sweeps")
+        raise RuntimeError(f"value iteration did not settle within {DEFAULT_MAX_SWEEPS} sweeps")
 
     greedy = {
         x: [
             (stake, p, u, d)
             for stake, p, u, d in moves[x]
-            if p * values[u] + (1.0 - p) * values[d] >= values[x] - tie_tol
+            if p * values[u] + (1.0 - p) * values[d] >= values[x] - DEFAULT_TIE_TOL
         ]
         for x in range(1, M)
     }
@@ -456,7 +447,6 @@ def enumerate_best_response(
     opponent: StationaryStrategy,
     *,
     cap: int = DEFAULT_ENUM_CAP,
-    tie_tol: float = DEFAULT_TIE_TOL,
 ) -> EnumeratedBestResponse:
     """Exhaustive oracle for :func:`best_response` (factorial cost in ``M``)."""
     M = table.M
@@ -470,10 +460,10 @@ def enumerate_best_response(
         rows = _value_grid(table, fixed, stakes)[1][0]
     maxima = rows.max(axis=0)
     per_state = tuple(
-        tuple(int(i) for i in np.nonzero(rows[:, x] >= maxima[x] - tie_tol)[0])
+        tuple(int(i) for i in np.nonzero(rows[:, x] >= maxima[x] - DEFAULT_TIE_TOL)[0])
         for x in range(M + 1)
     )
-    simultaneous = np.nonzero((rows >= maxima - tie_tol).all(axis=1))[0]
+    simultaneous = np.nonzero((rows >= maxima - DEFAULT_TIE_TOL).all(axis=1))[0]
     return EnumeratedBestResponse(
         player=responder,
         strategies=strategies,
@@ -598,7 +588,6 @@ def verify_nash(
     *,
     tol: float = DEFAULT_TOL,
     cap: int = DEFAULT_ENUM_CAP,
-    tie_tol: float = DEFAULT_TIE_TOL,
 ) -> EquilibriumCertificate:
     """Certify or refute a profile as an equilibrium at fortune ``x0``.
 
@@ -626,26 +615,16 @@ def verify_nash(
                 profile, x0, vI, vII, True, "excessivity", "all-strategies", None, reports
             )
 
-    _require_enumerable(M, cap)
-    against_I = enumerate_best_response(table, profile.second, cap=cap, tie_tol=tie_tol)
-    if against_I.values[x0] > vI + tol:
-        best = against_I.strategies[against_I.per_state[x0][0]]
-        deviation = Deviation(Player.ONE, best, against_I.values[x0], vI)
-        return EquilibriumCertificate(
-            profile, x0, vI, vII, False, "enumeration",
-            "stationary-deterministic", deviation, reports,
-        )
-    against_II = enumerate_best_response(table, profile.first, cap=cap, tie_tol=tie_tol)
-    if against_II.values[x0] > vII + tol:
-        best = against_II.strategies[against_II.per_state[x0][0]]
-        deviation = Deviation(Player.TWO, best, against_II.values[x0], vII)
-        return EquilibriumCertificate(
-            profile, x0, vI, vII, False, "enumeration",
-            "stationary-deterministic", deviation, reports,
-        )
+    deviation = None
+    for opponent, baseline in ((profile.second, vI), (profile.first, vII)):
+        response = enumerate_best_response(table, opponent, cap=cap)
+        if response.values[x0] > baseline + tol:
+            best = response.strategies[response.per_state[x0][0]]
+            deviation = Deviation(response.player, best, response.values[x0], baseline)
+            break
     return EquilibriumCertificate(
-        profile, x0, vI, vII, True, "enumeration",
-        "stationary-deterministic", None, reports,
+        profile, x0, vI, vII, deviation is None, "enumeration",
+        "stationary-deterministic", deviation, reports,
     )
 
 

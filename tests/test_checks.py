@@ -27,6 +27,7 @@ import pytest
 
 import redblack as rb
 from redblack.checks import product_bound_terms, supermultiplicative_terms
+from redblack.reports import Slab, scan_slabs
 
 
 def _curve(table: rb.WinProbTable) -> rb.UnitBetCurve:
@@ -76,8 +77,10 @@ class TestBoldInequality:
         curve = rb.UnitBetCurve(2, (0.0, 0.5, 0.4))
         report = rb.check_bold_inequality(curve)
         assert not report.passed
-        assert report.witnesses_for("difference")[0].index == (2, 1)
-        assert report.witnesses_for("nondecreasing")[0].index == (1, 2)
+        difference = [w for w in report.witnesses if w.constraint == "difference"]
+        nondecreasing = [w for w in report.witnesses if w.constraint == "nondecreasing"]
+        assert difference[0].index == (2, 1)
+        assert nondecreasing[0].index == (1, 2)
         assert dict(report.constraint_counts) == {"difference": 1, "nondecreasing": 1}
 
 
@@ -235,32 +238,12 @@ class TestUniquenessConditions:
         assert not report.passed
         assert report.witnesses[0].index == (0, 1)
         assert report.witnesses[0].constraint == "strictly-increasing"
-        positivity = report.witnesses_for("unit-stake-positivity")
+        positivity = [w for w in report.witnesses if w.constraint == "unit-stake-positivity"]
         assert [w.index for w in positivity] == [(1, 1), (1, 2), (1, 3), (1, 4)]
         assert report.violations == 5
 
 
 class TestReportPlumbing:
-    def test_chunked_merge_equals_single_scan(self, el_m4: rb.WinProbTable) -> None:
-        terms, skipped, flagged = supermultiplicative_terms(el_m4)
-        collected = list(terms)
-        half = len(collected) // 2
-        left = rb.evaluate_inequality(
-            "supermultiplicative", collected[:half], max_witnesses=None, skipped=skipped
-        )
-        right = rb.evaluate_inequality(
-            "supermultiplicative", collected[half:], max_witnesses=None, flagged=flagged
-        )
-        merged = left.merge(right, max_witnesses=16)
-        full = rb.check_supermultiplicative(el_m4, max_witnesses=16)
-        assert merged == full
-
-    def test_merge_refuses_mixed_checks(self) -> None:
-        a = rb.evaluate_inequality("one", [])
-        b = rb.evaluate_inequality("two", [])
-        with pytest.raises(ValueError):
-            a.merge(b)
-
     def test_witnesses_reevaluate_against_the_table(self, el_m4: rb.WinProbTable) -> None:
         report = rb.check_supermultiplicative(el_m4)
         for witness in report.witnesses:
@@ -287,6 +270,6 @@ class TestReportPlumbing:
         assert payload["witnesses"][0]["index"] == [2, 1, 1]
 
     def test_tolerance_is_respected(self) -> None:
-        terms = [((0,), 1.0 + 5e-13, 1.0, "")]
-        assert rb.evaluate_inequality("demo", terms, tol=1e-12).passed
-        assert not rb.evaluate_inequality("demo", terms, tol=1e-13).passed
+        slab = Slab([1.0 + 5e-13], 1.0, True, (0,), "")
+        assert scan_slabs("demo", [slab], tol=1e-12).passed
+        assert not scan_slabs("demo", [slab], tol=1e-13).passed

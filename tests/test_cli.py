@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -455,11 +456,15 @@ class TestEntryPoints:
         assert run([], capsys)[0] == 2
 
     def test_module_execution(self) -> None:
+        # The child imports the same package as this test, installed or not.
+        package_root = str(Path(rb.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "redblack", "--version"],
             capture_output=True,
             text=True,
             check=False,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"redblack {rb.__version__}"

@@ -1,4 +1,4 @@
-"""Core model: tables, borders, fairness, strategies, one-stage stepping.
+"""Core model: tables, borders, fairness, strategies and profiles.
 
 Frozen values used below, derived by hand:
 
@@ -19,21 +19,6 @@ import numpy as np
 import pytest
 
 import redblack as rb
-
-
-class TestGameSpec:
-    def test_fields_and_complement(self) -> None:
-        spec = rb.GameSpec(M=5, x0=2)
-        assert spec.y0 == 3
-
-    def test_boundary_starts_allowed(self) -> None:
-        assert rb.GameSpec(M=3, x0=0).y0 == 3
-        assert rb.GameSpec(M=3, x0=3).y0 == 0
-
-    @pytest.mark.parametrize("M,x0", [(1, 0), (2, -1), (2, 3), (0, 0)])
-    def test_rejects_bad_money_or_start(self, M: int, x0: int) -> None:
-        with pytest.raises(ValueError):
-            rb.GameSpec(M=M, x0=x0)
 
 
 class TestWinProbTable:
@@ -267,55 +252,6 @@ class TestProfile:
     def test_json_round_trip(self) -> None:
         profile = rb.Profile.from_name("timid-bold", 4)
         assert rb.Profile.from_json_dict(profile.to_json_dict()) == profile
-
-
-class TestStepDistribution:
-    def test_interior_split_frozen(self, pow2_m3: rb.WinProbTable) -> None:
-        step = rb.step_distribution(pow2_m3, x=2, a=2, b=1)
-        assert step.support() == {3: pytest.approx(4 / 9), 0: pytest.approx(5 / 9)}
-
-    def test_zero_stake_gives_sure_loss_of_stage(self) -> None:
-        table = rb.power_family(5, 2)
-        step = rb.step_distribution(table, x=2, a=0, b=3)
-        # P(0, 3) = 0: the up move to 5 carries no mass
-        assert step.up_prob == 0.0
-        assert step.support() == {2: 1.0}
-
-    def test_absorbing_fortunes_are_point_masses(self, pow2_m3: rb.WinProbTable) -> None:
-        assert rb.step_distribution(pow2_m3, 0, 0, 2).support() == {0: 1.0}
-        assert rb.step_distribution(pow2_m3, 3, 2, 0).support() == {3: 1.0}
-
-    def test_rejects_overdrawn_stakes(self, pow2_m3: rb.WinProbTable) -> None:
-        with pytest.raises(rb.IllegalBetError):
-            rb.step_distribution(pow2_m3, x=1, a=2, b=1)
-        with pytest.raises(rb.IllegalBetError):
-            rb.step_distribution(pow2_m3, x=2, a=1, b=2)
-
-    def test_rejects_double_zero_stakes_at_interior(self, pow2_m3: rb.WinProbTable) -> None:
-        with pytest.raises(rb.UndefinedEntryError):
-            rb.step_distribution(pow2_m3, x=2, a=0, b=0)
-
-    def test_rejects_fortune_outside_range(self, pow2_m3: rb.WinProbTable) -> None:
-        with pytest.raises(IndexError):
-            rb.step_distribution(pow2_m3, x=4, a=0, b=0)
-
-    @pytest.mark.parametrize("maker", ["pow1", "pow2", "min_exp", "el"])
-    def test_stage_law_is_stochastic_over_all_legal_moves(self, maker: str) -> None:
-        table = {
-            "pow1": lambda: rb.power_family(5, 1),
-            "pow2": lambda: rb.power_family(5, 2),
-            "min_exp": lambda: rb.min_exp_table(5, 1.0),
-            "el": lambda: rb.exp_difference_table(5),
-        }[maker]()
-        M = table.M
-        for x in range(1, M):
-            for a in range(x + 1):
-                for b in range(M - x + 1):
-                    if a == 0 and b == 0:
-                        continue
-                    step = rb.step_distribution(table, x, a, b)
-                    assert step.up_prob + step.down_prob == pytest.approx(1.0, abs=1e-15)
-                    assert 0 <= step.down_state <= step.up_state <= M
 
 
 class TestNumpyInterop:

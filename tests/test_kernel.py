@@ -308,24 +308,6 @@ def test_unreachable_entries_closed_form(M: int) -> None:
     assert table.unreachable_entries == brute == M * (M + 1) // 2
 
 
-@pytest.mark.parametrize("cap", CAPS)
-def test_evaluate_inequality_adapter_equals_oracle(cap: int | None) -> None:
-    """Runs of constraint tags and index lengths become separate slabs."""
-    terms = [
-        ((0,), 1.0, 0.5, "a"),
-        ((1,), 0.5, 1.0, "a"),
-        ((2, 0), 0.75, 0.25, "b"),
-        ((), 2.0, 1.0, "b"),
-        ((3,), 1.0 + 5e-13, 1.0, "a"),
-        ((4,), 3.0, 1.0, "a"),
-    ]
-    for tol in TOLS:
-        got = rb.evaluate_inequality(
-            "demo", iter(terms), tol=tol, max_witnesses=cap, skipped=2, flagged=1
-        )
-        assert got == _scalar_report("demo", terms, tol=tol, cap=cap, skipped=2, flagged=1)
-
-
 def test_extended_scan_memory_is_per_slab() -> None:
     """The whole-plane scan keeps O(M^2) memory: one plane per ``x``."""
     table = rb.power_family(100, 2)

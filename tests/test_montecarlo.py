@@ -159,6 +159,11 @@ class TestReplayTrial:
         with pytest.raises(ValueError, match="trial"):
             rb.replay_trial(pow2_m4, _profile(4), rb.SimConfig(x0=2, trials=5, seed=0), 5)
 
+    def test_start_must_lie_in_range(self, pow2_m4: rb.WinProbTable) -> None:
+        config = rb.SimConfig(x0=5, trials=5, seed=0)
+        with pytest.raises(ValueError, match="outside"):
+            rb.replay_trial(pow2_m4, _profile(4), config, 0)
+
 
 def _manual_result(wins_I: int, trials: int, truncated: int = 0, **kw) -> rb.SimResult:
     return rb.SimResult(

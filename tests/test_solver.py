@@ -237,6 +237,55 @@ class TestHittingValues:
         assert u[1] == pytest.approx(1 / 13, abs=1e-10)
 
 
+# Every public entry point that turns a table and a profile into a chain.
+CHAIN_ENTRY_POINTS = {
+    "hitting_values": rb.hitting_values,
+    "absorption_certain": rb.absorption_certain,
+    "verify_nash": lambda table, profile: rb.verify_nash(table, profile, 1),
+    "simulate": lambda table, profile: rb.simulate(
+        table, profile, rb.SimConfig(x0=1, trials=10, seed=0)
+    ),
+    "replay_trial": lambda table, profile: rb.replay_trial(
+        table, profile, rb.SimConfig(x0=1, trials=10, seed=0), 0
+    ),
+}
+
+
+class TestChainArrays:
+    def test_interior_split_frozen(self, pow2_m3: rb.WinProbTable) -> None:
+        """Bold against timid at fortune 2 stakes (2, 1): up to 3 w.p. P(2, 1) = 4/9."""
+        profile = rb.Profile.from_name("bold-timid", 3)
+        p, up, dn = _chain_arrays(
+            pow2_m3, _stake_rows([profile.first]), _stake_rows([profile.second])
+        )
+        assert p[0, 1] == pytest.approx(4 / 9, abs=1e-15)
+        assert (up[0, 1], dn[0, 1]) == (3, 0)
+
+    @pytest.mark.parametrize("maker", sorted(MAKERS))
+    def test_rows_are_stage_laws(self, maker: str) -> None:
+        M = 5
+        table = MAKERS[maker](M)
+        names = ("bold-timid", "timid-bold", "bold-bold", "timid-timid")
+        profiles = [rb.Profile.from_name(name, M) for name in names]
+        p, up, dn = _chain_arrays(
+            table,
+            _stake_rows([profile.first for profile in profiles]),
+            _stake_rows([profile.second for profile in profiles]),
+        )
+        x = np.arange(1, M)
+        assert p.shape == up.shape == dn.shape == (len(profiles) ** 2, M - 1)
+        assert ((0.0 <= p) & (p <= 1.0)).all()
+        assert ((0 <= dn) & (dn < x) & (x < up) & (up <= M)).all()
+
+    @pytest.mark.parametrize("M", [2, 5])
+    @pytest.mark.parametrize("entry", sorted(CHAIN_ENTRY_POINTS))
+    def test_profile_for_other_money_is_rejected(
+        self, entry: str, M: int, pow2_m3: rb.WinProbTable
+    ) -> None:
+        with pytest.raises(ValueError, match="total money"):
+            CHAIN_ENTRY_POINTS[entry](pow2_m3, rb.Profile.from_name("bold-timid", M))
+
+
 class TestBatchedEngine:
     @pytest.mark.parametrize("maker,M", ORACLE_CASES)
     def test_tensors_are_bit_identical_to_per_pair_oracle(
@@ -438,6 +487,15 @@ class TestVerifyNash:
         assert cert.coverage == "stationary-deterministic"
         assert [r.passed for r in cert.reports] == [True, False]
         assert cert.value_I == 0.0 and cert.value_II == 1.0
+
+    def test_player_one_is_checked_first(self, pow2_m4: rb.WinProbTable) -> None:
+        """Against timid-bold at fortune 2 both players can improve; the
+        refutation names player I's deviation."""
+        profile = rb.Profile.from_name("timid-bold", 4)
+        cert = rb.verify_nash(pow2_m4, profile, 2)
+        assert rb.enumerate_best_response(pow2_m4, profile.first).values[2] > cert.value_II
+        assert not cert.equilibrium
+        assert cert.deviation is not None and cert.deviation.player is Player.ONE
 
     def test_start_out_of_range(self, pow2_m4: rb.WinProbTable) -> None:
         with pytest.raises(ValueError, match="outside"):
