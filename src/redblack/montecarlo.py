@@ -56,10 +56,14 @@ def trial_key(seed: int, trial: int) -> int:
     return _mix64_int(seed + (trial + 1) * _GOLDEN)
 
 
+def _keyed_uniform(key: int, step: int) -> float:
+    """The uniform in [0, 1) at one step of the trial with RNG key ``key``."""
+    return (_mix64_int(key + (step + 1) * _GOLDEN) >> 11) * 2.0**-53
+
+
 def step_uniform(seed: int, trial: int, step: int) -> float:
     """The uniform in [0, 1) consumed at one step of one trial."""
-    draw = _mix64_int(trial_key(seed, trial) + (step + 1) * _GOLDEN)
-    return (draw >> 11) * 2.0**-53
+    return _keyed_uniform(trial_key(seed, trial), step)
 
 
 @dataclass(frozen=True)
@@ -268,13 +272,14 @@ def replay_trial(
         raise ValueError(f"trial {trial} outside 0..{config.trials - 1}")
     p, up, dn, horizon = _fortune_chain(table, profile, config)
     p, up, dn = p.tolist(), up.tolist(), dn.tolist()
+    key = trial_key(config.seed, trial)
     x = config.x0
     stages: list[tuple[int, int, int, int]] = []
     for step in range(horizon):
         if x in (0, M):
             break
         stages.append((step, x, x - dn[x], up[x] - x))
-        x = up[x] if step_uniform(config.seed, trial, step) < p[x] else dn[x]
+        x = up[x] if _keyed_uniform(key, step) < p[x] else dn[x]
     return TrialPath(
         trial=trial,
         stages=tuple(stages),

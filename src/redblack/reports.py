@@ -169,6 +169,7 @@ def _slab_witnesses(
     strict: bool,
 ) -> list[Witness]:
     """The first ``room`` violations of one slab as plain-Python witnesses."""
+    hit, lhs, rhs = np.atleast_1d(hit, lhs, rhs)  # a slab of scalars is one position
     pos = np.unravel_index(np.flatnonzero(hit)[:room], hit.shape)
     coords = [np.broadcast_to(c, hit.shape)[pos].tolist() for c in slab.index]
     indices = zip(*coords) if coords else itertools.repeat(())

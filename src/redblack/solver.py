@@ -34,6 +34,11 @@ player I's strategies, so its memory is the two value tensors of
 takes about 0.08 s at ``M = 6`` and about 2.5 s at ``M = 7``; at ``M = 7``
 about a third of that is building the certificates.
 
+A best response is found by policy iteration (Howard) on the responder's
+``(M-1) x (M-1)`` grid of fortunes and stakes, gathered by
+:func:`_chain_arrays` and ranked by the same reachability fixpoint: one
+exact solve per policy, one argmax over the grid per improvement.
+
 Equilibrium certification is two-tier:
 
 * the bold-versus-timid profile is certified against *all* strategies when
@@ -75,6 +80,9 @@ DEFAULT_VI_TOL = 1e-13
 DEFAULT_MAX_SWEEPS = 10**6
 DEFAULT_ENUM_CAP = 7
 DEFAULT_TIE_TOL = 1e-9
+# A policy-iteration stake switches only on a gain above this, so rounding
+# in the exact solves cannot make two stakes alternate forever.
+_IMPROVE_MARGIN = 1e-14
 # Profile pairs per block of the batched value engine (see _value_grid).
 _BLOCK_PAIRS = 1024
 
@@ -159,24 +167,47 @@ def _chain_arrays(
     return p, up, dn
 
 
-def _absorbing(M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray) -> np.ndarray:
-    """Per chain row, whether it reaches a boundary from every fortune.
+def _ranks(
+    M: int,
+    goals: list[int],
+    p: np.ndarray,
+    up: np.ndarray,
+    dn: np.ndarray,
+    allowed: np.ndarray | bool = True,
+) -> np.ndarray:
+    """Backward-reachability rank of every fortune, for a stack of rows.
 
-    Backward reachability from ``{0, M}`` along positive-probability steps,
-    iterated for all rows at once until no row changes; each sweep only
-    adds fortunes, so at most ``M - 1`` sweeps run.
+    ``p``, ``up`` and ``dn`` are ``(R, M - 1, A)``: row ``r`` offers ``A``
+    alternative steps at each interior fortune, of which those ``allowed``
+    may be taken.  The ``goals`` have rank 0.  Pass ``k`` gives rank ``k``
+    to every unranked fortune with an allowed step that moves, with
+    positive probability, to a fortune ranked before the pass.  Passes stop
+    when one ranks nothing, so at most ``M - 1`` run; fortunes that cannot
+    reach the goals keep rank ``M``.
     """
     reached = np.zeros((len(p), M + 1), dtype=bool)
-    reached[:, [0, M]] = True
+    reached[:, goals] = True
+    rank = np.where(reached, 0, M)
     flat = reached.reshape(-1)
-    row_start = (M + 1) * np.arange(len(p))[:, None]
+    row_start = (M + 1) * np.arange(len(p))[:, None, None]
     up_at, dn_at = row_start + up, row_start + dn
-    live_up, live_dn = p > 0.0, p < 1.0
-    while True:
-        fresh = (live_up & flat[up_at]) | (live_dn & flat[dn_at])
-        if np.array_equal(fresh, reached[:, 1:M]):
-            return fresh.all(axis=1)
-        reached[:, 1:M] = fresh
+    live_up, live_dn = allowed & (p > 0.0), allowed & (p < 1.0)
+    inner, interior = reached[:, 1:M], rank[:, 1:M]
+    for k in range(1, M):
+        # ``a > inner`` is ``a & ~inner`` on booleans: the fortunes with a
+        # step into the reached set that this pass reaches first.
+        fresh = ((live_up & flat[up_at]) | (live_dn & flat[dn_at])).any(axis=2) > inner
+        if not fresh.any():
+            break
+        interior[fresh] = k
+        inner |= fresh
+    return rank
+
+
+def _absorbing(M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray) -> np.ndarray:
+    """Per chain row, whether it reaches a boundary from every fortune."""
+    steps = (a[..., None] for a in (p, up, dn))
+    return (_ranks(M, [0, M], *steps)[:, 1:M] < M).all(axis=1)
 
 
 def absorption_certain(table: WinProbTable, profile: Profile) -> bool:
@@ -190,20 +221,26 @@ def absorption_certain(table: WinProbTable, profile: Profile) -> bool:
     return bool(_absorbing(table.M, *chain)[0])
 
 
+def _step_laws(M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray) -> np.ndarray:
+    """Chain arrays scattered into step laws: ``step[..., x - 1, y]`` is the
+    chance of moving from interior fortune ``x`` to fortune ``y``."""
+    step = np.zeros((p.size, M + 1))
+    at = np.arange(p.size)
+    step[at, up.ravel()] = p.ravel()
+    step[at, dn.ravel()] = 1.0 - p.ravel()
+    return step.reshape(*p.shape, M + 1)
+
+
 def _solve_linear(
     M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact interior values of both players for a stack of absorbing chains.
 
-    Row ``k``'s step law is scattered into ``step[k, i, target]``; its
-    interior columns are ``A`` and its boundary columns the right-hand
-    sides, so ``(I - A) u = c`` is solved for every row in one call.
+    In each row's step law the interior columns are ``A`` and the boundary
+    columns the right-hand sides, so ``(I - A) u = c`` is solved for every
+    row in one call.
     """
-    step = np.zeros((p.size, M + 1))
-    at = np.arange(p.size)
-    step[at, up.ravel()] = p.ravel()
-    step[at, dn.ravel()] = 1.0 - p.ravel()
-    step = step.reshape(*p.shape, M + 1)
+    step = _step_laws(M, p, up, dn)
     solution = np.linalg.solve(np.eye(M - 1) - step[..., 1:M], step[..., [M, 0]])
     return np.clip(solution[..., 0], 0.0, 1.0), np.clip(solution[..., 1], 0.0, 1.0)
 
@@ -214,24 +251,27 @@ def _iterate_chain(
     up: np.ndarray,
     dn: np.ndarray,
     goal: int,
-) -> tuple[np.ndarray, int, bool]:
+) -> tuple[np.ndarray, int]:
     """Monotone iteration from zero toward the minimal fixed point.
 
-    Returns the full value vector (boundary included), the sweep count and
-    whether every sweep was numerically monotone (it should be: all updates
-    are convex combinations, which round monotonically).
+    Returns the full value vector (boundary included) and the sweep count.
+    The stop rule (one sweep moves no value by :data:`DEFAULT_VI_TOL`) is
+    not an error bound: on a slowly mixing chain the remaining error is that
+    step divided by the spectral gap.
     """
     u = np.zeros(M + 1)
     u[goal] = 1.0
-    monotone = True
+    fall = 1.0 - p
+    fresh, down, change = np.empty(M - 1), np.empty(M - 1), np.empty(M - 1)
     for sweep in range(1, DEFAULT_MAX_SWEEPS + 1):
-        fresh = p * u[up] + (1.0 - p) * u[dn]
-        delta = float(np.max(np.abs(fresh - u[1:M]))) if M > 1 else 0.0
-        if np.min(fresh - u[1:M]) < 0.0:
-            monotone = False
+        np.multiply(p, np.take(u, up, out=fresh), out=fresh)
+        np.multiply(fall, np.take(u, dn, out=down), out=down)
+        fresh += down
+        np.subtract(fresh, u[1:M], out=change)
+        delta = float(np.abs(change, out=change).max())
         u[1:M] = fresh
         if delta < DEFAULT_VI_TOL:
-            return u, sweep, monotone
+            return u, sweep
     raise RuntimeError(
         f"value iteration did not settle within {DEFAULT_MAX_SWEEPS} sweeps"
     )
@@ -332,7 +372,7 @@ def _require_enumerable(M: int, cap: int) -> None:
 
 @dataclass(frozen=True)
 class BestResponse:
-    """A value-iteration best response against a fixed opponent strategy.
+    """An optimal stationary response to a fixed opponent strategy.
 
     ``values[x]`` is the responder's own winning probability when player
     I's fortune is ``x`` (for player II that is the chance of driving the
@@ -344,83 +384,69 @@ class BestResponse:
     values: tuple[float, ...]
 
 
-def _response_actions(
-    table: WinProbTable, opponent: StationaryStrategy, x: int
-) -> list[tuple[int, float, int, int]]:
-    """Feasible (stake, up-probability, up, down) moves of the responder at ``x``."""
-    M = table.M
-    if opponent.owner is Player.TWO:
-        b = opponent.bets[M - x]
-        return [(a, table.prob(a, b), x + b, x - a) for a in range(1, x + 1)]
-    a = opponent.bets[x]
-    return [(b, table.prob(a, b), x + b, x - a) for b in range(1, M - x + 1)]
+def _progress_policy(
+    M: int, goal: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray, allowed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks of an action grid toward ``goal`` (see :func:`_ranks`) and, per
+    interior fortune, the first allowed action that steps into a lower rank
+    with positive probability, or the first allowed action where none does."""
+    rank = _ranks(M, [goal], p[None], up[None], dn[None], allowed[None])[0]
+    here = rank[1:M, None]
+    progress = allowed & (((p > 0.0) & (rank[up] < here)) | ((p < 1.0) & (rank[dn] < here)))
+    return rank, np.where(progress.any(axis=1), progress.argmax(axis=1), allowed.argmax(axis=1))
 
 
 def best_response(table: WinProbTable, opponent: StationaryStrategy) -> BestResponse:
-    """Optimal stationary response by value iteration from zero.
+    """Optimal stationary response by policy iteration with exact evaluation.
+
+    Fortunes from which no stakes reach the responder's goal are worth
+    exactly 0.  The starting policy steps toward the goal in the
+    reachability ranking, so every policy's linear solve on the other
+    fortunes is nonsingular; a stake switches only on a gain above
+    ``_IMPROVE_MARGIN``, and the iteration stops when none does.
 
     The extracted strategy prefers, among stakes whose one-stage value ties
     the optimum within :data:`DEFAULT_TIE_TOL`, those making ranked
     progress toward the responder's goal (breaking remaining ties toward
     the smallest stake).
     The progress rule matters when the table holds exact zeros and ones: a
-    merely greedy stake can stall in a cycle whose value the iteration
+    merely greedy stake can stall in a cycle whose value the optimum
     already priced as if the goal were reached.
     """
     M = table.M
     responder = opponent.owner.other
     goal = M if responder is Player.ONE else 0
-    moves = {x: _response_actions(table, opponent, x) for x in range(1, M)}
+    # Row s - 1 stakes min(s, own fortune) at every own fortune.  Past the
+    # own fortune it repeats the largest legal stake, so the first maximum
+    # along the stake axis is always a legal stake.
+    stakes = np.minimum.outer(np.arange(1, M), np.r_[0:M, 0])
+    fixed = _stake_rows([opponent])
+    pair = (stakes, fixed) if responder is Player.ONE else (fixed, stakes)
+    # Action grids [x - 1, s - 1]: interior fortune x, stake s.
+    p, up, dn = (np.ascontiguousarray(a.T) for a in _chain_arrays(table, *pair))
+    rows = np.arange(M - 1)
 
-    values = [0.0] * (M + 1)
-    values[goal] = 1.0
-    for _ in range(DEFAULT_MAX_SWEEPS):
-        delta = 0.0
-        for x in range(1, M):
-            best = max(p * values[u] + (1.0 - p) * values[d] for _, p, u, d in moves[x])
-            delta = max(delta, abs(best - values[x]))
-            values[x] = best
-        if delta < DEFAULT_VI_TOL:
+    rank, policy = _progress_policy(M, goal, p, up, dn, np.ones(p.shape, dtype=bool))
+    live = np.flatnonzero(rank[1:M] < M)
+    v = np.zeros(M + 1)
+    v[goal] = 1.0
+    while True:
+        step = _step_laws(M, p[rows, policy], up[rows, policy], dn[rows, policy])[live]
+        v[live + 1] = np.linalg.solve(np.eye(len(live)) - step[:, live + 1], step[:, goal])
+        one_stage = p * v[up] + (1.0 - p) * v[dn]
+        best = one_stage.argmax(axis=1)
+        switch = one_stage[rows, best] > one_stage[rows, policy] + _IMPROVE_MARGIN
+        if not switch.any():
             break
-    else:
-        raise RuntimeError(f"value iteration did not settle within {DEFAULT_MAX_SWEEPS} sweeps")
+        policy = np.where(switch, best, policy)
 
-    greedy = {
-        x: [
-            (stake, p, u, d)
-            for stake, p, u, d in moves[x]
-            if p * values[u] + (1.0 - p) * values[d] >= values[x] - DEFAULT_TIE_TOL
-        ]
-        for x in range(1, M)
-    }
-    ranked = {goal}
-    choice: dict[int, int] = {}
-    progressed = True
-    while progressed:
-        progressed = False
-        for x in range(1, M):
-            if x in choice:
-                continue
-            qualifying = [
-                stake
-                for stake, p, u, d in greedy[x]
-                if (p > 0.0 and u in ranked) or (p < 1.0 and d in ranked)
-            ]
-            if qualifying:
-                choice[x] = min(qualifying)
-                progressed = True
-        ranked.update(choice.keys())
-    for x in range(1, M):
-        # No greedy stake makes progress: the fortune is worth 0, any stake does.
-        choice.setdefault(x, min(stake for stake, _, _, _ in greedy[x]))
-
+    greedy = one_stage >= v[1:M, None] - DEFAULT_TIE_TOL
+    own = (_progress_policy(M, goal, p, up, dn, greedy)[1] + 1).tolist()
     if responder is Player.ONE:
-        bets = tuple(0 if t in (0, M) else choice[t] for t in range(M + 1))
-        strategy = StationaryStrategy(Player.ONE, bets)
+        strategy = StationaryStrategy(Player.ONE, (0, *own, 0))
         exact = hitting_values(table, Profile(strategy, opponent)).q
     else:
-        bets = tuple(0 if t in (0, M) else choice[M - t] for t in range(M + 1))
-        strategy = StationaryStrategy(Player.TWO, bets)
+        strategy = StationaryStrategy(Player.TWO, (0, *reversed(own), 0))
         exact = hitting_values(table, Profile(opponent, strategy)).t
     return BestResponse(responder, strategy, exact)
 

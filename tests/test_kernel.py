@@ -19,6 +19,7 @@ import pytest
 
 import redblack as rb
 from redblack.checks import product_bound_terms, supermultiplicative_terms
+from redblack.reports import Slab, scan_slabs
 
 CAPS = (0, 1, 16, None, -1)
 # A negative tolerance is not rejected by the library; fairness then
@@ -284,6 +285,14 @@ def test_cap_fills_in_the_middle_of_a_slab() -> None:
     assert capped.witnesses == full.witnesses[:cap]
     assert {w.index[0] for w in capped.witnesses} == {first, second}
     assert capped.violations == full.violations > cap
+
+
+@pytest.mark.parametrize("cap", [rb.DEFAULT_WITNESS_CAP, 0])
+def test_zero_dimensional_slab_is_one_position(cap: int) -> None:
+    """A slab of scalars is counted and, when the cap leaves room, witnessed."""
+    report = scan_slabs("demo", [Slab(1.0, 0.0, True, (0,), "c")], max_witnesses=cap)
+    assert (report.passed, report.violations, report.constraint_counts) == (False, 1, (("c", 1),))
+    assert report.witnesses == ((rb.Witness((0,), 1.0, 0.0, 1.0, "c"),) if cap else ())
 
 
 @pytest.mark.parametrize("M", range(2, 10))

@@ -22,6 +22,23 @@ def _profile(M: int, name: str = "bold-timid") -> rb.Profile:
     return rb.Profile.from_name(name, M)
 
 
+def _walk(
+    table: rb.WinProbTable, profile: rb.Profile, config: rb.SimConfig, trial: int
+) -> rb.TrialPath:
+    """Reference replay: each stage reads both stakes and the table, and
+    draws ``step_uniform``."""
+    M = table.M
+    horizon = 64 * M if config.horizon is None else config.horizon
+    x, stages = config.x0, []
+    for step in range(horizon):
+        if x in (0, M):
+            break
+        a, b = profile.first.bets[x], profile.second.bets[M - x]
+        stages.append((step, x, a, b))
+        x = x + b if rb.step_uniform(config.seed, trial, step) < table.prob(a, b) else x - a
+    return rb.TrialPath(trial, tuple(stages), x, x not in (0, M))
+
+
 class TestSplitMixDraws:
     def test_reference_output_vector(self) -> None:
         assert rb.trial_key(0, 0) == 0xE220A8397B1DCDAF
@@ -154,6 +171,20 @@ class TestReplayTrial:
         path = rb.replay_trial(pow2_m4, _profile(4, "timid-timid"), config, 0)
         assert path.truncated and len(path.stages) == 1
         assert path.final_state in (1, 3)
+
+    @pytest.mark.parametrize("name,x0,horizon", [
+        ("timid-timid", 20, None), ("bold-timid", 30, None), ("timid-timid", 20, 40),
+    ])
+    def test_equals_a_walk_drawing_step_uniform(self, name: str, x0: int, horizon) -> None:
+        """The once-per-trial key reproduces a walk that draws
+        ``step_uniform`` afresh and looks up the table at every stage."""
+        table = rb.power_family(40, 1)
+        profile = _profile(40, name)
+        config = rb.SimConfig(x0=x0, trials=6, seed=123, horizon=horizon)
+        for trial in range(config.trials):
+            assert rb.replay_trial(table, profile, config, trial) == _walk(
+                table, profile, config, trial
+            )
 
     def test_trial_must_exist(self, pow2_m4: rb.WinProbTable) -> None:
         with pytest.raises(ValueError, match="trial"):

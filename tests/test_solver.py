@@ -25,10 +25,13 @@ assembled entry by entry.  The engine must reproduce it bit for bit.
 from __future__ import annotations
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import redblack as rb
 from redblack.game import Player
@@ -38,6 +41,7 @@ from redblack.solver import (
     _iterate_chain,
     _pairwise_value_tensors,
     _stake_rows,
+    _step_laws,
 )
 
 
@@ -115,6 +119,26 @@ def _oracle_table(maker: str, M: int, request) -> rb.WinProbTable:
     if maker == "cycle":
         return request.getfixturevalue("cycle_m4")
     return MAKERS[maker](M)
+
+
+def _against(opponent: rb.StationaryStrategy, response: rb.StationaryStrategy) -> rb.Profile:
+    """The profile the response plays against the opponent."""
+    if opponent.owner is Player.TWO:
+        return rb.Profile(response, opponent)
+    return rb.Profile(opponent, response)
+
+
+@st.composite
+def _random_games(draw):
+    """A ``MAKERS`` table at M <= 30, a random opponent and a random response."""
+    M = draw(st.integers(2, 30))
+    table = MAKERS[draw(st.sampled_from(sorted(MAKERS)))](M)
+    owner = draw(st.sampled_from([Player.ONE, Player.TWO]))
+
+    def strategy(player: Player) -> rb.StationaryStrategy:
+        return rb.StationaryStrategy(player, (0, *(draw(st.integers(1, t)) for t in range(1, M)), 0))
+
+    return table, strategy(owner), strategy(owner.other)
 
 
 class TestValueVector:
@@ -232,8 +256,8 @@ class TestHittingValues:
         p, up, dn = _chain_arrays(
             pow2_m3, _stake_rows([profile.first]), _stake_rows([profile.second])
         )
-        u, sweeps, monotone = _iterate_chain(3, p[0], up[0], dn[0], 3)
-        assert monotone and sweeps > 1
+        u, sweeps = _iterate_chain(3, p[0], up[0], dn[0], 3)
+        assert sweeps > 1
         assert u[1] == pytest.approx(1 / 13, abs=1e-10)
 
 
@@ -386,6 +410,30 @@ class TestBestResponse:
         assert response.strategy.bets == (0, 1, 1, 1, 0)
         assert response.values == (0.0, 1.0, 1.0, 1.0, 1.0)
 
+    def test_progress_beats_a_smaller_tied_stake(self) -> None:
+        """Against player II staking (0, 1, 2, 1, 0) on a fair table with
+        P(1, 1) = 1 and P(1, 2) = 0, fortune 1 climbs to 2 surely and stake 1
+        at fortune 2 drops back to 1 surely.  That stake ties the optimum
+        1/2 of stake 2 but never pays; the rule must take stake 2."""
+        table = rb.power_family(4, 1).with_entry(1, 1, 1.0).with_entry(1, 2, 0.0)
+        opponent = rb.StationaryStrategy(Player.TWO, (0, 1, 2, 1, 0))
+        response = rb.best_response(table, opponent)
+        assert response.strategy.bets == (0, 1, 2, 1, 0)
+        assert response.values == (0.0, 0.5, 0.5, 1.0, 1.0)
+
+    def test_fortunes_that_cannot_reach_the_goal_are_worth_zero(self) -> None:
+        """With P(2, 2) = 0 as well, fortunes 1 and 2 can only move between
+        each other or to 0: every policy's system is singular there unless
+        their values are pinned to 0 before the solve."""
+        table = (
+            rb.power_family(4, 1).with_entry(1, 1, 1.0).with_entry(1, 2, 0.0).with_entry(2, 2, 0.0)
+        )
+        opponent = rb.StationaryStrategy(Player.TWO, (0, 1, 2, 1, 0))
+        response = rb.best_response(table, opponent)
+        assert response.strategy.bets == (0, 1, 1, 1, 0)
+        assert response.values == (0.0, 0.0, 0.0, 1.0, 1.0)
+        assert response.values == rb.enumerate_best_response(table, opponent).values
+
     @pytest.mark.parametrize("maker,M", [
         (maker, M)
         for maker in ("pow1", "pow2", "min_exp", "el")
@@ -404,6 +452,57 @@ class TestBestResponse:
             oracle = rb.enumerate_best_response(table, opponent)
             for x in range(M + 1):
                 assert fast.values[x] == pytest.approx(oracle.values[x], abs=1e-9)
+
+    @pytest.mark.parametrize("maker,M", [
+        (maker, M) for maker in sorted(MAKERS) for M in (2, 3, 4, 5, 6)
+    ] + [("cycle", 4)])
+    def test_every_opponent_agrees_with_enumeration(self, maker: str, M: int, request) -> None:
+        """Against every opponent of either owner, the extracted strategy is
+        one of the enumerated optima and attains the maxima within the tie
+        tolerance."""
+        table = _oracle_table(maker, M, request)
+        for owner in (Player.ONE, Player.TWO):
+            for opponent in rb.all_strategies(owner, M):
+                fast = rb.best_response(table, opponent)
+                oracle = rb.enumerate_best_response(table, opponent)
+                assert fast.strategy in oracle.optimal
+                for x in range(M + 1):
+                    assert fast.values[x] == pytest.approx(oracle.values[x], abs=DEFAULT_TIE_TOL)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(game=_random_games())
+    def test_no_response_does_better(self, game) -> None:
+        """The tie rule gives up at most DEFAULT_TIE_TOL per stage, so no
+        response beats the best one by more than that times the expected
+        number of stages the best response's profile plays from each
+        fortune (counted on the fortunes it values above zero; elsewhere no
+        response can win)."""
+        table, opponent, response = game
+        M = table.M
+        best = rb.best_response(table, opponent)
+        theirs = rb.hitting_values(table, _against(opponent, response))
+        own = np.array(theirs.q if opponent.owner is Player.TWO else theirs.t)
+        profile = _against(opponent, best.strategy)
+        chain = _chain_arrays(table, _stake_rows([profile.first]), _stake_rows([profile.second]))
+        p, up, dn = (a[0] for a in chain)
+        values = np.array(best.values)
+        live = np.flatnonzero(values[1:M] > 0.0)
+        step = _step_laws(M, p, up, dn)[live][:, live + 1]
+        stages = np.zeros(M + 1)
+        stages[live + 1] = np.linalg.solve(np.eye(len(live)) - step, np.ones(len(live)))
+        assert (own <= values + DEFAULT_TIE_TOL * stages + 1e-12).all()
+
+    def test_near_singular_opponent_fails_fast(self) -> None:
+        """Against this player I on exp-diff at M = 80, some stages go up
+        with probability 1 - 2**-53: every chain absorbs, but a policy's
+        system is singular in floating point.  The failure is a ValueError,
+        which the CLI maps to exit 2, and comes within milliseconds instead
+        of after a sweep budget."""
+        rng = random.Random(5)
+        bets = (0, *(rng.randint(1, x) for x in range(1, 80)), 0)
+        opponent = rb.StationaryStrategy(Player.ONE, bets)
+        with pytest.raises(np.linalg.LinAlgError):
+            rb.best_response(rb.exp_difference_table(80), opponent)
 
     def test_enumeration_respects_cap(self) -> None:
         table = rb.power_family(9, 1)
