@@ -1,0 +1,84 @@
+"""Time the value iteration and the Monte Carlo walk behind the ``play`` workload.
+
+    PYTHONPATH=src python scripts/play_timing.py
+
+Times ``hitting_values(method="iterate")`` on fair timid-timid
+(``power_family(M, 1)``) at M = 40, 80 and 160, and two simulations:
+bold-timid on ``power_family(150, 2)`` from x0 = 75 with 200 000 trials,
+and fair timid-timid at M = 40 from x0 = 20 with 3 000 trials, one of
+which hits the default horizon.  Each figure is the best of a few runs.
+Before timing, it checks the frozen sweep counts of the iteration (the same
+for both goals) and the frozen simulation results, and exits 1 on a
+mismatch.  It is kept out of the test suite because the M = 160 iteration
+takes seconds.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from typing import Callable
+
+import numpy as np
+
+import redblack as rb
+from redblack.solver import _chain_arrays, _iterate_chain, _stake_rows
+
+REPEATS = 3
+# Sweeps the iteration takes on fair timid-timid, per goal.
+SWEEPS = {40: 7901, 80: 29831, 160: 112157}
+# (wins_I, wins_II, truncated, total_steps, max_steps) of each simulation.
+SIMULATIONS = {
+    "bold-timid, power p = 2, M = 150": (
+        rb.power_family(150, 2),
+        rb.Profile.from_name("bold-timid", 150),
+        rb.SimConfig(x0=75, trials=200_000, seed=12345),
+        (49738, 150262, 0, 7559835, 75),
+    ),
+    "fair timid-timid, M = 40": (
+        rb.power_family(40, 1),
+        rb.Profile.from_name("timid-timid", 40),
+        rb.SimConfig(x0=20, trials=3000, seed=7),
+        (1539, 1460, 1, 1210280, 2560),
+    ),
+}
+
+
+def _best(run: Callable[[], object]) -> float:
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def main() -> int:
+    failures = 0
+    for M, expected in SWEEPS.items():
+        table = rb.power_family(M, 1)
+        profile = rb.Profile.from_name("timid-timid", M)
+        chain = _chain_arrays(table, _stake_rows([profile.first]), _stake_rows([profile.second]))
+        rows = np.zeros(2, dtype=np.int64)
+        sweeps = _iterate_chain(M, *(a[rows] for a in chain), np.array([M, 0]))[1]
+        if sweeps.tolist() != [expected, expected]:
+            print(f"M = {M}: sweeps {sweeps.tolist()}, expected {expected} per goal", file=sys.stderr)
+            failures += 1
+            continue
+        elapsed = _best(lambda: rb.hitting_values(table, profile, method="iterate"))
+        print(f"iterate, fair timid-timid, M = {M}: {elapsed:.3f} s ({expected} sweeps per goal)")
+
+    for name, (table, profile, config, expected) in SIMULATIONS.items():
+        result = rb.simulate(table, profile, config)
+        got = (result.wins_I, result.wins_II, result.truncated, result.total_steps, result.max_steps)
+        if got != expected:
+            print(f"simulate, {name}: {got}, expected {expected}", file=sys.stderr)
+            failures += 1
+            continue
+        elapsed = _best(lambda: rb.simulate(table, profile, config))
+        print(f"simulate, {name}: {elapsed:.3f} s ({config.trials} trials)")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,6 +21,7 @@ were truncated.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
@@ -170,28 +171,43 @@ def _run_chunk(
     stop: int,
     horizon: int,
 ) -> tuple[int, int, int, int, int]:
-    """Simulate trials ``start..stop-1``; chunk boundaries cannot affect draws."""
-    count = stop - start
+    """Simulate trials ``start..stop-1``; chunk boundaries cannot affect draws.
+
+    Only the live trials' keys and fortunes are kept: a trial is dropped,
+    and its step count added to the total, at the step it absorbs.
+    """
     indices = np.arange(start, stop, dtype=np.uint64)
     with np.errstate(over="ignore"):
         keys = _mix64_array(np.uint64(seed) + (indices + np.uint64(1)) * _U64_GOLDEN)
-    states = np.full(count, x0, dtype=np.int64)
-    steps = np.zeros(count, dtype=np.int64)
-    for k in range(horizon):
-        active = np.nonzero((states != 0) & (states != M))[0]
-        if active.size == 0:
+    states = np.full(stop - start, x0, dtype=np.int64)
+    absorbing = np.zeros(M + 1, dtype=bool)
+    absorbing[[0, M]] = True
+    # ``moves[2 * x + 1]`` is fortune x's up target, ``moves[2 * x]`` its down one.
+    moves = np.stack([dn, up], axis=1).ravel()
+    wins_i = wins_ii = total_steps = max_steps = 0
+    for k in range(horizon + 1):
+        # ``states`` holds the live trials' fortunes after ``k`` steps.
+        over = absorbing[states]
+        if over.any():
+            ended = states[over]
+            won = int(np.count_nonzero(ended))
+            wins_i += won
+            wins_ii += ended.size - won
+            total_steps += k * ended.size
+            max_steps = k
+            live = ~over
+            states, keys = states[live], keys[live]
+        if k == horizon or not states.size:
             break
         with np.errstate(over="ignore"):
-            draws = _mix64_array(keys[active] + np.uint64(k + 1) * _U64_GOLDEN)
+            draws = _mix64_array(keys + np.uint64(k + 1) * _U64_GOLDEN)
         uniforms = (draws >> np.uint64(11)) * 2.0**-53
-        here = states[active]
-        goes_up = uniforms < p[here]
-        states[active] = np.where(goes_up, up[here], dn[here])
-        steps[active] += 1
-    wins_i = int(np.count_nonzero(states == M))
-    wins_ii = int(np.count_nonzero(states == 0))
-    truncated = count - wins_i - wins_ii
-    return wins_i, wins_ii, truncated, int(steps.sum()), int(steps.max(initial=0))
+        states = moves[2 * states + (uniforms < p[states])]
+    truncated = states.size
+    if truncated:
+        total_steps += horizon * truncated
+        max_steps = horizon
+    return wins_i, wins_ii, truncated, total_steps, max_steps
 
 
 def simulate(
@@ -199,14 +215,14 @@ def simulate(
 ) -> SimResult:
     """Play ``config.trials`` independent trials of the profile.
 
-    ``jobs`` only chunks the trial range across worker threads; the draws
-    are keyed by absolute trial index, so the result is identical for every
-    chunking.
+    ``jobs`` chunks the trial range, and at most one worker thread per CPU
+    runs the chunks; the draws are keyed by absolute trial index, so the
+    result is identical for every chunking.
     """
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
     M = table.M
     p, up, dn, horizon = _fortune_chain(table, profile, config)
-    if jobs < 1:
-        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
 
     chunk = -(-config.trials // jobs)  # ceil division
     bounds = [
@@ -216,7 +232,8 @@ def simulate(
     if len(bounds) == 1:
         parts = [_run_chunk(p, up, dn, M, config.x0, config.seed, 0, config.trials, horizon)]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        workers = min(len(bounds), os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(
                 pool.map(
                     lambda span: _run_chunk(

@@ -35,7 +35,7 @@ DEFAULT_TOL = 1e-12
 DEFAULT_WITNESS_CAP = 16
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Witness:
     """One violating index, with both sides of the failed comparison.
 

@@ -25,11 +25,13 @@ One batched engine computes every profile's values, a single profile
 included.  It gathers the chains of a block of profile pairs from two stake
 matrices at once, runs a vectorised backward-reachability fixpoint to find
 the chains that surely absorb, and solves all of those with one stacked
-``np.linalg.solve``; the rare chains that can cycle take the iteration one
-at a time.  Enumeration solves all ``(M-1)!^2`` pairs in row blocks of
-player I's strategies, so its memory is the two value tensors of
-``(M-1)!^2 * (M+1)`` floats each plus one small block: 1.6 MiB in all at
-``M = 6``, 66 MiB at ``M = 7`` and 3.4 GiB at ``M = 8``, which is why
+``np.linalg.solve``; the rare chains that can cycle, or every chain under
+``method="iterate"``, share one stacked value iteration, with a row per
+chain and goal that leaves the live set when it settles.  Enumeration
+solves all ``(M-1)!^2`` pairs in row blocks of player I's strategies, so
+its memory is the two value tensors of ``(M-1)!^2 * (M+1)`` floats each
+plus one small block: 1.6 MiB in all at ``M = 6``, 66 MiB at ``M = 7``
+and 3.4 GiB at ``M = 8``, which is why
 :data:`DEFAULT_ENUM_CAP` is 7.  On a 2-core VM, enumerating every start
 takes about 0.08 s at ``M = 6`` and about 2.5 s at ``M = 7``; at ``M = 7``
 about a third of that is building the certificates.
@@ -250,31 +252,48 @@ def _iterate_chain(
     p: np.ndarray,
     up: np.ndarray,
     dn: np.ndarray,
-    goal: int,
-) -> tuple[np.ndarray, int]:
-    """Monotone iteration from zero toward the minimal fixed point.
+    goals: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monotone iteration from zero toward the minimal fixed point, per row.
 
-    Returns the full value vector (boundary included) and the sweep count.
-    The stop rule (one sweep moves no value by :data:`DEFAULT_VI_TOL`) is
-    not an error bound: on a slowly mixing chain the remaining error is that
-    step divided by the spectral gap.
+    ``p``, ``up`` and ``dn`` are stacked ``(R, M - 1)`` chain arrays and
+    ``goals`` holds each row's goal fortune.  Returns the ``(R, M + 1)``
+    value vectors (boundary included) and each row's sweep count.  All rows
+    sweep together; a row leaves the live set at the first sweep that moves
+    none of its values by :data:`DEFAULT_VI_TOL`, so its values and count
+    are those of iterating it alone.  The iterates only grow, so a sweep's
+    change is its increase.  The stop rule is not an error bound: on a
+    slowly mixing chain the remaining error is that step divided by the
+    spectral gap.
     """
-    u = np.zeros(M + 1)
-    u[goal] = 1.0
+    values = np.zeros((len(p), M + 1))
+    values[np.arange(len(p)), goals] = 1.0
+    sweeps = np.zeros(len(p), dtype=np.int64)
+    live = np.arange(len(p))
     fall = 1.0 - p
-    fresh, down, change = np.empty(M - 1), np.empty(M - 1), np.empty(M - 1)
-    for sweep in range(1, DEFAULT_MAX_SWEEPS + 1):
-        np.multiply(p, np.take(u, up, out=fresh), out=fresh)
-        np.multiply(fall, np.take(u, dn, out=down), out=down)
-        fresh += down
-        np.subtract(fresh, u[1:M], out=change)
-        delta = float(np.abs(change, out=change).max())
-        u[1:M] = fresh
-        if delta < DEFAULT_VI_TOL:
-            return u, sweep
-    raise RuntimeError(
-        f"value iteration did not settle within {DEFAULT_MAX_SWEEPS} sweeps"
-    )
+    sweep = 0
+    while live.size:
+        # Sweep the live rows until one settles, then drop the settled ones.
+        u = values[live]
+        flat, inner = u.reshape(-1), u[:, 1:M]
+        row_start = (M + 1) * np.arange(len(live))[:, None]
+        up_at, dn_at = row_start + up[live], row_start + dn[live]
+        rise, drop = p[live], fall[live]
+        for sweep in range(sweep + 1, DEFAULT_MAX_SWEEPS + 1):
+            fresh = rise * flat[up_at] + drop * flat[dn_at]
+            change = fresh - inner
+            inner[...] = fresh
+            if change.max(axis=1).min() < DEFAULT_VI_TOL:
+                break
+        else:
+            raise RuntimeError(
+                f"value iteration did not settle within {DEFAULT_MAX_SWEEPS} sweeps"
+            )
+        settled = change.max(axis=1) < DEFAULT_VI_TOL
+        values[live] = u
+        sweeps[live[settled]] = sweep
+        live = live[~settled]
+    return values, sweeps
 
 
 def _block_values(
@@ -288,8 +307,8 @@ def _block_values(
 
     Returns two ``(B * K, M + 1)`` arrays, rows ordered as in
     :func:`_chain_arrays`.  Under ``method='auto'`` the absorbing chains
-    share one stacked linear solve and the rest, which can cycle, take the
-    minimal-fixed-point iteration one at a time.
+    share one stacked linear solve and the rest, which can cycle, share one
+    stacked minimal-fixed-point iteration, one row per chain and goal.
     """
     if method not in ("auto", "solve", "iterate"):
         raise ValueError(f"unknown method {method!r}; use 'auto', 'solve' or 'iterate'")
@@ -305,10 +324,11 @@ def _block_values(
     uI, uII = _solve_linear(M, p[solvable], up[solvable], dn[solvable])
     q[solvable, 1:M] = uI
     t[solvable, 1:M] = uII
-    for k in np.flatnonzero(~solvable):
-        chain = (M, p[k], up[k], dn[k])
-        q[k] = _iterate_chain(*chain, M)[0]
-        t[k] = _iterate_chain(*chain, 0)[0]
+    iterated = np.flatnonzero(~solvable)
+    if iterated.size:
+        rows, goals = np.r_[iterated, iterated], np.repeat([M, 0], iterated.size)
+        u = _iterate_chain(M, p[rows], up[rows], dn[rows], goals)[0]
+        q[iterated], t[iterated] = np.split(u, 2)
     return q, t
 
 

@@ -10,10 +10,14 @@ probability of 1/2 gives z = 0.01 / sqrt(0.25 / 100000) = 6.32455532...
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 import redblack as rb
+from redblack import montecarlo
 from redblack.game import Player
 from redblack.montecarlo import _mix64_array, _mix64_int
 
@@ -142,6 +146,64 @@ class TestSimulate:
             rb.simulate(pow2_m4, _profile(4), rb.SimConfig(x0=9, trials=10, seed=1))
         with pytest.raises(ValueError, match="jobs"):
             rb.simulate(pow2_m4, _profile(4), config, jobs=0)
+
+    @pytest.mark.parametrize("jobs", [0, -2, 2.5, True, "2", None])
+    def test_jobs_are_checked_before_any_work(
+        self, jobs: object, pow2_m3: rb.WinProbTable
+    ) -> None:
+        # The profile is for other money, so any work would raise first.
+        with pytest.raises(ValueError, match="jobs"):
+            rb.simulate(pow2_m3, _profile(4), rb.SimConfig(x0=2, trials=10, seed=1), jobs=jobs)
+
+    def test_worker_threads_are_capped_at_the_cpu_count(
+        self, pow2_m4: rb.WinProbTable, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        pools: list[int] = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers: int) -> None:
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        config = rb.SimConfig(x0=2, trials=64, seed=4)
+        single = rb.simulate(pow2_m4, _profile(4), config)
+        assert rb.simulate(pow2_m4, _profile(4), config, jobs=100_000) == single
+        assert rb.simulate(pow2_m4, _profile(4), config, jobs=2) == single
+        assert pools == [3, 2]
+
+    # Table, profile, config and the frozen (wins_I, wins_II, truncated,
+    # total_steps, max_steps); the second case truncates one trial.
+    FROZEN = {
+        "bold-timid-150": (
+            lambda: rb.power_family(150, 2),
+            "bold-timid",
+            rb.SimConfig(x0=75, trials=200_000, seed=12345),
+            (49738, 150262, 0, 7559835, 75),
+        ),
+        "fair-timid-timid-40": (
+            lambda: rb.power_family(40, 1),
+            "timid-timid",
+            rb.SimConfig(x0=20, trials=3000, seed=7),
+            (1539, 1460, 1, 1210280, 2560),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FROZEN))
+    def test_frozen_results_for_every_chunking(self, case: str) -> None:
+        make, name, config, expected = self.FROZEN[case]
+        table = make()
+        for jobs in (1, 2, 3):
+            result = rb.simulate(table, _profile(table.M, name), config, jobs=jobs)
+            got = (
+                result.wins_I,
+                result.wins_II,
+                result.truncated,
+                result.total_steps,
+                result.max_steps,
+            )
+            assert got == expected, jobs
 
 
 class TestReplayTrial:

@@ -82,8 +82,8 @@ def _oracle_values(
     up = np.array([x + second.bets[M - x] for x in xs])
     dn = np.array([x - first.bets[x] for x in xs])
     if not _oracle_absorbs(M, p, up, dn):
-        q = _iterate_chain(M, p, up, dn, M)[0]
-        t = _iterate_chain(M, p, up, dn, 0)[0]
+        q = _iterate_chain(M, p[None], up[None], dn[None], np.array([M]))[0][0]
+        t = _iterate_chain(M, p[None], up[None], dn[None], np.array([0]))[0][0]
         return q, t, False
     n = M - 1
     A = np.zeros((n, n))
@@ -256,9 +256,35 @@ class TestHittingValues:
         p, up, dn = _chain_arrays(
             pow2_m3, _stake_rows([profile.first]), _stake_rows([profile.second])
         )
-        u, sweeps = _iterate_chain(3, p[0], up[0], dn[0], 3)
-        assert sweeps > 1
-        assert u[1] == pytest.approx(1 / 13, abs=1e-10)
+        u, sweeps = _iterate_chain(3, p, up, dn, np.array([3]))
+        assert sweeps[0] > 1
+        assert u[0, 1] == pytest.approx(1 / 13, abs=1e-10)
+
+    def test_stacked_iteration_equals_one_row_calls(self) -> None:
+        """Rows that settle at different sweeps keep their own values and counts.
+
+        Fair timid-timid at M = 40 takes 7 901 sweeps for either goal, and
+        bold-timid on the same table 40.
+        """
+        M = 40
+        table = rb.power_family(M, 1)
+        profiles = [_timid_timid(M), _bold_timid(M)]
+        p, up, dn = _chain_arrays(
+            table,
+            _stake_rows([profile.first for profile in profiles]),
+            _stake_rows([profile.second for profile in profiles]),
+        )
+        # Pair rows 0 and 3 are timid-timid and bold-timid, each toward M then 0.
+        rows = np.array([0, 0, 3, 3])
+        goals = np.array([M, 0, M, 0])
+        values, sweeps = _iterate_chain(M, p[rows], up[rows], dn[rows], goals)
+        assert sweeps.tolist() == [7901, 7901, 40, 40]
+        for k, (row, goal) in enumerate(zip(rows, goals)):
+            alone, count = _iterate_chain(M, p[[row]], up[[row]], dn[[row]], goal[None])
+            assert np.array_equal(values[k], alone[0]) and sweeps[k] == count[0]
+        fair = np.arange(M + 1) / M
+        assert np.abs(values[0] - fair).max() < 1e-10
+        assert np.abs(values[1] - fair[::-1]).max() < 1e-10
 
 
 # Every public entry point that turns a table and a profile into a chain.
