@@ -22,9 +22,6 @@ The checks and what passing them buys:
 * ``supermultiplicative`` implies the timid player's values are excessive
   against a bold opponent, and transports exactly to the ``sincov``
   composition law of the pair-of-fortunes form.
-
-:func:`supermultiplicative_terms` and :func:`product_bound_terms` keep the
-term-by-term form of two scans as reference oracles for tests.
 """
 
 from __future__ import annotations
@@ -44,8 +41,6 @@ from .reports import (
     Slab,
     scan_slabs,
 )
-
-_Term = tuple[tuple[int, ...], float, float, str]
 
 
 def check_bold_inequality(
@@ -79,18 +74,6 @@ def check_bold_inequality(
     return scan_slabs("bold-inequality", slabs, tol=tol, max_witnesses=max_witnesses)
 
 
-def product_bound_terms(curve: UnitBetCurve) -> Iterator[_Term]:
-    """For ``0 <= a <= x <= M``:
-    ``(1 - curve(a)) * prod_{i=0..a} curve(x - i) <= curve(x) - curve(a)``.
-    """
-    phi = curve.values
-    for x in range(curve.M + 1):
-        running = 1.0
-        for a in range(x + 1):
-            running *= phi[x - a]  # after this line: prod of phi(x), ..., phi(x - a)
-            yield (x, a), (1.0 - phi[a]) * running, phi[x] - phi[a], "product-bound"
-
-
 def check_product_bound(
     curve: UnitBetCurve,
     *,
@@ -98,8 +81,11 @@ def check_product_bound(
     max_witnesses: int | None = DEFAULT_WITNESS_CAP,
 ) -> CheckReport:
     """The product form of the bold-play condition (implied by
-    ``bold-inequality`` whenever the curve is nondecreasing), over the
-    ranges of :func:`product_bound_terms`."""
+    ``bold-inequality`` whenever the curve is nondecreasing).
+
+    For ``0 <= a <= x <= M``:
+    ``(1 - curve(a)) * prod_{i=0..a} curve(x - i) <= curve(x) - curve(a)``.
+    """
     phi = np.array(curve.values, dtype=np.float64)
     x = np.arange(curve.M + 1)[:, None]
     a = np.arange(curve.M + 1)[None, :]
@@ -107,43 +93,6 @@ def check_product_bound(
     running = np.cumprod(np.where(a <= x, phi[np.maximum(x - a, 0)], 1.0), axis=1)
     slab = Slab((1.0 - phi[a]) * running, phi[x] - phi[a], a <= x, (x, a), "product-bound")
     return scan_slabs("product-bound", [slab], tol=tol, max_witnesses=max_witnesses)
-
-
-def supermultiplicative_terms(
-    table: WinProbTable,
-) -> tuple[Iterator[_Term], int, int]:
-    """Terms of ``P(x, a) * P(x + a, b) <= P(x, a + b)`` with skip/flag counts.
-
-    Ranges: ``0 <= x <= M``, ``0 <= a <= M - x``, ``0 <= b <= M - a``; every
-    index touched stays inside ``0..M``.  Triples evaluating the undefined
-    pair ``(0, 0)`` — exactly those with ``x = a = 0`` — are skipped.
-    Triples with ``x + a + b > M`` involve entries unreachable in play and
-    are flagged (but still checked, since the table stores those entries).
-    """
-    M = table.M
-    skipped = M + 1  # (0, 0, b) for each b in 0..M evaluates P(0, 0)
-    flagged = sum(
-        1
-        for x in range(M + 1)
-        for a in range(M - x + 1)
-        for b in range(M - a + 1)
-        if x + a + b > M and (x, a) != (0, 0)
-    )
-
-    def terms() -> Iterator[_Term]:
-        for x in range(M + 1):
-            for a in range(M - x + 1):
-                if x == 0 and a == 0:
-                    continue
-                for b in range(M - a + 1):
-                    yield (
-                        (x, a, b),
-                        table.prob(x, a) * table.prob(x + a, b),
-                        table.prob(x, a + b),
-                        "supermultiplicative",
-                    )
-
-    return terms(), skipped, flagged
 
 
 def check_supermultiplicative(
@@ -154,10 +103,15 @@ def check_supermultiplicative(
 ) -> CheckReport:
     """Winning two stages in a row is never better than staking the sum at once.
 
-    Scans the ranges of :func:`supermultiplicative_terms`.  ``skipped`` is
-    ``M + 1``, the triples ``(0, 0, b)``.  ``flagged`` is ``C(M + 2, 3)``:
-    for each ``x`` and ``a``, exactly the ``x`` largest stakes ``b`` give
-    ``x + a + b > M``, and ``sum_x x * (M - x + 1) = M (M + 1) (M + 2) / 6``.
+    ``P(x, a) * P(x + a, b) <= P(x, a + b)`` for ``0 <= x <= M``,
+    ``0 <= a <= M - x`` and ``0 <= b <= M - a``; every index touched stays
+    inside ``0..M``.  Triples with ``x + a + b > M`` involve entries
+    unreachable in play and are flagged, but still checked, since the table
+    stores those entries.  ``skipped`` is ``M + 1``, the triples
+    ``(0, 0, b)`` that evaluate the undefined pair ``(0, 0)``.  ``flagged``
+    is ``C(M + 2, 3)``: for each ``x`` and ``a``, exactly the ``x`` largest
+    stakes ``b`` give ``x + a + b > M``, and
+    ``sum_x x * (M - x + 1) = M (M + 1) (M + 2) / 6``.
     """
     M = table.M
     P = table.array

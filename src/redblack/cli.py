@@ -464,7 +464,14 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="exact values of a profile")
     solve.add_argument("--table", required=True)
     solve.add_argument("--profile", default="bold-timid", help="name like bold-timid, or a JSON path")
-    solve.add_argument("--method", choices=("auto", "solve", "iterate"), default="auto")
+    solve.add_argument(
+        "--method",
+        choices=("auto", "solve", "iterate"),
+        default="auto",
+        help="auto: exact on every chain, cycling ones included; solve: the plain linear "
+        "solve, singular on a chain that can cycle; iterate: value iteration, the slow "
+        "approximate oracle",
+    )
     solve.add_argument("--x0", type=int, default=None)
     solve.add_argument("--out", default=None)
 

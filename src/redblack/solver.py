@@ -5,34 +5,33 @@ State space and indexing
 
 Every vector in this module is indexed by player I's fortune
 ``x in {0..M}``.  Player II's winning probabilities are tracked separately:
-when the induced chain can cycle forever (possible for hand-built tables
-with exact-one entries), the two players' values need not sum to one, so
-neither is derived from the other.
+when the induced chain can cycle forever (possible on tables with exact 0
+and 1 entries, as exp-diff has from ``M = 41``), the two players' values
+need not sum to one, so neither is derived from the other.
 
 Values are *minimal* fixed points of the one-stage recursion: a fortune
 from which absorption never happens is worth zero to both players, which
-matches play (nobody is ever paid).  The linear solve is used only when the
-chain provably absorbs from every fortune; otherwise a monotone iteration
-from zero converges to the minimal fixed point from below.
+matches play (nobody is ever paid).  One linear solve gives them, with the
+fortunes that reach neither boundary pinned to zero (the "prob0" step of
+probabilistic model checking), which leaves a nonsingular system.
 
 The chain a profile induces is built only by :func:`_chain_arrays`, which
 :mod:`redblack.montecarlo` walks as well; it rejects a profile whose total
-money differs from the table's.  The iteration tolerance, sweep budget and
-tie tolerance are the module constants :data:`DEFAULT_VI_TOL`,
-:data:`DEFAULT_MAX_SWEEPS` and :data:`DEFAULT_TIE_TOL`.
+money differs from the table's.  The tie tolerance is :data:`DEFAULT_TIE_TOL`;
+:data:`DEFAULT_VI_TOL` and :data:`DEFAULT_MAX_SWEEPS` serve only the value
+iteration of ``method="iterate"``.
 
 One batched engine computes every profile's values, a single profile
 included.  It gathers the chains of a block of profile pairs from two stake
 matrices at once, runs a vectorised backward-reachability fixpoint to find
-the chains that surely absorb, and solves all of those with one stacked
-``np.linalg.solve``; the rare chains that can cycle, or every chain under
-``method="iterate"``, share one stacked value iteration, with a row per
-chain and goal that leaves the live set when it settles.  Enumeration
-solves all ``(M-1)!^2`` pairs in row blocks of player I's strategies, so
-its memory is the two value tensors of ``(M-1)!^2 * (M+1)`` floats each
-plus one small block: 1.6 MiB in all at ``M = 6``, 66 MiB at ``M = 7``
-and 3.4 GiB at ``M = 8``, which is why
-:data:`DEFAULT_ENUM_CAP` is 7.  On a 2-core VM, enumerating every start
+the stuck fortunes of every chain, and solves all chains with one stacked
+``np.linalg.solve``; under ``method="iterate"`` they share one stacked
+value iteration instead, with a row per chain and goal that leaves the
+live set when it settles.  Enumeration solves all ``(M-1)!^2`` pairs in
+row blocks of player I's strategies, so its memory is the two value
+tensors of ``(M-1)!^2 * (M+1)`` floats each plus one small block: 1.6 MiB
+in all at ``M = 6``, 66 MiB at ``M = 7`` and 3.4 GiB at ``M = 8``, which
+is why :data:`DEFAULT_ENUM_CAP` is 7.  On a 2-core VM, enumerating every start
 takes about 0.08 s at ``M = 6`` and about 2.5 s at ``M = 7``; at ``M = 7``
 about a third of that is building the certificates.
 
@@ -206,10 +205,10 @@ def _ranks(
     return rank
 
 
-def _absorbing(M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray) -> np.ndarray:
-    """Per chain row, whether it reaches a boundary from every fortune."""
+def _stuck(M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray) -> np.ndarray:
+    """Per chain row and interior fortune, whether no boundary is reachable."""
     steps = (a[..., None] for a in (p, up, dn))
-    return (_ranks(M, [0, M], *steps)[:, 1:M] < M).all(axis=1)
+    return _ranks(M, [0, M], *steps)[:, 1:M] == M
 
 
 def absorption_certain(table: WinProbTable, profile: Profile) -> bool:
@@ -220,7 +219,7 @@ def absorption_certain(table: WinProbTable, profile: Profile) -> bool:
     must cover the interior.
     """
     chain = _chain_arrays(table, _stake_rows([profile.first]), _stake_rows([profile.second]))
-    return bool(_absorbing(table.M, *chain)[0])
+    return not _stuck(table.M, *chain).any()
 
 
 def _step_laws(M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray) -> np.ndarray:
@@ -234,15 +233,20 @@ def _step_laws(M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray) -> np.ndar
 
 
 def _solve_linear(
-    M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray
+    M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray, stuck: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact interior values of both players for a stack of absorbing chains.
+    """Exact interior values of both players for a stack of chains.
 
     In each row's step law the interior columns are ``A`` and the boundary
     columns the right-hand sides, so ``(I - A) u = c`` is solved for every
-    row in one call.
+    row in one call.  No step may enter a ``stuck`` fortune (see
+    :func:`_stuck`); as those step only to each other, their rows empty
+    too, so they read ``u_x = 0`` exactly, and the rest of the system is
+    nonsingular: a boundary is reachable from every other fortune.
     """
     step = _step_laws(M, p, up, dn)
+    if stuck is not None:
+        step[..., 1:M] *= ~stuck[:, None, :]
     solution = np.linalg.solve(np.eye(M - 1) - step[..., 1:M], step[..., [M, 0]])
     return np.clip(solution[..., 0], 0.0, 1.0), np.clip(solution[..., 1], 0.0, 1.0)
 
@@ -306,29 +310,23 @@ def _block_values(
     """Both players' value vectors for every pair of two blocks of stake rows.
 
     Returns two ``(B * K, M + 1)`` arrays, rows ordered as in
-    :func:`_chain_arrays`.  Under ``method='auto'`` the absorbing chains
-    share one stacked linear solve and the rest, which can cycle, share one
-    stacked minimal-fixed-point iteration, one row per chain and goal.
+    :func:`_chain_arrays`.  Every chain takes one stacked linear solve, with
+    its stuck fortunes pinned to 0 under ``method='auto'``; ``'iterate'``
+    runs one stacked value iteration instead, a row per chain and goal.
     """
     if method not in ("auto", "solve", "iterate"):
         raise ValueError(f"unknown method {method!r}; use 'auto', 'solve' or 'iterate'")
     M = table.M
     p, up, dn = _chain_arrays(table, firsts, seconds)
-    if method == "auto":
-        solvable = _absorbing(M, p, up, dn)
-    else:
-        solvable = np.full(len(p), method == "solve")
+    if method == "iterate":
+        goals = np.repeat([M, 0], len(p))
+        u = _iterate_chain(M, *(np.concatenate([a, a]) for a in (p, up, dn)), goals)[0]
+        return u[: len(p)], u[len(p) :]
     q = np.zeros((len(p), M + 1))
     t = np.zeros_like(q)
     q[:, M] = t[:, 0] = 1.0
-    uI, uII = _solve_linear(M, p[solvable], up[solvable], dn[solvable])
-    q[solvable, 1:M] = uI
-    t[solvable, 1:M] = uII
-    iterated = np.flatnonzero(~solvable)
-    if iterated.size:
-        rows, goals = np.r_[iterated, iterated], np.repeat([M, 0], iterated.size)
-        u = _iterate_chain(M, p[rows], up[rows], dn[rows], goals)[0]
-        q[iterated], t[iterated] = np.split(u, 2)
+    stuck = _stuck(M, p, up, dn) if method == "auto" else None
+    q[:, 1:M], t[:, 1:M] = _solve_linear(M, p, up, dn, stuck)
     return q, t
 
 
@@ -357,10 +355,10 @@ def hitting_values(
 ) -> ValueVector:
     """Both players' winning probabilities under a fixed profile.
 
-    ``method='auto'`` solves the interior linear system when the chain
-    provably absorbs from everywhere and otherwise falls back to monotone
-    iteration from zero, which converges to the minimal fixed point (cycling
-    fortunes are worth zero to both players).
+    ``method='auto'`` solves the interior linear system with the fortunes
+    that reach neither boundary pinned to 0: the minimal fixed point of
+    every chain.  ``'solve'`` pins nothing, so a chain that can cycle is
+    singular; ``'iterate'`` is the slow approximate oracle.
     """
     q, t = _block_values(
         table,

@@ -26,8 +26,8 @@ import math
 import pytest
 
 import redblack as rb
-from redblack.checks import product_bound_terms, supermultiplicative_terms
 from redblack.reports import Slab, scan_slabs
+from test_kernel import product_bound_terms, supermultiplicative_terms
 
 
 def _curve(table: rb.WinProbTable) -> rb.UnitBetCurve:

@@ -1,0 +1,235 @@
+"""Hitting values against an exact rational oracle, on chains that can cycle.
+
+``_exact_values`` reads every table entry as the exact rational its float
+stores, gives value 0 to the fortunes from which the goal cannot be
+reached, and solves the rest of ``u = A u + c`` by Gaussian elimination
+over ``fractions.Fraction``.  That is the minimal fixed point of the
+one-stage recursion, with no rounding anywhere.  The float solver must
+come within 1e-15 of it, also on chains that cycle, where ``auto`` pins
+the fortunes that reach neither boundary and solves the rest.
+
+Every default path must give those values without value iteration;
+``method="iterate"`` alone may run it.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import redblack as rb
+from redblack import solver
+from redblack.game import Player
+
+# exp_difference_table(80) rounds the entries with a - b >= 38 to exactly 1,
+# so these seeded profiles can cycle.  Under the former iterating fallback,
+# seeds 20 and 37 came back about 8e-13 off and seeds 22 and 48 spent the
+# 10**6-sweep budget (about 9 s each) and raised RuntimeError.
+CYCLING_SEEDS = (20, 22, 37, 48)
+
+
+def _seeded_profile(seed: int, M: int) -> rb.Profile:
+    """Player I's stakes ``randint(1, x)`` for ``x = 1 .. M - 1``, then player II's."""
+    rng = random.Random(seed)
+    first = (0, *(rng.randint(1, x) for x in range(1, M)), 0)
+    second = (0, *(rng.randint(1, x) for x in range(1, M)), 0)
+    return rb.Profile(
+        rb.StationaryStrategy(Player.ONE, first), rb.StationaryStrategy(Player.TWO, second)
+    )
+
+
+_Moves = dict[int, tuple[tuple[Fraction, int], ...]]
+
+
+def _moves(table: rb.WinProbTable, profile: rb.Profile) -> _Moves:
+    """Per interior fortune, its two (exact probability, target) moves."""
+    M = table.M
+    moves = {}
+    for x in range(1, M):
+        a, b = profile.first.bets[x], profile.second.bets[M - x]
+        p = Fraction(table.prob(a, b))
+        moves[x] = ((p, x + b), (1 - p, x - a))
+    return moves
+
+
+def _reaching(moves: _Moves, targets: set[int]) -> set[int]:
+    """The fortunes with a positive-probability path into ``targets``."""
+    reached = set(targets)
+    grew = True
+    while grew:
+        grew = False
+        for x, steps in moves.items():
+            if x not in reached and any(w > 0 and y in reached for w, y in steps):
+                reached.add(x)
+                grew = True
+    return reached
+
+
+def _exact_values(table: rb.WinProbTable, profile: rb.Profile, goal: int) -> list[Fraction]:
+    """Exact chance of reaching ``goal`` from every fortune ``0 .. M``."""
+    moves = _moves(table, profile)
+    reached = _reaching(moves, {goal})
+    unknown = [x for x in range(1, table.M) if x in reached]
+    # Row of fortune x: u_x - sum_y w u_y = (chance of stepping onto the goal).
+    pending = []
+    for x in unknown:
+        coef, rhs = {x: Fraction(1)}, Fraction(0)
+        for w, y in moves[x]:
+            if y == goal:
+                rhs += w
+            elif y in reached:
+                coef[y] = coef.get(y, 0) - w
+        pending.append([coef, rhs])
+    eliminated = []
+    for x in unknown:
+        pivot = next(row for row in pending if row[0].get(x, 0) != 0)
+        pending.remove(pivot)
+        coef, rhs = pivot
+        for row in pending:
+            factor = row[0].pop(x, 0) / coef[x]
+            if factor:
+                for y, v in coef.items():
+                    if y != x:
+                        row[0][y] = row[0].get(y, 0) - factor * v
+                row[1] -= factor * rhs
+        eliminated.append((x, coef, rhs))
+    values = [Fraction(0)] * (table.M + 1)
+    values[goal] = Fraction(1)
+    for x, coef, rhs in reversed(eliminated):
+        values[x] = (rhs - sum(v * values[y] for y, v in coef.items() if y != x)) / coef[x]
+    return values
+
+
+def _assert_exact(table: rb.WinProbTable, profile: rb.Profile) -> None:
+    values = rb.hitting_values(table, profile)
+    for got, goal in ((values.q, table.M), (values.t, 0)):
+        want = [float(v) for v in _exact_values(table, profile, goal)]
+        assert list(got) == pytest.approx(want, rel=0, abs=1e-15)
+
+
+def _cycle_profiles() -> list[rb.Profile]:
+    return [
+        rb.Profile(first, second)
+        for first in rb.all_strategies(Player.ONE, 4)
+        for second in rb.all_strategies(Player.TWO, 4)
+    ]
+
+
+class TestExactOracle:
+    def test_oracle_prices_the_cycle_at_zero(
+        self, cycle_m4: rb.WinProbTable, cycle_profile: rb.Profile
+    ) -> None:
+        assert _exact_values(cycle_m4, cycle_profile, 4) == [0, 0, 0, 0, 1]
+        assert _exact_values(cycle_m4, cycle_profile, 0) == [1, 0, 0, 0, 0]
+
+    def test_oracle_solves_gamblers_ruin(self, pow2_m3: rb.WinProbTable) -> None:
+        profile = rb.Profile.from_name("timid-timid", 3)
+        assert _exact_values(pow2_m3, profile, 3) == [0, Fraction(1, 13), Fraction(4, 13), 1]
+
+    def test_every_cycle_m4_profile(self, cycle_m4: rb.WinProbTable) -> None:
+        profiles = _cycle_profiles()
+        assert len(profiles) == 36
+        assert not all(rb.absorption_certain(cycle_m4, profile) for profile in profiles)
+        for profile in profiles:
+            _assert_exact(cycle_m4, profile)
+
+    @pytest.mark.parametrize("seed", CYCLING_SEEDS)
+    def test_cycling_exp_difference_profiles(self, seed: int, monkeypatch) -> None:
+        # A solver that still iterated here would spend the full sweep
+        # budget on seeds 22 and 48; a small budget makes it fail at once.
+        monkeypatch.setattr(solver, "DEFAULT_MAX_SWEEPS", 1000)
+        table = rb.exp_difference_table(80)
+        profile = _seeded_profile(seed, 80)
+        assert not rb.absorption_certain(table, profile)
+        _assert_exact(table, profile)
+
+
+class _Iterated(Exception):
+    """Raised by the stand-in for the value iteration."""
+
+
+def _refuse(*args, **kwargs):
+    raise _Iterated
+
+
+@pytest.fixture
+def no_iteration(monkeypatch):
+    monkeypatch.setattr(solver, "_iterate_chain", _refuse)
+    # A cached tensor from another test would hide the solve.
+    solver._pairwise_value_tensors.cache_clear()
+    yield
+    solver._pairwise_value_tensors.cache_clear()
+
+
+class TestNoDefaultPathIterates:
+    def _values_and_responses(self, table: rb.WinProbTable, profile: rb.Profile) -> None:
+        assert not rb.absorption_certain(table, profile)
+        values = rb.hitting_values(table, profile)
+        assert list(values.q[1:-1]) == pytest.approx(
+            [float(v) for v in _exact_values(table, profile, table.M)[1:-1]], rel=0, abs=1e-15
+        )
+        # The plain solve never iterates either; on a cycling chain it is singular.
+        with pytest.raises(np.linalg.LinAlgError):
+            rb.hitting_values(table, profile, method="solve")
+        for opponent in (profile.first, profile.second):
+            assert rb.best_response(table, opponent).player is opponent.owner.other
+        with pytest.raises(_Iterated):
+            rb.hitting_values(table, profile, method="iterate")
+
+    def test_cycle_m4(
+        self, no_iteration, cycle_m4: rb.WinProbTable, cycle_profile: rb.Profile
+    ) -> None:
+        self._values_and_responses(cycle_m4, cycle_profile)
+        for profile in _cycle_profiles():
+            rb.hitting_values(cycle_m4, profile)
+        for x0 in range(5):
+            rb.enumerate_equilibria(cycle_m4, x0)
+            assert rb.verify_nash(cycle_m4, cycle_profile, x0).x0 == x0
+
+    def test_exp_difference_seed_22(self, no_iteration) -> None:
+        self._values_and_responses(rb.exp_difference_table(80), _seeded_profile(22, 80))
+
+
+@st.composite
+def _forced_games(draw):
+    """A shipped table at M <= 8 with some entries forced to exactly 0 or 1,
+    and a random profile."""
+    M = draw(st.integers(2, 8))
+    table = draw(st.sampled_from([
+        rb.power_family(M, 1), rb.power_family(M, 2), rb.min_exp_table(M, 1.0),
+        rb.exp_difference_table(M),
+    ]))
+    # About two thirds of the playable entries forced, so that many chains cycle.
+    for a in range(1, M):
+        for b in range(1, M):
+            forced = draw(st.sampled_from([0.0, 1.0, None]))
+            if forced is not None:
+                table = table.with_entry(a, b, forced)
+
+    def strategy(player: Player) -> rb.StationaryStrategy:
+        stakes = (draw(st.integers(1, x)) for x in range(1, M))
+        return rb.StationaryStrategy(player, (0, *stakes, 0))
+
+    return table, rb.Profile(strategy(Player.ONE), strategy(Player.TWO))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(game=_forced_games())
+def test_values_split_at_most_the_stake(game) -> None:
+    """``q + t <= 1``; both are exactly 0 where no boundary is reachable; and
+    ``q + t = 1`` everywhere exactly when absorption is certain."""
+    table, profile = game
+    M = table.M
+    values = rb.hitting_values(table, profile)
+    total = np.add(values.q, values.t)
+    assert (total <= 1.0 + 1e-12).all()
+    stuck = [x for x in range(1, M) if x not in _reaching(_moves(table, profile), {0, M})]
+    assert all(values.q[x] == values.t[x] == 0.0 for x in stuck)
+    absorbs = rb.absorption_certain(table, profile)
+    assert absorbs is not bool(stuck)
+    assert bool(total.min() >= 1.0 - 1e-12) is absorbs

@@ -3,9 +3,9 @@
 ``_scalar_report`` scans ``(index, lhs, rhs, constraint)`` terms one at a
 time, the way the checks did before they moved onto the slab kernel.  The
 terms come from the generators ``supermultiplicative_terms`` and
-``product_bound_terms`` kept in :mod:`redblack.checks`, and from the
-brute-force loops below, which follow each checker's documented ranges
-with scalar table lookups.  Reports must be equal as dataclasses: same
+``product_bound_terms`` below, which ``test_checks`` imports too, and from
+the brute-force loops after them, which follow each checker's documented
+ranges with scalar table lookups.  Reports must be equal as dataclasses: same
 counts, same witnesses in the same order, same floats to the last bit.
 """
 
@@ -18,7 +18,6 @@ from typing import Callable, Iterator
 import pytest
 
 import redblack as rb
-from redblack.checks import product_bound_terms, supermultiplicative_terms
 from redblack.reports import Slab, scan_slabs
 
 CAPS = (0, 1, 16, None, -1)
@@ -44,6 +43,55 @@ TABLES: dict[str, Callable[[], rb.WinProbTable]] = {
 }
 
 _Term = tuple[tuple[int, ...], float, float, str]
+
+
+def product_bound_terms(curve: rb.UnitBetCurve) -> Iterator[_Term]:
+    """For ``0 <= a <= x <= M``:
+    ``(1 - curve(a)) * prod_{i=0..a} curve(x - i) <= curve(x) - curve(a)``.
+    """
+    phi = curve.values
+    for x in range(curve.M + 1):
+        running = 1.0
+        for a in range(x + 1):
+            running *= phi[x - a]  # after this line: prod of phi(x), ..., phi(x - a)
+            yield (x, a), (1.0 - phi[a]) * running, phi[x] - phi[a], "product-bound"
+
+
+def supermultiplicative_terms(
+    table: rb.WinProbTable,
+) -> tuple[Iterator[_Term], int, int]:
+    """Terms of ``P(x, a) * P(x + a, b) <= P(x, a + b)`` with skip/flag counts.
+
+    Ranges: ``0 <= x <= M``, ``0 <= a <= M - x``, ``0 <= b <= M - a``; every
+    index touched stays inside ``0..M``.  Triples evaluating the undefined
+    pair ``(0, 0)`` — exactly those with ``x = a = 0`` — are skipped.
+    Triples with ``x + a + b > M`` involve entries unreachable in play and
+    are flagged (but still checked, since the table stores those entries).
+    """
+    M = table.M
+    skipped = M + 1  # (0, 0, b) for each b in 0..M evaluates P(0, 0)
+    flagged = sum(
+        1
+        for x in range(M + 1)
+        for a in range(M - x + 1)
+        for b in range(M - a + 1)
+        if x + a + b > M and (x, a) != (0, 0)
+    )
+
+    def terms() -> Iterator[_Term]:
+        for x in range(M + 1):
+            for a in range(M - x + 1):
+                if x == 0 and a == 0:
+                    continue
+                for b in range(M - a + 1):
+                    yield (
+                        (x, a, b),
+                        table.prob(x, a) * table.prob(x + a, b),
+                        table.prob(x, a + b),
+                        "supermultiplicative",
+                    )
+
+    return terms(), skipped, flagged
 
 
 def _scalar_report(

@@ -111,7 +111,8 @@ MAKERS = {
 }
 
 # (maker, M) pairs; "cycle" is the ``cycle_m4`` fixture, whose cycling
-# pairs take the iterative path inside enumeration.
+# pairs take the pinned solve inside enumeration and the value iteration in
+# the oracle, and their values (0, 1/2 and 1) must agree to the bit.
 ORACLE_CASES = [(maker, M) for maker in MAKERS for M in (3, 4, 5)] + [("cycle", 4)]
 
 
