@@ -15,20 +15,21 @@ Three construction routes are provided:
   when ``k`` is submultiplicative the curve satisfies the bold-play
   inequality (see :func:`redblack.checks.check_bold_inequality`).
 
-The two-index (pair-of-fortunes) form of a table and the whole-plane
-extension used by the composition inequality live here as well.
+Each builder calls its entry formula once per stake pair and keeps the
+results as the table's one float64 array.  The two-index (pair-of-fortunes)
+form of a table, a gather on that array, and the whole-plane extension used
+by the composition inequality live here as well.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .game import UndefinedEntryError, UnitBetCurve, WinProbTable, _nan_array
+from .game import UndefinedEntryError, UnitBetCurve, WinProbTable, _Grid
 from .reports import (
     DEFAULT_TOL,
     DEFAULT_WITNESS_CAP,
@@ -246,52 +247,19 @@ def check_submultiplicative(
     return scan_slabs("submultiplicative", [slab], tol=tol, max_witnesses=max_witnesses)
 
 
-@dataclass(frozen=True)
-class SincovTable:
+class SincovTable(_Grid):
     """The pair-of-fortunes form ``F(x, y) = P(x, y - x)`` on ``0 <= x <= y <= M``.
 
     ``F(x, y)`` is the chance the stage carries player I's stake from ``x``
     up to ``y``.  Entries with ``y < x`` and the pair ``(0, 0)`` are
-    undefined and stored as ``None``.
+    undefined: ``nan`` in ``array``, ``None`` in nested rows.
     """
 
-    M: int
-    rows: tuple[tuple[float | None, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.M, int) and self.M >= 2):
-            raise ValueError(f"total money must be an integer >= 2, got {self.M!r}")
-        if len(self.rows) != self.M + 1:
-            raise ValueError(f"expected {self.M + 1} rows, got {len(self.rows)}")
-        for x, row in enumerate(self.rows):
-            if len(row) != self.M + 1:
-                raise ValueError(f"row {x} has {len(row)} entries, expected {self.M + 1}")
-            for y, value in enumerate(row):
-                if y < x or (x, y) == (0, 0):
-                    if value is not None:
-                        raise ValueError(f"entry ({x}, {y}) must be stored as None")
-                elif value is None:
-                    raise ValueError(f"entry ({x}, {y}) is missing")
-                else:
-                    if not (0.0 <= float(value) <= 1.0):
-                        raise ValueError(
-                            f"probability at ({x}, {y}) must lie in [0, 1], got {value!r}"
-                        )
-
-    @classmethod
-    def build(cls, M: int, entry: Callable[[int, int], float]) -> "SincovTable":
-        rows = tuple(
-            tuple(
-                float(entry(x, y)) if cls.defined_index(x, y) else None
-                for y in range(M + 1)
-            )
-            for x in range(M + 1)
-        )
-        return cls(M, rows)
-
     @staticmethod
-    def defined_index(x: int, y: int) -> bool:
-        return 0 <= x <= y and (x, y) != (0, 0)
+    def _undefined(M: int) -> np.ndarray:
+        mask = np.tri(M + 1, k=-1, dtype=bool)  # y < x
+        mask[0, 0] = True
+        return mask
 
     def defined(self, x: int, y: int) -> bool:
         return 0 <= x <= y <= self.M and (x, y) != (0, 0)
@@ -301,22 +269,14 @@ class SincovTable:
             raise IndexError(f"fortune pair ({x}, {y}) outside 0..{self.M}")
         if not self.defined(x, y):
             raise UndefinedEntryError(f"entry ({x}, {y}) is undefined")
-        value = self.rows[x][y]
-        assert value is not None
-        return value
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """Read-only float array of ``F`` with ``nan`` at every undefined pair."""
-        return _nan_array(self.rows)
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {"M": self.M, "pairs": [list(row) for row in self.rows]}
+        return self.array[x, y].item()
 
 
 def sincov_of(table: WinProbTable) -> SincovTable:
     """Reindex stakes to fortunes: ``F(x, y) = P(x, y - x)``."""
-    return SincovTable.build(table.M, lambda x, y: table.prob(x, y - x))
+    x, y = np.ogrid[: table.M + 1, : table.M + 1]
+    F = np.where(y >= x, table.array[x, np.maximum(y - x, 0)], np.nan)
+    return SincovTable._of_array(table.M, F)
 
 
 def table_of_sincov(F: SincovTable) -> WinProbTable:
@@ -324,12 +284,9 @@ def table_of_sincov(F: SincovTable) -> WinProbTable:
 
     On playable stakes this is exact: ``P(a, b) = F(a, a + b)``.
     """
-    def entry(a: int, b: int) -> float:
-        if a + b > F.M:
-            return 1.0
-        return F.value(a, a + b)
-
-    return WinProbTable.build(F.M, entry)
+    a, b = np.ogrid[: F.M + 1, : F.M + 1]
+    P = np.where(a + b > F.M, 1.0, F.array[a, np.minimum(a + b, F.M)])
+    return WinProbTable._of_array(F.M, P)
 
 
 @dataclass(frozen=True)

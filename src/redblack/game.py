@@ -7,7 +7,9 @@ Conventions used throughout the package:
 * A win-probability table gives, for each pair of simultaneous stakes
   ``(a, b)``, the chance that player I wins the stage.  The entry ``(0, 0)``
   is deliberately undefined: with both stakes at zero the stage has no
-  winner, and reading it raises :class:`UndefinedEntryError`.
+  winner, and reading it raises :class:`UndefinedEntryError`.  A table
+  stores one read-only float64 array with ``nan`` there; nested rows, as in
+  JSON, hold ``None`` instead.
 * Border rule: a stage against a zero stake is won outright, so
   ``P(a, 0) = 1`` and ``P(0, b) = 0`` for ``a, b >= 1``.
 * One stage from interior fortune ``x`` with stakes ``(a, b)`` moves player
@@ -28,8 +30,7 @@ import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, TypeVar
 
 import numpy as np
 
@@ -67,61 +68,100 @@ class Player(Enum):
         return Player.TWO if self is Player.ONE else Player.ONE
 
 
-def _validate_probability(value: Any, where: str) -> float:
-    value = float(value)
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"probability {where} must lie in [0, 1], got {value!r}")
-    return value
+def _check_money(M: Any) -> None:
+    if not (isinstance(M, int) and M >= 2):
+        raise ValueError(f"total money must be an integer >= 2, got {M!r}")
 
 
-def _nan_array(rows: tuple[tuple[float | None, ...], ...]) -> np.ndarray:
-    """Read-only float array of nested rows, with ``nan`` for ``None``."""
-    data = np.array([[np.nan if v is None else v for v in row] for row in rows], dtype=np.float64)
-    data.setflags(write=False)
-    return data
+_G = TypeVar("_G", bound="_Grid")
 
 
-@dataclass(frozen=True)
-class WinProbTable:
-    """Win probabilities for player I over all stake pairs in ``S x S``.
+@dataclass(frozen=True, init=False, eq=False)
+class _Grid:
+    """Money ``M`` and one read-only ``(M + 1) x (M + 1)`` float64 ``array``.
 
-    ``rows[a][b]`` is the chance player I wins a stage with stakes
-    ``(a, b)``.  ``rows[0][0]`` must be ``None``; every other entry must be
-    a probability.  The table is hashable (rows are nested tuples), so
-    solvers can cache per-table work.
+    The array holds ``nan`` exactly at the entries :meth:`_undefined` marks
+    and a probability in [0, 1] everywhere else.  The constructor takes
+    nested rows with ``None`` at the undefined entries.  Grids compare and
+    hash by value, so solvers can cache per-table work.
     """
 
     M: int
-    rows: tuple[tuple[float | None, ...], ...]
+    array: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.M, int) and self.M >= 2):
-            raise ValueError(f"total money must be an integer >= 2, got {self.M!r}")
-        if len(self.rows) != self.M + 1:
-            raise ValueError(f"expected {self.M + 1} rows, got {len(self.rows)}")
-        for a, row in enumerate(self.rows):
-            if len(row) != self.M + 1:
-                raise ValueError(f"row {a} has {len(row)} entries, expected {self.M + 1}")
-            for b, value in enumerate(row):
-                if a == 0 and b == 0:
-                    if value is not None:
-                        raise ValueError("the stake pair (0, 0) must be stored as None")
-                    continue
-                if value is None:
-                    raise ValueError(f"entry ({a}, {b}) is missing")
-                _validate_probability(value, f"at ({a}, {b})")
+    def __init__(self, M: int, rows: Any) -> None:
+        try:
+            data = np.array(rows, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"rows must form a grid of probabilities: {exc}") from exc
+        self._fill(M, data)
+        # a nan read from the rows converts like None, so tell the two apart here
+        for x, y in zip(*np.nonzero(self._undefined(M))):
+            if rows[x][y] is not None:
+                raise ValueError(f"entry ({x}, {y}) must be stored as None")
 
     @classmethod
-    def build(cls, M: int, entry: Callable[[int, int], float]) -> "WinProbTable":
-        """Tabulate ``entry(a, b)`` over all defined stake pairs."""
-        rows = tuple(
-            tuple(
-                None if (a, b) == (0, 0) else float(entry(a, b))
-                for b in range(M + 1)
+    def build(cls: type[_G], M: int, entry: Callable[[int, int], float]) -> _G:
+        """Tabulate ``entry`` once per defined index pair."""
+        _check_money(M)
+        undefined = cls._undefined(M).tolist()
+        data = [
+            [np.nan if skip else entry(i, j) for j, skip in enumerate(row)]
+            for i, row in enumerate(undefined)
+        ]
+        return cls._of_array(M, np.array(data, dtype=np.float64))
+
+    @classmethod
+    def _of_array(cls: type[_G], M: int, data: np.ndarray) -> _G:
+        """Validate and wrap a fresh float array with ``nan`` at the undefined entries."""
+        grid = object.__new__(cls)
+        grid._fill(M, data)
+        return grid
+
+    @staticmethod
+    def _undefined(M: int) -> np.ndarray:
+        """Mask of the undefined entries: the origin ``(0, 0)`` alone."""
+        mask = np.zeros((M + 1, M + 1), dtype=bool)
+        mask[0, 0] = True
+        return mask
+
+    def _fill(self, M: int, data: np.ndarray) -> None:
+        _check_money(M)
+        if data.shape != (M + 1, M + 1):
+            raise ValueError(f"expected {M + 1} rows of {M + 1} entries, got shape {data.shape}")
+        undefined = self._undefined(M)
+        misplaced = np.isnan(data) != undefined
+        if misplaced.any():
+            x, y = np.argwhere(misplaced)[0]
+            what = "must be stored as None" if undefined[x, y] else "is None or nan"
+            raise ValueError(f"entry ({x}, {y}) {what}")
+        outside = (data < 0.0) | (data > 1.0)
+        if outside.any():
+            x, y = np.argwhere(outside)[0]
+            raise ValueError(
+                f"probability at ({x}, {y}) must lie in [0, 1], got {data[x, y].item()!r}"
             )
-            for a in range(M + 1)
-        )
-        return cls(M, rows)
+        data.setflags(write=False)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "array", data)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.M == other.M and np.array_equal(self.array, other.array, equal_nan=True)
+
+    def __hash__(self) -> int:
+        # adding 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.M, (self.array + 0.0).tobytes()))
+
+
+class WinProbTable(_Grid):
+    """Win probabilities for player I over all stake pairs in ``S x S``.
+
+    ``array[a, b]`` is the chance player I wins a stage with stakes
+    ``(a, b)``; ``array[0, 0]`` is ``nan``.  Nested rows, as in JSON, hold
+    ``None`` there instead.
+    """
 
     def prob(self, a: int, b: int) -> float:
         """The chance player I wins a stage with stakes ``(a, b)``."""
@@ -129,22 +169,22 @@ class WinProbTable:
             raise IndexError(f"stake pair ({a}, {b}) outside 0..{self.M}")
         if a == 0 and b == 0:
             raise UndefinedEntryError("the stage with both stakes zero has no winner")
-        value = self.rows[a][b]
-        assert value is not None
-        return value
+        return self.array[a, b].item()
 
     def with_entry(self, a: int, b: int, value: float) -> "WinProbTable":
         """A copy with one entry replaced (the pair ``(0, 0)`` stays undefined)."""
         if a == 0 and b == 0:
             raise UndefinedEntryError("the stake pair (0, 0) cannot be assigned")
-        rows = [list(row) for row in self.rows]
-        rows[a][b] = _validate_probability(value, f"at ({a}, {b})")
-        return WinProbTable(self.M, tuple(tuple(row) for row in rows))
+        data = self.array.copy()
+        data[a, b] = value
+        return WinProbTable._of_array(self.M, data)
 
-    @cached_property
-    def array(self) -> np.ndarray:
-        """Read-only float array of the table with ``nan`` at ``(0, 0)``."""
-        return _nan_array(self.rows)
+    @property
+    def rows(self) -> list[list[float | None]]:
+        """The entries as nested lists, with ``None`` at ``(0, 0)``."""
+        rows = self.array.tolist()
+        rows[0][0] = None
+        return rows
 
     @property
     def unreachable_entries(self) -> int:
@@ -156,29 +196,27 @@ class WinProbTable:
         return self.M * (self.M + 1) // 2
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {"M": self.M, "entries": [list(row) for row in self.rows]}
+        return {"M": self.M, "entries": self.rows}
 
     @classmethod
     def from_json_dict(cls, payload: dict[str, Any]) -> "WinProbTable":
         try:
-            M = payload["M"]
+            M = int(payload["M"])
             entries = payload["entries"]
         except (KeyError, TypeError) as exc:
-            raise ValueError("table JSON needs keys 'M' and 'entries'") from exc
+            raise ValueError("table JSON needs an integer 'M' and 'entries'") from exc
         if not isinstance(entries, list):
             raise ValueError("'entries' must be a list of rows")
-        rows = tuple(
-            tuple(None if v is None else float(v) for v in row) for row in entries
-        )
-        return cls(int(M), rows)
+        return cls(M, entries)
 
     def to_csv(self) -> str:
         """Rows indexed by player I's stake; the undefined entry renders as NA."""
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["a\\b"] + [str(b) for b in range(self.M + 1)])
-        for a, row in enumerate(self.rows):
-            writer.writerow([str(a)] + ["NA" if v is None else repr(v) for v in row])
+        cells = [list(map(repr, row)) for row in self.array.tolist()]
+        cells[0][0] = "NA"
+        writer.writerows([str(a), *row] for a, row in enumerate(cells))
         return buffer.getvalue()
 
 
@@ -194,18 +232,15 @@ class UnitBetCurve:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.M, int) and self.M >= 2):
-            raise ValueError(f"total money must be an integer >= 2, got {self.M!r}")
+        _check_money(self.M)
         if len(self.values) != self.M + 1:
             raise ValueError(f"expected {self.M + 1} values, got {len(self.values)}")
         for x, value in enumerate(self.values):
-            _validate_probability(value, f"at fortune {x}")
+            if not 0.0 <= float(value) <= 1.0:
+                raise ValueError(f"probability at fortune {x} must lie in [0, 1], got {value!r}")
 
     def __getitem__(self, x: int) -> float:
         return self.values[x]
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.values)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"M": self.M, "curve": list(self.values)}
@@ -222,7 +257,7 @@ class UnitBetCurve:
 
 def unit_bet_curve(table: WinProbTable) -> UnitBetCurve:
     """Extract the opponent-stakes-one column ``x -> P(x, 1)``."""
-    return UnitBetCurve(table.M, tuple(table.prob(x, 1) for x in range(table.M + 1)))
+    return UnitBetCurve(table.M, tuple(table.array[:, 1].tolist()))
 
 
 @dataclass(frozen=True)
@@ -271,9 +306,7 @@ class StationaryStrategy:
 
     @property
     def label(self) -> str:
-        if self.is_bold and self.is_timid:
-            return "bold"  # only at M = 2, where the two coincide
-        if self.is_bold:
+        if self.is_bold:  # also at M = 2, where bold and timid coincide
             return "bold"
         if self.is_timid:
             return "timid"

@@ -344,12 +344,22 @@ def compare_exact(
     z_max: float = 4.0,
     max_truncated_fraction: float = 0.01,
 ) -> AgreementReport:
-    """Score the empirical frequency of player I's wins against exact values."""
+    """Score the empirical frequency of player I's wins against exact values.
+
+    Too many truncated trials withdraw the verdict; the reason names the exact
+    chance ``1 - q - t`` of never absorbing when that alone exceeds the bound.
+    """
     if values.M != result.M:
         raise ValueError("value vector and simulation disagree on the total money")
     exact = values.q[result.x0]
     frac = result.truncated_fraction
     if frac > max_truncated_fraction:
+        cycling = 1.0 - exact - values.t[result.x0]
+        advice = (
+            f"the chain never absorbs from x0 with probability {cycling:.6g}, so no horizon helps"
+            if cycling > max_truncated_fraction
+            else "raise the horizon"
+        )
         return AgreementReport(
             empirical=result.freq_I,
             exact=exact,
@@ -358,10 +368,7 @@ def compare_exact(
             truncated_fraction=frac,
             valid=False,
             passed=False,
-            reason=(
-                f"truncated fraction {frac:.6g} exceeds {max_truncated_fraction:.6g}; "
-                "raise the horizon"
-            ),
+            reason=f"truncated fraction {frac:.6g} exceeds {max_truncated_fraction:.6g}; {advice}",
         )
     if exact in (0.0, 1.0):
         expected = int(round(exact)) * result.trials

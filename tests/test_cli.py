@@ -188,6 +188,44 @@ class TestCheck:
         bad.write_text("{\"M\": 2}")
         assert run(["check", "--table", str(bad)], capsys)[0] == 2
 
+    @pytest.mark.parametrize(
+        "cell,value",
+        [((0, 0), 0.5), ((0, 0), math.nan), ((2, 1), math.nan), ((2, 1), 1.5), ((1, 2), -0.1)],
+    )
+    def test_rejects_bad_entries(
+        self, pow2_m3_file: Path, tmp_path: Path, capsys, cell: tuple[int, int], value: float
+    ) -> None:
+        payload = json.loads(pow2_m3_file.read_text())
+        payload["entries"][cell[0]][cell[1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))  # writes NaN, which json.load reads back
+        code, _, err = run(["check", "--table", str(bad)], capsys)
+        assert code == 2 and f"({cell[0]}, {cell[1]})" in err.split("not a valid table artifact:")[1]
+
+    def test_rejects_ragged_rows(self, pow2_m3_file: Path, tmp_path: Path, capsys) -> None:
+        payload = json.loads(pow2_m3_file.read_text())
+        payload["entries"][1].pop()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code, _, err = run(["check", "--table", str(bad)], capsys)
+        assert code == 2 and "row" in err.split("not a valid table artifact:")[1]
+
+    @pytest.mark.parametrize(
+        "field,value", [("entry", 10**400), ("M", [3])], ids=["huge-entry", "list-M"]
+    )
+    def test_unconvertible_input_is_a_usage_error(
+        self, pow2_m3_file: Path, tmp_path: Path, capsys, field: str, value: object
+    ) -> None:
+        payload = json.loads(pow2_m3_file.read_text())
+        if field == "M":
+            payload["M"] = value
+        else:
+            payload["entries"][1][2] = value  # too large for a float
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert run(["check", "--table", str(bad)], capsys)[0] == 2
+        assert run(["report", str(bad)], capsys)[0] == 2
+
     def test_missing_table(self, capsys) -> None:
         assert run(["check", "--table", "/no/such/file.json"], capsys)[0] == 2
 

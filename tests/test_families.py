@@ -234,6 +234,13 @@ class TestSincovTable:
         with pytest.raises(ValueError):
             rb.SincovTable(2, ((None, 1.0, 1.0), (None, 1.0, 1.0), (None, None, None)))
 
+    @pytest.mark.parametrize("value", [0.5, math.nan])
+    def test_undefined_pairs_must_be_none(self, value: float) -> None:
+        rows = ((None, 1.0, 1.0), (None, 1.0, 1.0), (None, value, 1.0))
+        with pytest.raises(ValueError, match=r"\(2, 1\)"):
+            rb.SincovTable(2, rows)
+        assert rb.SincovTable(2, rows[:2] + ((None, None, 1.0),)).value(1, 2) == 1.0
+
 
 class TestTableOfSincov:
     @pytest.mark.parametrize("maker", ["pow2", "min_exp", "el"])

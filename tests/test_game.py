@@ -13,6 +13,7 @@ Frozen values used below, derived by hand:
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -32,11 +33,21 @@ class TestWinProbTable:
         with pytest.raises(IndexError):
             pow2_m3.prob(0, -1)
 
-    def test_rejects_missing_none_at_origin(self) -> None:
+    @pytest.mark.parametrize("origin", [0.5, math.nan])
+    def test_rejects_missing_none_at_origin(self, origin: float) -> None:
         rows = tuple(
-            tuple(0.5 for _ in range(4)) for _ in range(4)
+            tuple(origin if (a, b) == (0, 0) else 0.5 for b in range(4)) for a in range(4)
         )
         with pytest.raises(ValueError, match=r"\(0, 0\)"):
+            rb.WinProbTable(3, rows)
+        with pytest.raises(ValueError, match=r"\(0, 0\)"):
+            rb.WinProbTable.from_json_dict({"M": 3, "entries": [list(row) for row in rows]})
+
+    @pytest.mark.parametrize("value", [math.nan, None])
+    def test_rejects_nan_or_none_at_a_defined_entry(self, value: float | None) -> None:
+        rows = [list(row) for row in rb.power_family(3, 2).rows]
+        rows[2][1] = value
+        with pytest.raises(ValueError, match=r"\(2, 1\)"):
             rb.WinProbTable(3, rows)
 
     def test_rejects_out_of_range_probability(self) -> None:
@@ -78,6 +89,18 @@ class TestWinProbTable:
     def test_hashable_for_caching(self, pow2_m3: rb.WinProbTable) -> None:
         assert hash(pow2_m3) == hash(rb.power_family(3, 2))
         assert pow2_m3 == rb.power_family(3, 2)
+        negative, positive = pow2_m3.with_entry(2, 1, -0.0), pow2_m3.with_entry(2, 1, 0.0)
+        assert negative == positive
+        assert hash(negative) == hash(positive)
+        assert pow2_m3 != positive and pow2_m3 != rb.power_family(3, 1)
+
+    def test_json_round_trip_is_exact(self, pow2_m3: rb.WinProbTable) -> None:
+        table = pow2_m3.with_entry(1, 2, -0.0).with_entry(2, 1, 5e-324)
+        table = table.with_entry(3, 1, 1.0 - 2.0**-53)
+        text = rb.canonical_json(table.to_json_dict())
+        clone = rb.WinProbTable.from_json_dict(json.loads(text))
+        assert rb.canonical_json(clone.to_json_dict()) == text
+        assert clone.array.tobytes() == table.array.tobytes()
 
     def test_unreachable_entry_count(self, pow2_m3: rb.WinProbTable) -> None:
         # pairs with a + b > 3 inside {0..3}^2: 6 of 16

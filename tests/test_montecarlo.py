@@ -284,7 +284,20 @@ class TestCompareExact:
         values = rb.ValueVector(2, (0.0, 0.5, 1.0), (1.0, 0.5, 0.0))
         report = rb.compare_exact(_manual_result(49_000, 100_000, truncated=2_000), values)
         assert not report.valid and not report.passed
-        assert report.z is None and "horizon" in report.reason
+        assert report.z is None and report.reason.endswith("; raise the horizon")
+
+    def test_truncation_on_a_cycling_chain_names_the_chance_of_never_absorbing(
+        self, cycle_m4: rb.WinProbTable, cycle_profile: rb.Profile
+    ) -> None:
+        values = rb.hitting_values(cycle_m4, cycle_profile)
+        for x0 in (1, 2, 3):
+            config = rb.SimConfig(x0=x0, trials=200, seed=5, horizon=50)
+            report = rb.compare_exact(rb.simulate(cycle_m4, cycle_profile, config), values)
+            assert not report.valid and not report.passed
+            assert report.reason == (
+                "truncated fraction 1 exceeds 0.01; "
+                "the chain never absorbs from x0 with probability 1, so no horizon helps"
+            )
 
     def test_degenerate_exact_value_requires_exact_counts(self) -> None:
         values = rb.ValueVector(2, (0.0, 1.0, 1.0), (1.0, 0.0, 0.0))

@@ -376,7 +376,6 @@ class TestBatchedEngine:
     def test_cold_tensor_build_memory_is_blocked(self) -> None:
         """Row blocks keep the working set near the 1.6 MiB of output tensors."""
         table = rb.power_family(6, 2)
-        table.array  # built and cached outside the traced region
         tracemalloc.start()
         try:
             _, _, VI, _ = _pairwise_value_tensors.__wrapped__(table)
