@@ -61,9 +61,9 @@ from .reports import DEFAULT_TOL, DEFAULT_WITNESS_CAP, canonical_json
 from .solver import (
     DEFAULT_ENUM_CAP,
     absorption_certain,
-    bold_timid_values,
     enumerate_equilibria,
     hitting_values,
+    product_form_values,
     strategy_count,
     verify_nash,
 )
@@ -237,13 +237,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     table = _load_table(args.table)
+    if args.x0 is not None and not 0 <= args.x0 <= table.M:
+        raise _UsageError(f"initial fortune {args.x0} outside 0..{table.M}")
     profile = _load_profile(args.profile, table.M)
     values = hitting_values(table, profile, method=args.method)
     absorbing = absorption_certain(table, profile)
-    curve = unit_bet_curve(table)
-    product_form = None
-    if profile.first.is_bold and profile.second.is_timid and curve[0] == 0.0:
-        product_form = list(bold_timid_values(curve).q)
+    exact = product_form_values(profile, unit_bet_curve(table))
     payload: dict[str, Any] = {
         "manifest": _manifest(
             "solve",
@@ -254,7 +253,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "profile": profile.to_json_dict(),
         "absorbing": absorbing,
         "values": values.to_json_dict(),
-        "product_form": product_form,
+        "product_form": None if exact is None else list(exact.q),
     }
     if args.x0 is not None:
         payload["x0"] = args.x0

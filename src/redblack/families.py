@@ -6,7 +6,7 @@ Three construction routes are provided:
   ``f(t) > 0`` for ``t >= 1`` induces the table
   ``P(a, b) = min_f f(a) / f(a + b)`` capped at one (the cap is the
   always-admissible unit-step gauge).  :func:`power_family` is the
-  single-gauge case ``f(t) = t**p`` in closed form.
+  single-gauge case ``f(t) = t**p``.
 * explicit formulas: :func:`exp_difference_table` tabulates
   ``P(a, b) = 1 - exp(b - a)`` for ``1 <= b <= a`` and zero when the
   opponent overstakes, a table that is neither sub- nor super-fair.
@@ -15,10 +15,11 @@ Three construction routes are provided:
   when ``k`` is submultiplicative the curve satisfies the bold-play
   inequality (see :func:`redblack.checks.check_bold_inequality`).
 
-Each builder calls its entry formula once per stake pair and keeps the
-results as the table's one float64 array.  The two-index (pair-of-fortunes)
-form of a table, a gather on that array, and the whole-plane extension used
-by the composition inequality live here as well.
+Each builder tabulates its one-variable function once, by the Python call
+that defines it, and fills the table's one float64 array by exactly rounded
+division, subtraction and minimum, so each entry is its formula's to the
+bit.  The pair-of-fortunes form of a table, a gather on that array, and the
+whole-plane extension used by the composition inequality live here too.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .game import UndefinedEntryError, UnitBetCurve, WinProbTable, _Grid
+from .game import UndefinedEntryError, UnitBetCurve, WinProbTable, _Grid, _check_money
 from .reports import (
     DEFAULT_TOL,
     DEFAULT_WITNESS_CAP,
@@ -74,10 +75,13 @@ class FamilyMember:
     def value(self, t: int) -> float:
         if t < 0:
             raise ValueError(f"gauges are defined for t >= 0, got {t}")
-        if self.kind == "power":
-            return float(t) ** self.p
-        if self.kind == "exp":
-            return 0.0 if t == 0 else math.exp(self.m * t)
+        try:
+            if self.kind == "power":
+                return float(t) ** self.p
+            if self.kind == "exp":
+                return 0.0 if t == 0 else math.exp(self.m * t)
+        except OverflowError:
+            raise ValueError(f"gauge {self.to_json_dict()} overflows float64 at t = {t}") from None
         assert self.values is not None
         if t >= len(self.values):
             raise ValueError(
@@ -121,13 +125,13 @@ def explicit_member(values: Sequence[float]) -> FamilyMember:
 
 
 def power_family(M: int, p: float) -> WinProbTable:
-    """The closed-form ratio table ``P(a, b) = a**p / (a + b)**p``, ``p >= 1``.
+    """The one-gauge ratio table ``P(a, b) = a**p / (a + b)**p``, ``p >= 1``.
 
     Entries with ``a + b > M`` are filled by the same formula.
     """
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"power family needs exponent p >= 1, got {p!r}")
-    return WinProbTable.build(M, lambda a, b: float(a) ** p / float(a + b) ** p)
+    return family_infimum(M, (power_member(p),))
 
 
 def family_infimum(M: int, members: Sequence[FamilyMember]) -> WinProbTable:
@@ -140,15 +144,14 @@ def family_infimum(M: int, members: Sequence[FamilyMember]) -> WinProbTable:
     members = tuple(members)
     if not members:
         raise ValueError("family needs at least one gauge")
-
-    def entry(a: int, b: int) -> float:
-        if a == 0:
-            return 0.0
-        if b == 0:
-            return 1.0
-        return min(1.0, min(f.value(a) / f.value(a + b) for f in members))
-
-    return WinProbTable.build(M, entry)
+    _check_money(M)
+    a, b = np.ogrid[: M + 1, : M + 1]
+    P = np.ones((M + 1, M + 1))
+    for f in members:
+        g = np.array([f.value(t) for t in range(2 * M + 1)])
+        with np.errstate(invalid="ignore"):  # 0 / 0 at the undefined origin
+            P = np.minimum(P, g[a] / g[a + b])
+    return WinProbTable._of_array(M, P)
 
 
 def min_exp_table(M: int, m: float) -> WinProbTable:
@@ -166,14 +169,13 @@ def exp_difference_table(M: int) -> WinProbTable:
     Zero on the diagonal and whenever the opponent overstakes; entries with
     ``a + b > M`` are filled by the same formula.
     """
-    def entry(a: int, b: int) -> float:
-        if a == 0:
-            return 0.0
-        if b == 0:
-            return 1.0
-        return 1.0 - math.exp(b - a) if b <= a else 0.0
-
-    return WinProbTable.build(M, entry)
+    _check_money(M)
+    drop = np.array([math.exp(-d) for d in range(M + 1)])
+    a, b = np.ogrid[: M + 1, : M + 1]
+    P = np.where(b <= a, 1.0 - drop[abs(a - b)], 0.0)
+    P[1:, 0] = 1.0
+    P[0, 0] = np.nan
+    return WinProbTable._of_array(M, P)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, TypeVar
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -101,17 +101,6 @@ class _Grid:
                 raise ValueError(f"entry ({x}, {y}) must be stored as None")
 
     @classmethod
-    def build(cls: type[_G], M: int, entry: Callable[[int, int], float]) -> _G:
-        """Tabulate ``entry`` once per defined index pair."""
-        _check_money(M)
-        undefined = cls._undefined(M).tolist()
-        data = [
-            [np.nan if skip else entry(i, j) for j, skip in enumerate(row)]
-            for i, row in enumerate(undefined)
-        ]
-        return cls._of_array(M, np.array(data, dtype=np.float64))
-
-    @classmethod
     def _of_array(cls: type[_G], M: int, data: np.ndarray) -> _G:
         """Validate and wrap a fresh float array with ``nan`` at the undefined entries."""
         grid = object.__new__(cls)
@@ -141,6 +130,7 @@ class _Grid:
             raise ValueError(
                 f"probability at ({x}, {y}) must lie in [0, 1], got {data[x, y].item()!r}"
             )
+        data[undefined] = np.nan  # one nan bit pattern, so equal grids hash equal
         data.setflags(write=False)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "array", data)

@@ -139,6 +139,13 @@ def bold_timid_values(curve: UnitBetCurve) -> ValueVector:
     return ValueVector(curve.M, tuple(q), t)
 
 
+def product_form_values(profile: Profile, curve: UnitBetCurve) -> ValueVector | None:
+    """Bold-timid values if I is bold, II timid and ``curve[0] == 0``; else ``None``."""
+    if profile.first.is_bold and profile.second.is_timid and curve[0] == 0.0:
+        return bold_timid_values(curve)
+    return None
+
+
 def _stake_rows(strategies: Sequence[StationaryStrategy]) -> np.ndarray:
     """Stake matrix: row ``k`` is ``strategies[k].bets``."""
     return np.array([s.bets for s in strategies], dtype=np.int64)
@@ -649,8 +656,8 @@ def verify_nash(
     reports: tuple[CheckReport, ...] = ()
 
     curve = unit_bet_curve(table)
-    if profile.first.is_bold and profile.second.is_timid and curve[0] == 0.0:
-        exact = bold_timid_values(curve)
+    exact = product_form_values(profile, curve)
+    if exact is not None:
         exc = check_bold_excessive(curve, exact, tol=tol)
         star = check_timid_excessive(table, exact, tol=tol)
         reports = (exc, star)

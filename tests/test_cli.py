@@ -143,6 +143,18 @@ class TestGen:
         spec.write_text(json.dumps({"not-members": []}))
         assert run(["gen", "--M", "3", "--family", str(spec)], capsys)[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            (["--M", "400", "--family", "min-exp", "--m", "1"], "t = 710"),
+            (["--M", "4", "--family", "power", "--p", "2000"], "t = 2"),
+        ],
+    )
+    def test_overflowing_gauge_is_a_usage_error(self, argv: list[str], where: str, capsys) -> None:
+        code, out, err = run(["gen", *argv], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "overflows" in err and where in err
+
 
 class TestCheck:
     def test_small_power_table_is_fully_green(self, tmp_path: Path, capsys) -> None:
@@ -284,6 +296,12 @@ class TestSolve:
 
     def test_bad_method_is_a_usage_error(self, pow2_m3_file: Path, capsys) -> None:
         assert run(["solve", "--table", str(pow2_m3_file), "--method", "magic"], capsys)[0] == 2
+
+    @pytest.mark.parametrize("x0", ["-1", "4"])
+    def test_start_out_of_range(self, pow2_m3_file: Path, x0: str, capsys) -> None:
+        code, out, err = run(["solve", "--table", str(pow2_m3_file), "--x0", x0], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: initial fortune {x0} outside 0..3\n"
 
 
 class TestNash:

@@ -2,6 +2,9 @@
 
 Frozen values used below, derived by hand:
 
+* every builder's array equals its defining per-entry formula byte for
+  byte (the grid's division, subtraction and minimum round exactly, and
+  each gauge comes from the same Python ** or math.exp call);
 * the gauge-ratio route with the single gauge t**p reproduces the closed
   form a**p/(a+b)**p entry for entry (identical float expressions);
 * with gauges {t, exp(t)} the ratio infimum is min(a/(a+b), exp(-b)): the
@@ -17,9 +20,42 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 import redblack as rb
+
+
+def _per_entry(M: int, entry) -> np.ndarray:
+    """``entry(a, b)`` at every stake pair, with 0.0 at the undefined origin."""
+    return np.array(
+        [[0.0 if a == b == 0 else entry(a, b) for b in range(M + 1)] for a in range(M + 1)]
+    )
+
+
+def _assert_same_bits(table: rb.WinProbTable, expected: np.ndarray) -> None:
+    """The table's array equals ``expected`` byte for byte, origin masked."""
+    got = table.array.copy()
+    got[0, 0] = 0.0
+    assert got.tobytes() == expected.tobytes()
+
+
+def _gauge_infimum(gauges):
+    """The defining formula of a ratio table, one Python call per entry."""
+
+    def entry(a: int, b: int) -> float:
+        if a == 0:
+            return 0.0
+        if b == 0:
+            return 1.0
+        return min(1.0, min(g(a) / g(a + b) for g in gauges))
+
+    return entry
+
+
+def _wavy(t: int) -> float:
+    # positive and not monotone, so some ratios exceed one and the cap acts
+    return 0.0 if t == 0 else t * (2.0 + math.sin(t))
 
 
 class TestFamilyMember:
@@ -61,15 +97,11 @@ class TestFamilyMember:
 
 
 class TestPowerFamily:
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.25])
     def test_closed_form_on_every_defined_entry(self, p: float) -> None:
-        M = 6
-        table = rb.power_family(M, p)
-        for a in range(M + 1):
-            for b in range(M + 1):
-                if (a, b) == (0, 0):
-                    continue
-                assert table.prob(a, b) == float(a) ** p / float(a + b) ** p
+        for M in range(2, 41):
+            expected = _per_entry(M, lambda a, b: float(a) ** p / float(a + b) ** p)
+            _assert_same_bits(rb.power_family(M, p), expected)
 
     def test_spot_values(self) -> None:
         table = rb.power_family(4, 1)
@@ -97,6 +129,25 @@ class TestFamilyInfimum:
             for b in range(1, M + 1):
                 expected = min(a / (a + b), math.exp(-m * b))
                 assert table.prob(a, b) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [0.05, 0.3, 1.0, 2.5])
+    def test_min_exp_is_its_per_entry_formula_to_the_bit(self, m: float) -> None:
+        entry = _gauge_infimum((lambda t: float(t) ** 1.0, lambda t: math.exp(m * t)))
+        for M in range(2, 41):
+            _assert_same_bits(rb.min_exp_table(M, m), _per_entry(M, entry))
+
+    def test_mixed_power_and_explicit_gauges_to_the_bit(self) -> None:
+        entry = _gauge_infimum((lambda t: float(t) ** 1.5, _wavy))
+        for M in range(2, 41):
+            wavy = rb.explicit_member([_wavy(t) for t in range(2 * M + 1)])
+            members = (rb.power_member(1.5), wavy)
+            _assert_same_bits(rb.family_infimum(M, members), _per_entry(M, entry))
+
+    def test_explicit_gauge_capped_at_one(self) -> None:
+        M = 12
+        table = rb.family_infimum(M, (rb.explicit_member([_wavy(t) for t in range(2 * M + 1)]),))
+        _assert_same_bits(table, _per_entry(M, _gauge_infimum((_wavy,))))
+        assert (table.array[1:, 1:] == 1.0).any()
 
     def test_needs_at_least_one_gauge(self) -> None:
         with pytest.raises(ValueError):
@@ -128,6 +179,17 @@ class TestExpDifferenceTable:
 
     def test_border(self, el_m4: rb.WinProbTable) -> None:
         assert rb.check_border(el_m4).passed
+
+    def test_per_entry_formula_to_the_bit(self) -> None:
+        def entry(a: int, b: int) -> float:
+            if a == 0:
+                return 0.0
+            if b == 0:
+                return 1.0
+            return 1.0 - math.exp(b - a) if b <= a else 0.0
+
+        for M in range(2, 41):
+            _assert_same_bits(rb.exp_difference_table(M), _per_entry(M, entry))
 
 
 class TestDecayParams:
@@ -261,7 +323,8 @@ class TestTableOfSincov:
                     assert back.prob(a, b) == 1.0
 
     def test_all_ones_pair_form_breaks_the_border(self) -> None:
-        F = rb.SincovTable.build(3, lambda x, y: 1.0)
+        rows = [[None if y < x or x == y == 0 else 1.0 for y in range(4)] for x in range(4)]
+        F = rb.SincovTable(3, rows)
         table = rb.table_of_sincov(F)
         assert table.prob(0, 2) == 1.0  # violates the zero-stake row
         report = rb.check_border(table)

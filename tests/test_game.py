@@ -52,7 +52,7 @@ class TestWinProbTable:
 
     def test_rejects_out_of_range_probability(self) -> None:
         with pytest.raises(ValueError, match="probability"):
-            rb.WinProbTable.build(2, lambda a, b: 1.5)
+            rb.WinProbTable(2, [[None, 1.5, 1.5], [1.5, 1.5, 1.5], [1.5, 1.5, 1.5]])
 
     def test_rejects_bad_shape(self) -> None:
         good = rb.power_family(3, 2)
@@ -93,6 +93,14 @@ class TestWinProbTable:
         assert negative == positive
         assert hash(negative) == hash(positive)
         assert pow2_m3 != positive and pow2_m3 != rb.power_family(3, 1)
+
+    def test_undefined_entry_holds_one_nan_pattern(self, pow2_m3: rb.WinProbTable) -> None:
+        # 0 / 0 on x86 gives a nan with the sign bit set; the hash reads raw bytes
+        data = pow2_m3.array.copy()
+        data[0, 0] = -np.nan
+        table = rb.WinProbTable._of_array(3, data)
+        assert not np.signbit(table.array[0, 0])
+        assert table == pow2_m3 and hash(table) == hash(pow2_m3)
 
     def test_json_round_trip_is_exact(self, pow2_m3: rb.WinProbTable) -> None:
         table = pow2_m3.with_entry(1, 2, -0.0).with_entry(2, 1, 5e-324)
