@@ -8,13 +8,15 @@ bold-timid on ``power_family(150, 2)`` from x0 = 75 with 200 000 trials,
 and fair timid-timid at M = 40 from x0 = 20 with 3 000 trials, one of
 which hits the default horizon.  Each figure is the best of a few runs.
 Before timing, it checks the frozen sweep counts of the iteration (the same
-for both goals) and the frozen simulation results, and exits 1 on a
-mismatch.  It is kept out of the test suite because the M = 160 iteration
-takes seconds.
+for both goals), the sha256 of its two value vectors (float64,
+little-endian, goal M first) and the frozen simulation results, and exits 1
+on a mismatch.  So the iteration's values stay checked to the bit at sizes
+the test suite skips: the M = 160 iteration alone takes most of a second.
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import time
 from typing import Callable
@@ -27,6 +29,12 @@ from redblack.solver import _chain_arrays, _iterate_chain, _stake_rows
 REPEATS = 3
 # Sweeps the iteration takes on fair timid-timid, per goal.
 SWEEPS = {40: 7901, 80: 29831, 160: 112157}
+# sha256 of the iterated value vectors toward M and toward 0, in that order.
+DIGESTS = {
+    40: "1146e7b3427553733849277852ed71a7bea492eeb5c6483e91e67db4d40a5653",
+    80: "cd806d59ef08bfa84a2ad5a7884ce288de2afafef6936b82c9b198b442541967",
+    160: "e658e64b8644d4d229bd2c6de85b47bcdfebf92289b0f57371d1af07a9bc745a",
+}
 # (wins_I, wins_II, truncated, total_steps, max_steps) of each simulation.
 SIMULATIONS = {
     "bold-timid, power p = 2, M = 150": (
@@ -60,9 +68,14 @@ def main() -> int:
         profile = rb.Profile.from_name("timid-timid", M)
         chain = _chain_arrays(table, _stake_rows([profile.first]), _stake_rows([profile.second]))
         rows = np.zeros(2, dtype=np.int64)
-        sweeps = _iterate_chain(M, *(a[rows] for a in chain), np.array([M, 0]))[1]
+        values, sweeps = _iterate_chain(M, *(a[rows] for a in chain), np.array([M, 0]))
         if sweeps.tolist() != [expected, expected]:
             print(f"M = {M}: sweeps {sweeps.tolist()}, expected {expected} per goal", file=sys.stderr)
+            failures += 1
+            continue
+        digest = hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()
+        if digest != DIGESTS[M]:
+            print(f"M = {M}: values sha256 {digest}, expected {DIGESTS[M]}", file=sys.stderr)
             failures += 1
             continue
         elapsed = _best(lambda: rb.hitting_values(table, profile, method="iterate"))

@@ -528,6 +528,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GameError, ValueError, IndexError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -34,6 +34,9 @@ from .solver import ValueVector, _chain_arrays, _stake_rows
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _U64_GOLDEN = np.uint64(_GOLDEN)
+_U64_MUL_1 = np.uint64(0xBF58476D1CE4E5B9)
+_U64_MUL_2 = np.uint64(0x94D049BB133111EB)
+_U64_11, _U64_27, _U64_30, _U64_31 = (np.uint64(n) for n in (11, 27, 30, 31))
 
 
 def _mix64_int(z: int) -> int:
@@ -44,12 +47,19 @@ def _mix64_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 output permutation, vectorized over uint64 (wraps mod 2**64)."""
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+def _mix64_array(z: np.ndarray, spare: np.ndarray) -> None:
+    """SplitMix64 output permutation of a uint64 array, in place (mod 2**64).
+
+    ``spare`` is a uint64 array of the same shape, overwritten as scratch.
+    """
+    np.right_shift(z, _U64_30, out=spare)
+    z ^= spare
+    z *= _U64_MUL_1
+    np.right_shift(z, _U64_27, out=spare)
+    z ^= spare
+    z *= _U64_MUL_2
+    np.right_shift(z, _U64_31, out=spare)
+    z ^= spare
 
 
 def trial_key(seed: int, trial: int) -> int:
@@ -160,6 +170,17 @@ def _fortune_chain(
     return np.pad(p, 1), np.r_[0, up, M], np.r_[0, dn, M], horizon
 
 
+def _up_thresholds(p: np.ndarray) -> np.ndarray:
+    """``ceil(p * 2**53)`` as uint64: the draws ``m = draw >> 11`` below it
+    are exactly those whose uniform ``m * 2**-53`` is below ``p``.
+
+    Scaling by a power of two is exact, so ``m * 2**-53 < p`` is
+    ``m < p * 2**53``, which for an integer ``m`` is ``m < ceil(p * 2**53)``;
+    for ``p`` in ``[0, 1]`` the threshold is at most ``2**53``.
+    """
+    return np.ceil(p * 2.0**53).astype(np.uint64)
+
+
 def _run_chunk(
     p: np.ndarray,
     up: np.ndarray,
@@ -174,11 +195,18 @@ def _run_chunk(
     """Simulate trials ``start..stop-1``; chunk boundaries cannot affect draws.
 
     Only the live trials' keys and fortunes are kept: a trial is dropped,
-    and its step count added to the total, at the step it absorbs.
+    and its step count added to the total, at the step it absorbs.  Each
+    step mixes its draws in place in two buffers sliced to the live count,
+    and compares them with :func:`_up_thresholds` in integers.
     """
-    indices = np.arange(start, stop, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        keys = _mix64_array(np.uint64(seed) + (indices + np.uint64(1)) * _U64_GOLDEN)
+    keys = np.arange(start, stop, dtype=np.uint64)
+    draws = np.empty_like(keys)
+    spare = np.empty_like(keys)
+    keys += np.uint64(1)
+    keys *= _U64_GOLDEN
+    keys += np.uint64(seed)
+    _mix64_array(keys, spare)
+    threshold = _up_thresholds(p)
     states = np.full(stop - start, x0, dtype=np.int64)
     absorbing = np.zeros(M + 1, dtype=bool)
     absorbing[[0, M]] = True
@@ -197,12 +225,14 @@ def _run_chunk(
             max_steps = k
             live = ~over
             states, keys = states[live], keys[live]
+            draws, spare = draws[: states.size], spare[: states.size]
         if k == horizon or not states.size:
             break
-        with np.errstate(over="ignore"):
-            draws = _mix64_array(keys + np.uint64(k + 1) * _U64_GOLDEN)
-        uniforms = (draws >> np.uint64(11)) * 2.0**-53
-        states = moves[2 * states + (uniforms < p[states])]
+        np.add(keys, np.uint64((k + 1) * _GOLDEN & _MASK), out=draws)
+        _mix64_array(draws, spare)
+        draws >>= _U64_11
+        threshold.take(states, out=spare)
+        states = moves[2 * states + (draws < spare)]
     truncated = states.size
     if truncated:
         total_steps += horizon * truncated

@@ -26,14 +26,16 @@ included.  It gathers the chains of a block of profile pairs from two stake
 matrices at once, runs a vectorised backward-reachability fixpoint to find
 the stuck fortunes of every chain, and solves all chains with one stacked
 ``np.linalg.solve``; under ``method="iterate"`` they share one stacked
-value iteration instead, with a row per chain and goal that leaves the
-live set when it settles.  Enumeration solves all ``(M-1)!^2`` pairs in
-row blocks of player I's strategies, so its memory is the two value
-tensors of ``(M-1)!^2 * (M+1)`` floats each plus one small block: 1.6 MiB
-in all at ``M = 6``, 66 MiB at ``M = 7`` and 3.4 GiB at ``M = 8``, which
-is why :data:`DEFAULT_ENUM_CAP` is 7.  On a 2-core VM, enumerating every start
-takes about 0.08 s at ``M = 6`` and about 2.5 s at ``M = 7``; at ``M = 7``
-about a third of that is building the certificates.
+value iteration instead, with a row per chain and goal.  It sweeps in
+blocks into a ring of states and tests the stop rule once per block; a row
+leaves the live set with the state and count of the first sweep where it
+settled, as if tested after every sweep.  Enumeration solves all
+``(M-1)!^2`` pairs in row blocks of player I's strategies, so its memory
+is the two value tensors of ``(M-1)!^2 * (M+1)`` floats each plus one
+small block: 1.6 MiB in all at ``M = 6``, 66 MiB at ``M = 7`` and 3.4 GiB
+at ``M = 8``, which is why :data:`DEFAULT_ENUM_CAP` is 7.  On a 2-core VM,
+enumerating every start takes about 0.08 s at ``M = 6`` and about 2.5 s at
+``M = 7``; at ``M = 7`` about a third of that is building the certificates.
 
 A best response is found by policy iteration (Howard) on the responder's
 ``(M-1) x (M-1)`` grid of fortunes and stakes, gathered by
@@ -86,6 +88,10 @@ DEFAULT_TIE_TOL = 1e-9
 _IMPROVE_MARGIN = 1e-14
 # Profile pairs per block of the batched value engine (see _value_grid).
 _BLOCK_PAIRS = 1024
+# Sweeps per convergence test of the value iteration, and the most bytes
+# its ring of states may take before a block holds fewer (see _iterate_chain).
+_SWEEP_BLOCK = 128
+_RING_BYTES = 8 << 20
 
 
 class EnumerationLimitError(GameError):
@@ -112,6 +118,8 @@ class ValueVector:
             raise ValueError("player I's values must be 0 at fortune 0 and 1 at M")
         if self.t[0] != 1.0 or self.t[-1] != 0.0:
             raise ValueError("player II's values must be 1 at fortune 0 and 0 at M")
+        if all(0.0 <= v <= 1.0 for v in self.q + self.t):
+            return
         for x in range(self.M + 1):
             for v in (self.q[x], self.t[x]):
                 if not (0.0 <= v <= 1.0):
@@ -269,41 +277,60 @@ def _iterate_chain(
 
     ``p``, ``up`` and ``dn`` are stacked ``(R, M - 1)`` chain arrays and
     ``goals`` holds each row's goal fortune.  Returns the ``(R, M + 1)``
-    value vectors (boundary included) and each row's sweep count.  All rows
-    sweep together; a row leaves the live set at the first sweep that moves
-    none of its values by :data:`DEFAULT_VI_TOL`, so its values and count
-    are those of iterating it alone.  The iterates only grow, so a sweep's
-    change is its increase.  The stop rule is not an error bound: on a
-    slowly mixing chain the remaining error is that step divided by the
-    spectral gap.
+    value vectors (boundary included) and each row's sweep count.  A row
+    settles at the first sweep that moves none of its values by
+    :data:`DEFAULT_VI_TOL`; the iterates only grow, so a sweep's change is
+    its increase.  The stop rule is not an error bound: on a slowly mixing
+    chain the remaining error is that step divided by the spectral gap.
+
+    All live rows sweep together, a block of up to :data:`_SWEEP_BLOCK`
+    sweeps at a time into a ring of states, and the convergence test runs
+    once per block over every sweep in it.  Each row that settled in the
+    block leaves the live set with the state and count of its first
+    settling sweep; the others go on from the block's last state.  A row's
+    sweeps touch only its own values, so its values and count are those of
+    iterating it alone and checking after every sweep.
     """
     values = np.zeros((len(p), M + 1))
     values[np.arange(len(p)), goals] = 1.0
     sweeps = np.zeros(len(p), dtype=np.int64)
     live = np.arange(len(p))
-    fall = 1.0 - p
     sweep = 0
     while live.size:
-        # Sweep the live rows until one settles, then drop the settled ones.
-        u = values[live]
-        flat, inner = u.reshape(-1), u[:, 1:M]
-        row_start = (M + 1) * np.arange(len(live))[:, None]
-        up_at, dn_at = row_start + up[live], row_start + dn[live]
-        rise, drop = p[live], fall[live]
-        for sweep in range(sweep + 1, DEFAULT_MAX_SWEEPS + 1):
-            fresh = rise * flat[up_at] + drop * flat[dn_at]
-            change = fresh - inner
-            inner[...] = fresh
-            if change.max(axis=1).min() < DEFAULT_VI_TOL:
+        rows = len(live)
+        depth = max(1, min(_SWEEP_BLOCK, _RING_BYTES // (8 * rows * (M + 1)) - 1))
+        ring = np.broadcast_to(values[live], (depth + 1, rows, M + 1)).copy()
+        flats = [state.reshape(-1) for state in ring]
+        inners = [state[:, 1:M] for state in ring]
+        # Sweep k gathers the [up, dn] targets of state k, weighs them by
+        # [p, 1 - p] and writes their sum into state k + 1.
+        row_start = (M + 1) * np.arange(rows)[:, None]
+        at = np.stack([row_start + up[live], row_start + dn[live]])
+        law = np.stack([p[live], 1.0 - p[live]])
+        terms = np.empty_like(law)
+        rise, fall = terms
+        while True:
+            block = min(depth, DEFAULT_MAX_SWEEPS - sweep)
+            if block < 1:
+                raise RuntimeError(
+                    f"value iteration did not settle within {DEFAULT_MAX_SWEEPS} sweeps"
+                )
+            for k in range(block):
+                flats[k].take(at, out=terms, mode="clip")
+                terms *= law
+                np.add(rise, fall, out=inners[k + 1])
+            steps = ring[1 : block + 1, :, 1:M] - ring[:block, :, 1:M]
+            settled = steps.max(axis=2) < DEFAULT_VI_TOL
+            sweep += block
+            if settled.any():
                 break
-        else:
-            raise RuntimeError(
-                f"value iteration did not settle within {DEFAULT_MAX_SWEEPS} sweeps"
-            )
-        settled = change.max(axis=1) < DEFAULT_VI_TOL
-        values[live] = u
-        sweeps[live[settled]] = sweep
-        live = live[~settled]
+            ring[0] = ring[block]
+        done = settled.any(axis=0)
+        first = settled.argmax(axis=0)
+        ends = np.where(done, first + 1, block)
+        values[live] = ring[ends, np.arange(rows)]
+        sweeps[live[done]] = sweep - block + ends[done]
+        live = live[~done]
     return values, sweeps
 
 

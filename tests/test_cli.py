@@ -134,6 +134,13 @@ class TestGen:
         code, _, err = run(["gen", "--M", "3", "--family", "power"], capsys)
         assert code == 2 and "--p" in err
 
+    def test_table_too_large_for_memory_exits_2(self, capsys) -> None:
+        # The (M + 1)^2 grid would need 728 TiB, so the allocation fails at once.
+        argv = ["gen", "--M", "10000000", "--family", "power", "--p", "2"]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: out of memory") and "Traceback" not in err
+
     def test_unknown_family(self, capsys) -> None:
         code, _, err = run(["gen", "--M", "3", "--family", "no-such"], capsys)
         assert code == 2 and "unknown family" in err

@@ -19,7 +19,7 @@ import pytest
 import redblack as rb
 from redblack import montecarlo
 from redblack.game import Player
-from redblack.montecarlo import _mix64_array, _mix64_int
+from redblack.montecarlo import _mix64_array, _mix64_int, _up_thresholds
 
 
 def _profile(M: int, name: str = "bold-timid") -> rb.Profile:
@@ -49,7 +49,8 @@ class TestSplitMixDraws:
 
     def test_scalar_and_vector_mixers_agree(self) -> None:
         span = np.arange(0, 2**63, 2**57, dtype=np.uint64)
-        mixed = _mix64_array(span.copy())
+        mixed = span.copy()
+        _mix64_array(mixed, np.empty_like(mixed))
         for raw, got in zip(span.tolist(), mixed.tolist()):
             assert _mix64_int(raw) == got
 
@@ -57,6 +58,19 @@ class TestSplitMixDraws:
         draws = [rb.step_uniform(3, t, s) for t in range(40) for s in range(40)]
         assert all(0.0 <= u < 1.0 for u in draws)
         assert min(draws) < 0.05 and max(draws) > 0.95  # not degenerate
+
+    @pytest.mark.parametrize(
+        "p",
+        [0.0, 2.0**-53, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1.0 - 2.0**-53, 1.0],
+    )
+    def test_integer_threshold_equals_the_float_comparison(self, p: float) -> None:
+        threshold = int(_up_thresholds(np.array([p]))[0])
+        edges = [0, 1, threshold - 1, threshold, threshold + 1, 2**52, 2**53 - 1]
+        block = np.array([m for m in edges if 0 <= m < 2**53], dtype=np.uint64)
+        mixed = np.arange(1, 4097, dtype=np.uint64)
+        _mix64_array(mixed, np.empty_like(mixed))
+        draws = np.concatenate([block, mixed >> np.uint64(11)])
+        assert np.array_equal(draws < threshold, draws * 2.0**-53 < p)
 
     def test_keys_are_distinct_across_trials(self) -> None:
         keys = {rb.trial_key(42, t) for t in range(10_000)}
@@ -206,17 +220,39 @@ class TestSimulate:
             assert got == expected, jobs
 
 
+def _assert_replays_match_the_batch(
+    table: rb.WinProbTable, profile: rb.Profile, config: rb.SimConfig
+) -> None:
+    batch = rb.simulate(table, profile, config)
+    paths = [rb.replay_trial(table, profile, config, t) for t in range(config.trials)]
+    assert sum(p.final_state == table.M for p in paths) == batch.wins_I
+    assert sum(p.final_state == 0 for p in paths) == batch.wins_II
+    assert sum(p.truncated for p in paths) == batch.truncated
+    assert sum(len(p.stages) for p in paths) == batch.total_steps
+    assert max(len(p.stages) for p in paths) == batch.max_steps
+
+
 class TestReplayTrial:
     def test_replays_reproduce_the_batch_aggregate(self, pow2_m4: rb.WinProbTable) -> None:
-        profile = _profile(4, "timid-timid")
         config = rb.SimConfig(x0=2, trials=200, seed=11)
-        batch = rb.simulate(pow2_m4, profile, config)
-        paths = [rb.replay_trial(pow2_m4, profile, config, t) for t in range(200)]
-        assert sum(p.final_state == 4 for p in paths) == batch.wins_I
-        assert sum(p.final_state == 0 for p in paths) == batch.wins_II
-        assert sum(p.truncated for p in paths) == batch.truncated
-        assert sum(len(p.stages) for p in paths) == batch.total_steps
-        assert max(len(p.stages) for p in paths) == batch.max_steps
+        _assert_replays_match_the_batch(pow2_m4, _profile(4, "timid-timid"), config)
+
+    @pytest.mark.parametrize(
+        "M,name,x0",
+        [(41, "bold-timid", 20), (41, "bold-timid", 39), (60, "bold-bold", 31), (60, "bold-bold", 45)],
+    )
+    def test_replays_match_the_batch_on_exact_zero_and_one_steps(
+        self, M: int, name: str, x0: int
+    ) -> None:
+        """Exp-diff gives bold-timid steps of up-probability exactly 1 from
+        fortune 38 and bold-bold steps of exactly 0 (equal stakes): there
+        the integer threshold is 2**53 or 0."""
+        table = rb.exp_difference_table(M)
+        profile = _profile(M, name)
+        config = rb.SimConfig(x0=x0, trials=300, seed=5, horizon=200)
+        rise = montecarlo._fortune_chain(table, profile, config)[0]
+        assert {0.0, 1.0} & set(rise[1:M].tolist())
+        _assert_replays_match_the_batch(table, profile, config)
 
     def test_stage_records_fortune_and_both_stakes(self, pow2_m4: rb.WinProbTable) -> None:
         profile = _profile(4)

@@ -34,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import redblack as rb
+from redblack import solver
 from redblack.game import Player
 from redblack.solver import (
     DEFAULT_TIE_TOL,
@@ -163,6 +164,19 @@ class TestValueVector:
         with pytest.raises(ValueError, match="outside"):
             rb.ValueVector(2, (0.0, 1.5, 1.0), (1.0, 0.5, 0.0))
 
+    @pytest.mark.parametrize(
+        "q,t,fortune",
+        [
+            ((0.0, 0.5, 0.25, 1.0), (1.0, 0.5, -1e-300, 0.0), 2),
+            ((0.0, 0.5, 1.0 + 2**-52, 1.0), (1.0, 0.5, 0.0, 0.0), 2),
+            ((0.0, math.nan, 0.5, 1.0), (1.0, 0.5, 0.5, 0.0), 1),
+            ((0.0, 0.5, 0.5, 1.0), (1.0, 0.5, math.nan, 0.0), 2),
+        ],
+    )
+    def test_range_error_names_the_first_bad_fortune(self, q, t, fortune: int) -> None:
+        with pytest.raises(ValueError, match=f"value at fortune {fortune} outside"):
+            rb.ValueVector(3, q, t)
+
     def test_json_shape(self) -> None:
         payload = rb.ValueVector(2, (0.0, 0.5, 1.0), (1.0, 0.5, 0.0)).to_json_dict()
         assert payload == {"M": 2, "player_I": [0.0, 0.5, 1.0], "player_II": [1.0, 0.5, 0.0]}
@@ -286,6 +300,122 @@ class TestHittingValues:
         fair = np.arange(M + 1) / M
         assert np.abs(values[0] - fair).max() < 1e-10
         assert np.abs(values[1] - fair[::-1]).max() < 1e-10
+
+
+def _oracle_iterate(
+    M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray, goals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The value iteration that tests convergence after every sweep.
+
+    All live rows sweep together until one settles; the settled rows leave
+    with that sweep's values and count, and the rest go on.
+    """
+    values = np.zeros((len(p), M + 1))
+    values[np.arange(len(p)), goals] = 1.0
+    sweeps = np.zeros(len(p), dtype=np.int64)
+    live = np.arange(len(p))
+    fall = 1.0 - p
+    sweep = 0
+    while live.size:
+        u = values[live]
+        flat, inner = u.reshape(-1), u[:, 1:M]
+        row_start = (M + 1) * np.arange(len(live))[:, None]
+        up_at, dn_at = row_start + up[live], row_start + dn[live]
+        rise, drop = p[live], fall[live]
+        for sweep in range(sweep + 1, solver.DEFAULT_MAX_SWEEPS + 1):
+            fresh = rise * flat[up_at] + drop * flat[dn_at]
+            change = fresh - inner
+            inner[...] = fresh
+            if change.max(axis=1).min() < solver.DEFAULT_VI_TOL:
+                break
+        else:
+            raise RuntimeError("value iteration did not settle")
+        settled = change.max(axis=1) < solver.DEFAULT_VI_TOL
+        values[live] = u
+        sweeps[live[settled]] = sweep
+        live = live[~settled]
+    return values, sweeps
+
+
+@st.composite
+def _stacked_chains(draw):
+    """Rows of random chains on one ``MAKERS`` table at M <= 30, each toward
+    a random goal, with some steps forced to exact 0 or 1 so that rows can
+    cycle.  Timid and bold rows are always among them: fair timid-timid is
+    the slowest to settle."""
+    M = draw(st.integers(2, 30))
+    table = MAKERS[draw(st.sampled_from(sorted(MAKERS)))](M)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 12))
+    stakes = np.zeros((count + 2, M + 1), dtype=np.int64)
+    stakes[0, 1:M] = 1
+    stakes[1, 1:M] = np.arange(1, M)
+    stakes[2:, 1:M] = rng.integers(1, np.arange(2, M + 1), size=(count, M - 1))
+    p, up, dn = _chain_arrays(table, stakes, stakes)
+    forced = rng.random(p.shape) < draw(st.sampled_from([0.0, 0.1, 0.3]))
+    p = np.where(forced, rng.integers(0, 2, p.shape).astype(float), p)
+    goals = rng.choice([0, M], size=len(p))
+    return M, p, up, dn, goals
+
+
+class TestBlockIteration:
+    """The block iteration against :func:`_oracle_iterate`, bit for bit."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(
+        chains=_stacked_chains(),
+        pick=st.integers(0, 10**6),
+        offset=st.sampled_from([-1, 0, 1, None]),
+        tiny_ring=st.booleans(),
+    )
+    def test_values_and_counts_equal_the_oracle(self, chains, pick, offset, tiny_ring) -> None:
+        """The block length is set so that one row settles just before
+        (``+1``), exactly at (``0``) or just after (``-1``) the end of a
+        block, or left at its default; a tiny ring budget forces blocks of
+        one sweep."""
+        M, p, up, dn, goals = chains
+        with pytest.MonkeyPatch.context() as patch:
+            # Forced steps can make a row settle only after millions of
+            # sweeps; past this budget both iterations must raise.
+            patch.setattr(solver, "DEFAULT_MAX_SWEEPS", 6000)
+            try:
+                expected, counts = _oracle_iterate(M, p, up, dn, goals)
+            except RuntimeError:
+                expected = counts = None
+            block = solver._SWEEP_BLOCK
+            if offset is not None and counts is not None:
+                block = max(1, int(counts[pick % len(counts)]) + offset)
+            patch.setattr(solver, "_SWEEP_BLOCK", block)
+            if tiny_ring:
+                patch.setattr(solver, "_RING_BYTES", 1)
+            if counts is None:
+                with pytest.raises(RuntimeError, match="did not settle"):
+                    _iterate_chain(M, p, up, dn, goals)
+                return
+            values, sweeps = _iterate_chain(M, p, up, dn, goals)
+        assert values.tobytes() == expected.tobytes()
+        assert np.array_equal(sweeps, counts)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64, 128])
+    def test_sweep_budget_is_exact(self, block: int, monkeypatch) -> None:
+        """A budget of exactly a row's sweep count is enough; one fewer
+        raises, whatever the block length."""
+        M = 10
+        profile = _timid_timid(M)
+        p, up, dn = _chain_arrays(
+            rb.power_family(M, 1), _stake_rows([profile.first]), _stake_rows([profile.second])
+        )
+        goals = np.array([M])
+        expected, counts = _oracle_iterate(M, p, up, dn, goals)
+        monkeypatch.setattr(solver, "_SWEEP_BLOCK", block)
+        monkeypatch.setattr(solver, "DEFAULT_MAX_SWEEPS", int(counts[0]))
+        values, sweeps = _iterate_chain(M, p, up, dn, goals)
+        assert values.tobytes() == expected.tobytes() and sweeps[0] == counts[0]
+        monkeypatch.setattr(solver, "DEFAULT_MAX_SWEEPS", int(counts[0]) - 1)
+        with pytest.raises(RuntimeError, match="did not settle"):
+            _iterate_chain(M, p, up, dn, goals)
+        with pytest.raises(RuntimeError, match="did not settle"):
+            rb.hitting_values(rb.power_family(M, 1), profile, method="iterate")
 
 
 # Every public entry point that turns a table and a profile into a chain.
