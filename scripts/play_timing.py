@@ -1,17 +1,20 @@
-"""Time the value iteration and the Monte Carlo walk behind the ``play`` workload.
+"""Time the value iteration, the best response and the Monte Carlo walk
+behind the ``play`` workload.
 
     PYTHONPATH=src python scripts/play_timing.py
 
 Times ``hitting_values(method="iterate")`` on fair timid-timid
-(``power_family(M, 1)``) at M = 40, 80 and 160, and two simulations:
-bold-timid on ``power_family(150, 2)`` from x0 = 75 with 200 000 trials,
-and fair timid-timid at M = 40 from x0 = 20 with 3 000 trials, one of
-which hits the default horizon.  Each figure is the best of a few runs.
-Before timing, it checks the frozen sweep counts of the iteration (the same
-for both goals), the sha256 of its two value vectors (float64,
-little-endian, goal M first) and the frozen simulation results, and exits 1
-on a mismatch.  So the iteration's values stay checked to the bit at sizes
-the test suite skips: the M = 160 iteration alone takes most of a second.
+(``power_family(M, 1)``) at M = 40, 80 and 160; ``best_response`` against
+timid and bold player II on ``power_family(M, 2)`` at M = 150, 300 and
+600; and two simulations: bold-timid on ``power_family(150, 2)`` from
+x0 = 75 with 200 000 trials, and fair timid-timid at M = 40 from x0 = 20
+with 3 000 trials, one of which hits the default horizon.  Each figure is
+the best of a few runs.  Before timing, it checks the frozen sweep counts
+of the iteration (the same for both goals), the sha256 of its two value
+vectors (float64, little-endian, goal M first), that both best responses
+are bold, and the frozen simulation results, and exits 1 on a mismatch.
+So the iteration's values stay checked to the bit at sizes the test suite
+skips: the M = 160 iteration alone takes most of a second.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 import redblack as rb
+from redblack.game import Player
 from redblack.solver import _chain_arrays, _iterate_chain, _stake_rows
 
 REPEATS = 3
@@ -35,6 +39,8 @@ DIGESTS = {
     80: "cd806d59ef08bfa84a2ad5a7884ce288de2afafef6936b82c9b198b442541967",
     160: "e658e64b8644d4d229bd2c6de85b47bcdfebf92289b0f57371d1af07a9bc745a",
 }
+# Sizes of the best responses to timid and bold player II on power p = 2.
+RESPONSE_SIZES = (150, 300, 600)
 # (wins_I, wins_II, truncated, total_steps, max_steps) of each simulation.
 SIMULATIONS = {
     "bold-timid, power p = 2, M = 150": (
@@ -80,6 +86,17 @@ def main() -> int:
             continue
         elapsed = _best(lambda: rb.hitting_values(table, profile, method="iterate"))
         print(f"iterate, fair timid-timid, M = {M}: {elapsed:.3f} s ({expected} sweeps per goal)")
+
+    for M in RESPONSE_SIZES:
+        table = rb.power_family(M, 2)
+        for name, make in (("timid", rb.timid_strategy), ("bold", rb.bold_strategy)):
+            opponent = make(Player.TWO, M)
+            if not rb.best_response(table, opponent).strategy.is_bold:
+                print(f"best_response vs {name} II, M = {M}: not bold", file=sys.stderr)
+                failures += 1
+                continue
+            elapsed = _best(lambda: rb.best_response(table, opponent))
+            print(f"best_response vs {name} II, power p = 2, M = {M}: {elapsed:.3f} s")
 
     for name, (table, profile, config, expected) in SIMULATIONS.items():
         result = rb.simulate(table, profile, config)

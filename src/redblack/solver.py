@@ -17,7 +17,8 @@ probabilistic model checking), which leaves a nonsingular system.
 
 The chain a profile induces is built only by :func:`_chain_arrays`, which
 :mod:`redblack.montecarlo` walks as well; it rejects a profile whose total
-money differs from the table's.  The tie tolerance is :data:`DEFAULT_TIE_TOL`;
+money differs from the table's.  :data:`DEFAULT_TIE_TOL` is the tie
+tolerance of enumeration, and so of :func:`verify_nash`;
 :data:`DEFAULT_VI_TOL` and :data:`DEFAULT_MAX_SWEEPS` serve only the value
 iteration of ``method="iterate"``.
 
@@ -40,7 +41,8 @@ enumerating every start takes about 0.08 s at ``M = 6`` and about 2.5 s at
 A best response is found by policy iteration (Howard) on the responder's
 ``(M-1) x (M-1)`` grid of fortunes and stakes, gathered by
 :func:`_chain_arrays` and ranked by the same reachability fixpoint: one
-exact solve per policy, one argmax over the grid per improvement.
+exact solve per policy, one argmax over the grid per improvement.  The
+response is the last policy, and its values are that policy's own solve.
 
 Equilibrium certification is two-tier:
 
@@ -183,23 +185,15 @@ def _chain_arrays(
     return p, up, dn
 
 
-def _ranks(
-    M: int,
-    goals: list[int],
-    p: np.ndarray,
-    up: np.ndarray,
-    dn: np.ndarray,
-    allowed: np.ndarray | bool = True,
-) -> np.ndarray:
+def _ranks(M: int, goals: list[int], p: np.ndarray, up: np.ndarray, dn: np.ndarray) -> np.ndarray:
     """Backward-reachability rank of every fortune, for a stack of rows.
 
     ``p``, ``up`` and ``dn`` are ``(R, M - 1, A)``: row ``r`` offers ``A``
-    alternative steps at each interior fortune, of which those ``allowed``
-    may be taken.  The ``goals`` have rank 0.  Pass ``k`` gives rank ``k``
-    to every unranked fortune with an allowed step that moves, with
-    positive probability, to a fortune ranked before the pass.  Passes stop
-    when one ranks nothing, so at most ``M - 1`` run; fortunes that cannot
-    reach the goals keep rank ``M``.
+    alternative steps at each interior fortune.  The ``goals`` have rank 0.
+    Pass ``k`` gives rank ``k`` to every unranked fortune with a step that
+    moves, with positive probability, to a fortune ranked before the pass.
+    Passes stop when one ranks nothing, so at most ``M - 1`` run; fortunes
+    that cannot reach the goals keep rank ``M``.
     """
     reached = np.zeros((len(p), M + 1), dtype=bool)
     reached[:, goals] = True
@@ -207,7 +201,7 @@ def _ranks(
     flat = reached.reshape(-1)
     row_start = (M + 1) * np.arange(len(p))[:, None, None]
     up_at, dn_at = row_start + up, row_start + dn
-    live_up, live_dn = allowed & (p > 0.0), allowed & (p < 1.0)
+    live_up, live_dn = p > 0.0, p < 1.0
     inner, interior = reached[:, 1:M], rank[:, 1:M]
     for k in range(1, M):
         # ``a > inner`` is ``a & ~inner`` on booleans: the fortunes with a
@@ -428,7 +422,8 @@ class BestResponse:
 
     ``values[x]`` is the responder's own winning probability when player
     I's fortune is ``x`` (for player II that is the chance of driving the
-    chain to ``0``), induced exactly by the extracted strategy.
+    chain to ``0``): the exact solve of ``strategy``, the last policy of
+    the iteration.
     """
 
     player: Player
@@ -436,34 +431,20 @@ class BestResponse:
     values: tuple[float, ...]
 
 
-def _progress_policy(
-    M: int, goal: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray, allowed: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks of an action grid toward ``goal`` (see :func:`_ranks`) and, per
-    interior fortune, the first allowed action that steps into a lower rank
-    with positive probability, or the first allowed action where none does."""
-    rank = _ranks(M, [goal], p[None], up[None], dn[None], allowed[None])[0]
-    here = rank[1:M, None]
-    progress = allowed & (((p > 0.0) & (rank[up] < here)) | ((p < 1.0) & (rank[dn] < here)))
-    return rank, np.where(progress.any(axis=1), progress.argmax(axis=1), allowed.argmax(axis=1))
-
-
 def best_response(table: WinProbTable, opponent: StationaryStrategy) -> BestResponse:
     """Optimal stationary response by policy iteration with exact evaluation.
 
     Fortunes from which no stakes reach the responder's goal are worth
-    exactly 0.  The starting policy steps toward the goal in the
-    reachability ranking, so every policy's linear solve on the other
-    fortunes is nonsingular; a stake switches only on a gain above
-    ``_IMPROVE_MARGIN``, and the iteration stops when none does.
-
-    The extracted strategy prefers, among stakes whose one-stage value ties
-    the optimum within :data:`DEFAULT_TIE_TOL`, those making ranked
-    progress toward the responder's goal (breaking remaining ties toward
-    the smallest stake).
-    The progress rule matters when the table holds exact zeros and ones: a
-    merely greedy stake can stall in a cycle whose value the optimum
-    already priced as if the goal were reached.
+    exactly 0.  The starting policy takes, at each other fortune, the
+    smallest stake that steps toward the goal in the reachability ranking,
+    so its chain absorbs from those fortunes and its solve is nonsingular.
+    A stake switches only on a gain above ``_IMPROVE_MARGIN``, and a strict
+    improvement never closes a cycle that avoids the goal, so every later
+    policy absorbs as well.  That matters when the table holds exact zeros
+    and ones: a merely greedy stake can stall in a cycle whose value the
+    optimum already priced as if the goal were reached.  The iteration
+    stops when no stake switches; the response is the last policy, and its
+    values are that policy's own solve.
     """
     M = table.M
     responder = opponent.owner.other
@@ -478,7 +459,12 @@ def best_response(table: WinProbTable, opponent: StationaryStrategy) -> BestResp
     p, up, dn = (np.ascontiguousarray(a.T) for a in _chain_arrays(table, *pair))
     rows = np.arange(M - 1)
 
-    rank, policy = _progress_policy(M, goal, p, up, dn, np.ones(p.shape, dtype=bool))
+    # Start at the smallest stake stepping into a lower rank; where none
+    # does, the fortune cannot reach the goal and stake 1 is as good as any.
+    rank = _ranks(M, [goal], p[None], up[None], dn[None])[0]
+    here = rank[1:M, None]
+    progress = ((p > 0.0) & (rank[up] < here)) | ((p < 1.0) & (rank[dn] < here))
+    policy = progress.argmax(axis=1)
     live = np.flatnonzero(rank[1:M] < M)
     v = np.zeros(M + 1)
     v[goal] = 1.0
@@ -492,15 +478,11 @@ def best_response(table: WinProbTable, opponent: StationaryStrategy) -> BestResp
             break
         policy = np.where(switch, best, policy)
 
-    greedy = one_stage >= v[1:M, None] - DEFAULT_TIE_TOL
-    own = (_progress_policy(M, goal, p, up, dn, greedy)[1] + 1).tolist()
-    if responder is Player.ONE:
-        strategy = StationaryStrategy(Player.ONE, (0, *own, 0))
-        exact = hitting_values(table, Profile(strategy, opponent)).q
-    else:
-        strategy = StationaryStrategy(Player.TWO, (0, *reversed(own), 0))
-        exact = hitting_values(table, Profile(opponent, strategy)).t
-    return BestResponse(responder, strategy, exact)
+    own = (policy + 1).tolist()
+    if responder is Player.TWO:
+        own.reverse()
+    strategy = StationaryStrategy(responder, (0, *own, 0))
+    return BestResponse(responder, strategy, tuple(v.tolist()))
 
 
 @dataclass(frozen=True)

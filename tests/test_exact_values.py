@@ -31,6 +31,12 @@ from redblack.game import Player
 # seeds 20 and 37 came back about 8e-13 off and seeds 22 and 48 spent the
 # 10**6-sweep budget (about 9 s each) and raised RuntimeError.
 CYCLING_SEEDS = (20, 22, 37, 48)
+# Best responses to these seeds' player I on exp_difference_table(80).  A
+# rule that re-extracted the response from the optimal values within a tie
+# tolerance picked strategies whose systems are singular in floating point:
+# seed 3 raised LinAlgError, and seeds 0 and 22 came back 0.19 and 0.34 off
+# the exact values of the strategy they returned.
+RESPONSE_SEEDS = (0, 3, 22)
 
 
 def _seeded_profile(seed: int, M: int) -> rb.Profile:
@@ -147,6 +153,14 @@ class TestExactOracle:
         profile = _seeded_profile(seed, 80)
         assert not rb.absorption_certain(table, profile)
         _assert_exact(table, profile)
+
+    @pytest.mark.parametrize("seed", RESPONSE_SEEDS)
+    def test_best_response_values_are_its_strategys(self, seed: int) -> None:
+        table = rb.exp_difference_table(80)
+        opponent = _seeded_profile(seed, 80).first
+        response = rb.best_response(table, opponent)
+        exact = _exact_values(table, rb.Profile(opponent, response.strategy), 0)
+        assert list(response.values) == pytest.approx([float(v) for v in exact], rel=0, abs=1e-14)
 
 
 class _Iterated(Exception):

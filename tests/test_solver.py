@@ -30,7 +30,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import redblack as rb
@@ -38,6 +38,7 @@ from redblack import solver
 from redblack.game import Player
 from redblack.solver import (
     DEFAULT_TIE_TOL,
+    _IMPROVE_MARGIN,
     _chain_arrays,
     _iterate_chain,
     _pairwise_value_tensors,
@@ -128,6 +129,11 @@ def _against(opponent: rb.StationaryStrategy, response: rb.StationaryStrategy) -
     if opponent.owner is Player.TWO:
         return rb.Profile(response, opponent)
     return rb.Profile(opponent, response)
+
+
+def _unit_except(player: Player, M: int, stakes: dict[int, int]) -> rb.StationaryStrategy:
+    """Stake 1 at every own fortune except those keyed in ``stakes``."""
+    return rb.StationaryStrategy(player, (0, *(stakes.get(x, 1) for x in range(1, M)), 0))
 
 
 @st.composite
@@ -627,12 +633,19 @@ class TestBestResponse:
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(game=_random_games())
+    @example(game=(
+        rb.min_exp_table(24, 1.0),
+        _unit_except(Player.ONE, 24, {14: 3, 17: 4}),
+        _unit_except(Player.TWO, 24, {7: 7, 10: 3, 21: 10}),
+    ))
     def test_no_response_does_better(self, game) -> None:
-        """The tie rule gives up at most DEFAULT_TIE_TOL per stage, so no
-        response beats the best one by more than that times the expected
-        number of stages the best response's profile plays from each
-        fortune (counted on the fortunes it values above zero; elsewhere no
-        response can win)."""
+        """Policy iteration stops when no stake gains more than
+        _IMPROVE_MARGIN over one stage, so no response beats the best one by
+        more than that times the expected number of stages the best
+        response's profile plays from each fortune (counted on the fortunes
+        it values above zero; elsewhere no response can win), plus 1e-12
+        for rounding.  The example is a game where a tie rule that gave up
+        up to DEFAULT_TIE_TOL per stage lost 1.005e-9 at fortune 3."""
         table, opponent, response = game
         M = table.M
         best = rb.best_response(table, opponent)
@@ -646,7 +659,7 @@ class TestBestResponse:
         step = _step_laws(M, p, up, dn)[live][:, live + 1]
         stages = np.zeros(M + 1)
         stages[live + 1] = np.linalg.solve(np.eye(len(live)) - step, np.ones(len(live)))
-        assert (own <= values + DEFAULT_TIE_TOL * stages + 1e-12).all()
+        assert (own <= values + _IMPROVE_MARGIN * stages + 1e-12).all()
 
     def test_near_singular_opponent_fails_fast(self) -> None:
         """Against this player I on exp-diff at M = 80, some stages go up
