@@ -6,8 +6,10 @@ First checks the criterion-6 per-start counts at M = 6
 (120/120/240/720/2880).  Then enumerates every start x0 = 1..6 of
 ``power_family(7, 2)`` from a cold cache, 720² profile pairs, and prints the
 wall time, the per-start counts and the peak resident memory of the process.
-It is kept out of the test suite because the M = 7 run takes seconds and
-about 130 MiB.
+The M = 7 counts must be 720/720/1440/4320/17280/86400, that is
+(M - 1)! * (x0 - 1)! (README, criterion 6); the script exits 1 on any other
+count.  It is kept out of the test suite because the M = 7 run takes seconds
+and about 130 MiB.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import time
 import redblack as rb
 
 M6_COUNTS = [120, 120, 240, 720, 2880]
+M7_COUNTS = [720, 720, 1440, 4320, 17280, 86400]
 
 
 def main() -> int:
@@ -34,7 +37,10 @@ def main() -> int:
     counts = [len(rb.enumerate_equilibria(table, x0)) for x0 in range(1, 7)]
     elapsed = time.perf_counter() - start
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"M = 7 counts {counts}")
+    if counts != M7_COUNTS:
+        print(f"M = 7 counts {counts}, expected {M7_COUNTS}", file=sys.stderr)
+        return 1
+    print(f"M = 7 counts {counts}: ok")
     print(f"M = 7 all starts: {elapsed:.2f} s, peak RSS {peak_mib:.0f} MiB")
     return 0
 

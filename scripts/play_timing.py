@@ -6,13 +6,15 @@ behind the ``play`` workload.
 Times ``hitting_values(method="iterate")`` on fair timid-timid
 (``power_family(M, 1)``) at M = 40, 80 and 160; ``best_response`` against
 timid and bold player II on ``power_family(M, 2)`` at M = 150, 300 and
-600; and two simulations: bold-timid on ``power_family(150, 2)`` from
+600; ``verify_nash`` of timid-timid and timid-bold from x0 = M / 2 at the
+same sizes; and two simulations: bold-timid on ``power_family(150, 2)`` from
 x0 = 75 with 200 000 trials, and fair timid-timid at M = 40 from x0 = 20
 with 3 000 trials, one of which hits the default horizon.  Each figure is
 the best of a few runs.  Before timing, it checks the frozen sweep counts
 of the iteration (the same for both goals), the sha256 of its two value
 vectors (float64, little-endian, goal M first), that both best responses
-are bold, and the frozen simulation results, and exits 1 on a mismatch.
+are bold, that both ``verify_nash`` verdicts are refutations by a bold
+player I, and the frozen simulation results, and exits 1 on a mismatch.
 So the iteration's values stay checked to the bit at sizes the test suite
 skips: the M = 160 iteration alone takes most of a second.
 """
@@ -97,6 +99,15 @@ def main() -> int:
                 continue
             elapsed = _best(lambda: rb.best_response(table, opponent))
             print(f"best_response vs {name} II, power p = 2, M = {M}: {elapsed:.3f} s")
+        for name in ("timid-timid", "timid-bold"):
+            profile = rb.Profile.from_name(name, M)
+            deviation = rb.verify_nash(table, profile, M // 2).deviation
+            if deviation is None or deviation.player is not Player.ONE or not deviation.strategy.is_bold:
+                print(f"verify_nash {name}, M = {M}: not refuted by a bold player I", file=sys.stderr)
+                failures += 1
+                continue
+            elapsed = _best(lambda: rb.verify_nash(table, profile, M // 2))
+            print(f"verify_nash {name}, power p = 2, M = {M}: {elapsed:.3f} s")
 
     for name, (table, profile, config, expected) in SIMULATIONS.items():
         result = rb.simulate(table, profile, config)

@@ -267,11 +267,11 @@ def _cmd_nash(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args.tol)
     table = _load_table(args.table)
     profile = _load_profile(args.profile, table.M)
-    certificate = verify_nash(table, profile, args.x0, tol=tol, cap=args.cap)
+    certificate = verify_nash(table, profile, args.x0, tol=tol)
     payload = {
         "manifest": _manifest(
             "nash",
-            {"table": args.table, "profile": args.profile, "x0": args.x0, "cap": args.cap},
+            {"table": args.table, "profile": args.profile, "x0": args.x0},
             inputs=[args.table],
             tolerance=tol,
         ),
@@ -479,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     nash.add_argument("--profile", default="bold-timid")
     nash.add_argument("--x0", type=int, required=True)
     nash.add_argument("--tol", type=float, default=None)
-    nash.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help="enumeration money cap")
     nash.add_argument("--out", default=None)
 
     enum = sub.add_parser("enum", help="all stationary deterministic equilibria at x0")

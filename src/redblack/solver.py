@@ -18,9 +18,9 @@ probabilistic model checking), which leaves a nonsingular system.
 The chain a profile induces is built only by :func:`_chain_arrays`, which
 :mod:`redblack.montecarlo` walks as well; it rejects a profile whose total
 money differs from the table's.  :data:`DEFAULT_TIE_TOL` is the tie
-tolerance of enumeration, and so of :func:`verify_nash`;
-:data:`DEFAULT_VI_TOL` and :data:`DEFAULT_MAX_SWEEPS` serve only the value
-iteration of ``method="iterate"``.
+tolerance of :func:`enumerate_best_response`; :data:`DEFAULT_VI_TOL` and
+:data:`DEFAULT_MAX_SWEEPS` serve only the value iteration of
+``method="iterate"``.
 
 One batched engine computes every profile's values, a single profile
 included.  It gathers the chains of a block of profile pairs from two stake
@@ -44,14 +44,16 @@ A best response is found by policy iteration (Howard) on the responder's
 exact solve per policy, one argmax over the grid per improvement.  The
 response is the last policy, and its values are that policy's own solve.
 
-Equilibrium certification is two-tier:
+Equilibrium certification is by excessivity, else by exact best response
+at any ``M``:
 
-* the bold-versus-timid profile is certified against *all* strategies when
+* the bold-versus-timid profile is certified against all strategies when
   both excessivity conditions hold (:func:`check_bold_excessive` for player
   I against a timid opponent, :func:`check_timid_excessive` for player II
   against a bold one);
-* otherwise the profile is checked against every stationary deterministic
-  deviation by exhaustive enumeration, a weaker but unconditional coverage.
+* otherwise by each player's :func:`best_response` to the other, which is
+  optimal among all strategies too (see :func:`verify_nash`);
+  :func:`enumerate_best_response` is the exhaustive oracle for the tests.
 """
 
 from __future__ import annotations
@@ -411,7 +413,7 @@ def strategy_count(M: int) -> int:
 def _require_enumerable(M: int, cap: int) -> None:
     if M > cap:
         raise EnumerationLimitError(
-            f"enumeration over {strategy_count(M)} strategies per player needs "
+            f"enumeration over {M - 1}! strategies per player needs "
             f"M <= {cap}; raise the cap explicitly to force it"
         )
 
@@ -444,7 +446,10 @@ def best_response(table: WinProbTable, opponent: StationaryStrategy) -> BestResp
     and ones: a merely greedy stake can stall in a cycle whose value the
     optimum already priced as if the goal were reached.  The iteration
     stops when no stake switches; the response is the last policy, and its
-    values are that policy's own solve.
+    values are that policy's own solve.  In exact arithmetic every round
+    strictly improves, so no policy comes back; in floating point one can
+    when the solves are too ill-conditioned to rank the stakes, and then
+    ``RuntimeError`` is raised instead of looping forever.
     """
     M = table.M
     responder = opponent.owner.other
@@ -468,6 +473,7 @@ def best_response(table: WinProbTable, opponent: StationaryStrategy) -> BestResp
     live = np.flatnonzero(rank[1:M] < M)
     v = np.zeros(M + 1)
     v[goal] = 1.0
+    seen = set()
     while True:
         step = _step_laws(M, p[rows, policy], up[rows, policy], dn[rows, policy])[live]
         v[live + 1] = np.linalg.solve(np.eye(len(live)) - step[:, live + 1], step[:, goal])
@@ -476,7 +482,13 @@ def best_response(table: WinProbTable, opponent: StationaryStrategy) -> BestResp
         switch = one_stage[rows, best] > one_stage[rows, policy] + _IMPROVE_MARGIN
         if not switch.any():
             break
+        seen.add(policy.tobytes())
         policy = np.where(switch, best, policy)
+        if policy.tobytes() in seen:
+            raise RuntimeError(
+                "policy iteration revisited a policy: the solves are too "
+                "ill-conditioned to rank the stakes"
+            )
 
     own = (policy + 1).tolist()
     if responder is Player.TWO:
@@ -611,10 +623,12 @@ class Deviation:
 class EquilibriumCertificate:
     """Verdict on a profile at an initial fortune, with its evidence.
 
-    ``method`` is ``'excessivity'`` (both excessivity checks passed;
-    coverage is all strategies) or ``'enumeration'`` (no stationary
-    deterministic deviation improves; coverage is labeled accordingly).
-    A refutation carries the improving deviation.
+    ``method`` is ``'excessivity'`` (both excessivity checks passed) or
+    ``'best-response'`` (neither player's exact best response improves
+    at ``x0``); both cover all strategies.  :func:`enumerate_equilibria`
+    labels its certificates ``'enumeration'``, covering the stationary
+    deterministic strategies.  A refutation carries the improving
+    deviation.
     """
 
     profile: Profile
@@ -647,15 +661,22 @@ def verify_nash(
     x0: int,
     *,
     tol: float = DEFAULT_TOL,
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> EquilibriumCertificate:
     """Certify or refute a profile as an equilibrium at fortune ``x0``.
 
     The bold-versus-timid profile is first tried via the two excessivity
     checks, which certify it against all strategies.  Any other profile —
-    or a bold-versus-timid one failing an excessivity check — is compared
-    against every stationary deterministic deviation of either player
-    (player I checked first); a strict improvement at ``x0`` refutes.
+    or a bold-versus-timid one failing an excessivity check — is checked
+    by one exact :func:`best_response` per player, player I first; a
+    response worth more than the profile's value plus ``tol`` at ``x0``
+    refutes it and becomes the deviation.  Against a fixed stationary
+    opponent the deviator faces a finite reachability MDP, where a
+    stationary deterministic strategy is optimal among all strategies, so
+    the coverage is all strategies at any ``M``.  The bound is that of the
+    policy iteration: a certified profile admits no deviation gaining more
+    than ``tol`` plus ``_IMPROVE_MARGIN`` per expected stage of the best
+    response's play from ``x0``.  A best response whose solves cannot rank
+    the stakes raises (see :func:`best_response`).
     """
     M = table.M
     if not 0 <= x0 <= M:
@@ -677,14 +698,13 @@ def verify_nash(
 
     deviation = None
     for opponent, baseline in ((profile.second, vI), (profile.first, vII)):
-        response = enumerate_best_response(table, opponent, cap=cap)
+        response = best_response(table, opponent)
         if response.values[x0] > baseline + tol:
-            best = response.strategies[response.per_state[x0][0]]
-            deviation = Deviation(response.player, best, response.values[x0], baseline)
+            deviation = Deviation(response.player, response.strategy, response.values[x0], baseline)
             break
     return EquilibriumCertificate(
-        profile, x0, vI, vII, deviation is None, "enumeration",
-        "stationary-deterministic", deviation, reports,
+        profile, x0, vI, vII, deviation is None, "best-response", "all-strategies",
+        deviation, reports,
     )
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import signal
+
 import pytest
 
 import redblack as rb
@@ -50,3 +52,29 @@ def cycle_profile() -> rb.Profile:
         rb.StationaryStrategy(rb.Player.ONE, (0, 1, 1, 2, 0)),
         rb.StationaryStrategy(rb.Player.TWO, (0, 1, 1, 2, 0)),
     )
+
+
+@pytest.fixture(scope="session")
+def cycling_first_m47() -> rb.StationaryStrategy:
+    """Player I on ``exp_difference_table(47)`` against whom the best
+    response's policy iteration cycles in floating point: its solves have
+    condition numbers of 2e8 to 5e9, so their rounding reads as gains."""
+    return rb.StationaryStrategy(rb.Player.ONE, (
+        0, 1, 1, 1, 2, 1, 4, 4, 7, 8, 4, 9, 1, 4, 6, 2, 7, 3, 9, 10, 17, 19, 22, 7,
+        18, 16, 1, 20, 14, 18, 29, 5, 21, 17, 18, 5, 16, 21, 23, 13, 3, 40, 4, 23,
+        17, 23, 27, 0,
+    ))
+
+
+@pytest.fixture()
+def ten_second_alarm():
+    """Fail a test that is still running after 10 s instead of hanging."""
+
+    def expire(signum, frame):
+        pytest.fail("still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

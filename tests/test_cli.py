@@ -327,6 +327,8 @@ class TestNash:
         assert code == 1
         certificate = json.loads(out.read_text())["certificate"]
         assert certificate["equilibrium"] is False
+        assert certificate["method"] == "best-response"
+        assert certificate["coverage"] == "all-strategies"
         deviation = certificate["deviation"]
         assert deviation["player"] == "I"
         assert deviation["strategy"]["bets"] == [0, 1, 1, 1, 0]
@@ -334,6 +336,43 @@ class TestNash:
 
     def test_start_out_of_range(self, pow2_m3_file: Path, capsys) -> None:
         assert run(["nash", "--table", str(pow2_m3_file), "--x0", "7"], capsys)[0] == 2
+
+    def test_past_the_enumeration_cap(self, tmp_path: Path, capsys) -> None:
+        """At M = 40 the best responses refute timid-timid on power p = 2:
+        player I goes bold.  The manifest carries no enumeration cap."""
+        table = tmp_path / "pow2-m40.json"
+        assert run(["gen", "--M", "40", "--family", "power", "--p", "2", "--out", str(table)], capsys)[0] == 0
+        out = tmp_path / "nash.json"
+        args = ["nash", "--table", str(table), "--profile", "timid-timid", "--x0", "20", "--out", str(out)]
+        assert run(args, capsys)[0] == 1
+        payload = json.loads(out.read_text())
+        assert payload["manifest"]["parameters"] == {
+            "table": str(table), "profile": "timid-timid", "x0": 20,
+        }
+        certificate = payload["certificate"]
+        assert certificate["method"] == "best-response"
+        assert certificate["coverage"] == "all-strategies"
+        assert certificate["deviation"]["player"] == "I"
+        bold = rb.bold_strategy(rb.Player.ONE, 40).bets
+        assert certificate["deviation"]["strategy"]["bets"] == list(bold)
+
+    def test_cap_is_not_an_option(self, pow2_m3_file: Path, capsys) -> None:
+        assert run(["nash", "--table", str(pow2_m3_file), "--x0", "1", "--cap", "9"], capsys)[0] == 2
+
+    def test_cycling_best_response_exits_2(
+        self, tmp_path: Path, capsys, cycling_first_m47: rb.StationaryStrategy, ten_second_alarm
+    ) -> None:
+        """Player II's best response to this player I cycles in floating
+        point; the search raises instead of hanging, and nash exits 2."""
+        table = tmp_path / "el-m47.json"
+        assert run(["gen", "--M", "47", "--family", "exp-diff", "--out", str(table)], capsys)[0] == 0
+        profile = tmp_path / "profile.json"
+        second = rb.timid_strategy(rb.Player.TWO, 47)
+        profile.write_text(json.dumps(rb.Profile(cycling_first_m47, second).to_json_dict()))
+        args = ["nash", "--table", str(table), "--profile", str(profile), "--x0", "1"]
+        code, out, err = run(args, capsys)
+        assert code == 2 and out == ""
+        assert "ill-conditioned" in err
 
 
 class TestEnum:

@@ -678,6 +678,15 @@ class TestBestResponse:
         with pytest.raises(rb.EnumerationLimitError, match="cap"):
             rb.enumerate_best_response(table, rb.timid_strategy(Player.TWO, 9))
 
+    def test_revisited_policy_raises(
+        self, cycling_first_m47: rb.StationaryStrategy, ten_second_alarm
+    ) -> None:
+        """Against this player I the iteration cycles through three
+        policies on rounding-level "gains" of up to 5e-9.  It must raise
+        within milliseconds, not loop forever."""
+        with pytest.raises(RuntimeError, match="ill-conditioned"):
+            rb.best_response(rb.exp_difference_table(47), cycling_first_m47)
+
 
 class TestExcessivityChecks:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
@@ -735,7 +744,7 @@ class TestVerifyNash:
     def test_min_exp_refuted_by_unit_stakes(self, min_exp_m4: rb.WinProbTable) -> None:
         cert = rb.verify_nash(min_exp_m4, _bold_timid(4), 3)
         assert not cert.equilibrium
-        assert cert.method == "enumeration"
+        assert cert.method == "best-response"
         assert [r.passed for r in cert.reports] == [False, True]
         c = math.exp(-1)
         assert cert.value_I == pytest.approx(c, abs=1e-12)
@@ -751,8 +760,8 @@ class TestVerifyNash:
     def test_exp_difference_hopeless_start_is_equilibrium(self, el_m4: rb.WinProbTable) -> None:
         cert = rb.verify_nash(el_m4, _bold_timid(4), 1)
         assert cert.equilibrium
-        assert cert.method == "enumeration"
-        assert cert.coverage == "stationary-deterministic"
+        assert cert.method == "best-response"
+        assert cert.coverage == "all-strategies"
         assert [r.passed for r in cert.reports] == [True, False]
         assert cert.value_I == 0.0 and cert.value_II == 1.0
 
@@ -771,10 +780,54 @@ class TestVerifyNash:
         with pytest.raises(ValueError, match="outside"):
             rb.verify_nash(pow2_m4, _bold_timid(4), -1)
 
-    def test_non_special_profile_hits_the_enumeration_cap(self) -> None:
-        table = rb.power_family(9, 1)
-        with pytest.raises(rb.EnumerationLimitError):
-            rb.verify_nash(table, _timid_timid(9), 1)
+    def test_non_special_profile_past_the_enumeration_cap(self) -> None:
+        """At M = 9 enumeration is capped, but the best responses are not.
+        On the fair table timid-timid from 1 is worth exactly 1/9; on power
+        p = 2 player I gains by going bold."""
+        fair = rb.verify_nash(rb.power_family(9, 1), _timid_timid(9), 1)
+        assert fair.equilibrium and fair.deviation is None
+        assert fair.value_I == pytest.approx(1 / 9, abs=1e-15)
+        cert = rb.verify_nash(rb.power_family(9, 2), _timid_timid(9), 1)
+        assert not cert.equilibrium
+        deviation = cert.deviation
+        assert deviation is not None
+        assert deviation.player is Player.ONE and deviation.strategy.is_bold
+        assert deviation.gain == pytest.approx(0.0122440633228, abs=1e-12)
+
+    @pytest.mark.parametrize("maker,M", [
+        (maker, M) for maker in ("pow1", "pow2", "min_exp", "el") for M in (3, 4)
+    ])
+    def test_agrees_with_enumerated_deviations(self, maker: str, M: int) -> None:
+        """Every profile at every start gets the verdict that the enumerated
+        best responses give, with the same deviating player, a deviation
+        worth the enumerated maximum at x0 and one of its maximisers."""
+        table = MAKERS[maker](M)
+        oracle = {}
+        for profile in (
+            rb.Profile(first, second)
+            for first in rb.all_strategies(Player.ONE, M)
+            for second in rb.all_strategies(Player.TWO, M)
+        ):
+            for x0 in range(M + 1):
+                cert = rb.verify_nash(table, profile, x0)
+                expected = None
+                for opponent, baseline in (
+                    (profile.second, cert.value_I), (profile.first, cert.value_II)
+                ):
+                    if opponent not in oracle:
+                        oracle[opponent] = rb.enumerate_best_response(table, opponent)
+                    response = oracle[opponent]
+                    if response.values[x0] > baseline + rb.DEFAULT_TOL:
+                        expected = response
+                        break
+                assert cert.equilibrium is (expected is None)
+                if expected is None:
+                    continue
+                deviation = cert.deviation
+                assert deviation.player is expected.player
+                assert abs(deviation.value - expected.values[x0]) <= 1e-15
+                maximisers = [expected.strategies[i] for i in expected.per_state[x0]]
+                assert deviation.strategy in maximisers
 
 
 class TestEnumerateEquilibria:
@@ -821,6 +874,31 @@ class TestEnumerateEquilibria:
         certs = rb.enumerate_equilibria(pow2_m4, 0)
         assert len(certs) == 36
         assert all(c.value_I == 0.0 and c.value_II == 1.0 for c in certs)
+
+    @pytest.mark.parametrize("M", [3, 4, 5, 6])
+    def test_power_two_tie_set_is_a_product(self, M: int) -> None:
+        """The equilibria at x0 are exactly player I bold at every fortune
+        >= x0, with any stakes below x0, against every player-II strategy:
+        (M-1)! * (x0-1)! profiles (README, criterion 6)."""
+        table = rb.power_family(M, 2)
+        bold = rb.bold_strategy(Player.ONE, M).bets
+        firsts = [s.bets for s in rb.all_strategies(Player.ONE, M)]
+        seconds = [s.bets for s in rb.all_strategies(Player.TWO, M)]
+        for x0 in range(1, M):
+            found = {
+                (c.profile.first.bets, c.profile.second.bets)
+                for c in rb.enumerate_equilibria(table, x0)
+            }
+            predicted = {(f, s) for f in firsts if f[x0:] == bold[x0:] for s in seconds}
+            assert found == predicted
+            assert len(found) == math.factorial(M - 1) * math.factorial(x0 - 1)
+
+    def test_cap_message_stays_short(self) -> None:
+        """The limit names the strategy count as a factorial, not in full."""
+        with pytest.raises(rb.EnumerationLimitError, match="cap") as raised:
+            rb.enumerate_equilibria(rb.power_family(600, 2), 3)
+        assert "599!" in str(raised.value)
+        assert len(str(raised.value)) < 100
 
     def test_repeat_calls_are_identical(self, pow2_m3: rb.WinProbTable) -> None:
         assert rb.enumerate_equilibria(pow2_m3, 1) == rb.enumerate_equilibria(pow2_m3, 1)
