@@ -467,9 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("auto", "solve", "iterate"),
         default="auto",
-        help="auto: exact on every chain, cycling ones included; solve: the plain linear "
-        "solve, singular on a chain that can cycle; iterate: value iteration, the slow "
-        "approximate oracle",
+        help="auto: one linear solve with the fortunes that reach neither boundary pinned "
+        "to 0, so cycling chains are solved too; it fails (exit 2) on a chain whose system "
+        "is singular in floating point; solve: the plain linear solve, singular on a chain "
+        "that can cycle; iterate: value iteration, the slow approximate oracle",
     )
     solve.add_argument("--x0", type=int, default=None)
     solve.add_argument("--out", default=None)

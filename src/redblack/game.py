@@ -316,7 +316,7 @@ def bold_strategy(owner: Player, M: int) -> StationaryStrategy:
     return StationaryStrategy(owner, tuple(0 if t in (0, M) else t for t in range(M + 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Profile:
     """A pair of strategies, player I's first."""
 

@@ -34,9 +34,12 @@ settled, as if tested after every sweep.  Enumeration solves all
 ``(M-1)!^2`` pairs in row blocks of player I's strategies, so its memory
 is the two value tensors of ``(M-1)!^2 * (M+1)`` floats each plus one
 small block: 1.6 MiB in all at ``M = 6``, 66 MiB at ``M = 7`` and 3.4 GiB
-at ``M = 8``, which is why :data:`DEFAULT_ENUM_CAP` is 7.  On a 2-core VM,
-enumerating every start takes about 0.08 s at ``M = 6`` and about 2.5 s at
-``M = 7``; at ``M = 7`` about a third of that is building the certificates.
+at ``M = 8``, which is why :data:`DEFAULT_ENUM_CAP` is 7.  Each hit's
+certificate is built from the cached strategies without re-validating
+them.  On a 2-core VM, enumerating every start takes about 0.05 s at
+``M = 6`` and about 1.6 s at ``M = 7``: about 1.2 s for the cold tensors,
+mostly the stacked solves, and 0.4 s for the six starts and their 110 880
+certificates.
 
 A best response is found by policy iteration (Howard) on the responder's
 ``(M-1) x (M-1)`` grid of fortunes and stakes, gathered by
@@ -60,9 +63,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -217,7 +220,13 @@ def _ranks(M: int, goals: list[int], p: np.ndarray, up: np.ndarray, dn: np.ndarr
 
 
 def _stuck(M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray) -> np.ndarray:
-    """Per chain row and interior fortune, whether no boundary is reachable."""
+    """Per chain row and interior fortune, whether no boundary is reachable.
+
+    Where no step goes up with probability 1, every fortune steps down with
+    positive probability and so reaches 0: then nothing is stuck.
+    """
+    if (p < 1.0).all():
+        return np.zeros(p.shape, dtype=bool)
     steps = (a[..., None] for a in (p, up, dn))
     return _ranks(M, [0, M], *steps)[:, 1:M] == M
 
@@ -233,14 +242,47 @@ def absorption_certain(table: WinProbTable, profile: Profile) -> bool:
     return not _stuck(table.M, *chain).any()
 
 
-def _step_laws(M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray) -> np.ndarray:
-    """Chain arrays scattered into step laws: ``step[..., x - 1, y]`` is the
-    chance of moving from interior fortune ``x`` to fortune ``y``."""
-    step = np.zeros((p.size, M + 1))
-    at = np.arange(p.size)
-    step[at, up.ravel()] = p.ravel()
-    step[at, dn.ravel()] = 1.0 - p.ravel()
-    return step.reshape(*p.shape, M + 1)
+def _linear_system(
+    M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray, stuck: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``I - A`` and the right-hand sides of a stack of chains, for ``(I - A) u = c``.
+
+    ``p``, ``up`` and ``dn`` are ``(R, M - 1)`` chain arrays.  Returns the
+    ``(R, M - 1, M - 1)`` matrices over the interior fortunes and the
+    ``(R, M - 1, 2)`` right-hand sides: the chance of stepping to ``M``
+    (player I's goal), then to ``0`` (player II's).  A row steps up to
+    ``x + b > x`` and down to ``x - a < x``, so its diagonal entry is 1; it
+    holds ``0.0 - p`` at the up target and ``p - 1.0`` at the down target,
+    which is ``0.0 - (1.0 - p)`` to the bit, signed zeros included.  Steps
+    into a ``stuck`` fortune (see :func:`_stuck`) are zeroed before they are
+    written.
+    """
+    R = len(p)
+    rise, fall = 0.0 - p, p - 1.0
+    if stuck is not None and stuck.any():
+        into = np.zeros((R, M + 1), dtype=bool)
+        into[:, 1:M] = stuck
+        rise[np.take_along_axis(into, up, axis=1)] = 0.0
+        fall[np.take_along_axis(into, dn, axis=1)] = 0.0
+    lhs = np.zeros((R, M - 1, M + 1))
+    flat = lhs.reshape(-1)
+    row_start = (M + 1) * np.arange(R * (M - 1)).reshape(R, M - 1)
+    flat[row_start + up] = rise
+    flat[row_start + dn] = fall
+    interior = np.arange(M - 1)
+    lhs[:, interior, interior + 1] = 1.0
+    rhs = np.zeros((R, M - 1, 2))
+    rhs[..., 0] = np.where(up == M, p, 0.0)
+    rhs[..., 1] = np.where(dn == 0, 1.0 - p, 0.0)
+    return lhs[..., 1:M], rhs
+
+
+# Exp-diff tables from M = 41 have such chains.
+_NEAR_CYCLE = (
+    "singular matrix: a chain absorbs, but some of its fortunes leave a cycle "
+    "only through steps whose probability is within rounding of 0 or 1, so its "
+    "system I - A is singular in floating point"
+)
 
 
 def _solve_linear(
@@ -248,17 +290,23 @@ def _solve_linear(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact interior values of both players for a stack of chains.
 
-    In each row's step law the interior columns are ``A`` and the boundary
-    columns the right-hand sides, so ``(I - A) u = c`` is solved for every
-    row in one call.  No step may enter a ``stuck`` fortune (see
-    :func:`_stuck`); as those step only to each other, their rows empty
-    too, so they read ``u_x = 0`` exactly, and the rest of the system is
-    nonsingular: a boundary is reachable from every other fortune.
+    The system of :func:`_linear_system` is solved for every row and both
+    right-hand sides in one call.  No step enters a ``stuck`` fortune; as
+    those step only to each other, their rows empty too, so they read
+    ``u_x = 0`` exactly, and the rest of the system is nonsingular: a
+    boundary is reachable from every other fortune.  With ``stuck=None`` a
+    chain that can cycle is singular.
     """
-    step = _step_laws(M, p, up, dn)
-    if stuck is not None:
-        step[..., 1:M] *= ~stuck[:, None, :]
-    solution = np.linalg.solve(np.eye(M - 1) - step[..., 1:M], step[..., [M, 0]])
+    lhs, rhs = _linear_system(M, p, up, dn, stuck)
+    try:
+        solution = np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError as exc:
+        if stuck is None and _stuck(M, p, up, dn).any():
+            raise np.linalg.LinAlgError(
+                "singular matrix: a chain can cycle forever; method 'auto' pins "
+                "the fortunes that reach neither boundary to 0"
+            ) from exc
+        raise np.linalg.LinAlgError(_NEAR_CYCLE) from exc
     return np.clip(solution[..., 0], 0.0, 1.0), np.clip(solution[..., 1], 0.0, 1.0)
 
 
@@ -473,10 +521,16 @@ def best_response(table: WinProbTable, opponent: StationaryStrategy) -> BestResp
     live = np.flatnonzero(rank[1:M] < M)
     v = np.zeros(M + 1)
     v[goal] = 1.0
+    system = np.ix_(live, live)
+    column = 0 if goal == M else 1
     seen = set()
     while True:
-        step = _step_laws(M, p[rows, policy], up[rows, policy], dn[rows, policy])[live]
-        v[live + 1] = np.linalg.solve(np.eye(len(live)) - step[:, live + 1], step[:, goal])
+        chain = (a[rows, policy][None] for a in (p, up, dn))
+        lhs, rhs = _linear_system(M, *chain, None)
+        try:
+            v[live + 1] = np.linalg.solve(lhs[0][system], rhs[0, live, column])
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(_NEAR_CYCLE) from exc
         one_stage = p * v[up] + (1.0 - p) * v[dn]
         best = one_stage.argmax(axis=1)
         switch = one_stage[rows, best] > one_stage[rows, policy] + _IMPROVE_MARGIN
@@ -619,7 +673,7 @@ class Deviation:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquilibriumCertificate:
     """Verdict on a profile at an initial fortune, with its evidence.
 
@@ -721,6 +775,48 @@ def _pairwise_value_tensors(
     return firsts, seconds, VI, VII
 
 
+def _enumerated_certificates(
+    firsts: tuple[StationaryStrategy, ...],
+    seconds: tuple[StationaryStrategy, ...],
+    x0: int,
+    hits: Iterable[tuple[int, int, float, float]],
+) -> tuple[EquilibriumCertificate, ...]:
+    """One enumeration certificate per hit ``(i, j, value_I, value_II)``.
+
+    The profile of hit ``(i, j)`` is ``firsts[i]`` against ``seconds[j]``.
+    ``Profile(...)`` would check that player I's strategy comes first,
+    player II's second, and that both share the total money; that cannot
+    fail here, because the strategies come from :func:`all_strategies` for
+    each player at the table's ``M``.  So each frozen instance is allocated
+    and its slots are written through the class's own slot descriptors,
+    skipping checks that cost most of a hit when the hits number tens of
+    thousands.  The instances equal, hash and print as the checked ones.
+    """
+    new = object.__new__
+    set_first, set_second = (Profile.__dict__[f.name].__set__ for f in fields(Profile))
+    (set_profile, set_x0, set_value_I, set_value_II, set_equilibrium, set_method,
+     set_coverage, set_deviation, set_reports) = (
+        EquilibriumCertificate.__dict__[f.name].__set__ for f in fields(EquilibriumCertificate)
+    )
+    certificates = []
+    for i, j, value_I, value_II in hits:
+        profile = new(Profile)
+        set_first(profile, firsts[i])
+        set_second(profile, seconds[j])
+        certificate = new(EquilibriumCertificate)
+        set_profile(certificate, profile)
+        set_x0(certificate, x0)
+        set_value_I(certificate, value_I)
+        set_value_II(certificate, value_II)
+        set_equilibrium(certificate, True)
+        set_method(certificate, "enumeration")
+        set_coverage(certificate, "stationary-deterministic")
+        set_deviation(certificate, None)
+        set_reports(certificate, ())
+        certificates.append(certificate)
+    return tuple(certificates)
+
+
 def enumerate_equilibria(
     table: WinProbTable,
     x0: int,
@@ -743,17 +839,5 @@ def enumerate_equilibria(
     # Player I's best value per opponent column, player II's per opponent row.
     stable = (vI >= vI.max(axis=0) - tol) & (vII >= vII.max(axis=1)[:, None] - tol)
     rows, cols = np.nonzero(stable)
-    return tuple(
-        EquilibriumCertificate(
-            Profile(firsts[i], seconds[j]),
-            x0,
-            value_I,
-            value_II,
-            True,
-            "enumeration",
-            "stationary-deterministic",
-        )
-        for i, j, value_I, value_II in zip(
-            rows.tolist(), cols.tolist(), vI[rows, cols].tolist(), vII[rows, cols].tolist()
-        )
-    )
+    hits = zip(rows.tolist(), cols.tolist(), vI[rows, cols].tolist(), vII[rows, cols].tolist())
+    return _enumerated_certificates(firsts, seconds, x0, hits)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -309,6 +310,34 @@ class TestSolve:
         code, out, err = run(["solve", "--table", str(pow2_m3_file), "--x0", x0], capsys)
         assert code == 2 and out == ""
         assert err == f"error: initial fortune {x0} outside 0..3\n"
+
+    def test_singular_absorbing_chain_names_the_cause(self, tmp_path: Path, capsys) -> None:
+        """On exp-diff at M = 80 the 17th profile drawn from Random(5) absorbs
+        from every fortune, but a few steps of probability within 1e-12 of 1
+        make its system singular in floating point.  ``solve`` and ``sim``
+        exit 2 with a message that says so, not with a bare "Singular
+        matrix"."""
+        table = tmp_path / "el80.json"
+        assert run(["gen", "--M", "80", "--family", "exp-diff", "--out", str(table)], capsys)[0] == 0
+        rng = random.Random(5)
+
+        def stakes() -> tuple[int, ...]:
+            return (0, *(rng.randint(1, t) for t in range(1, 80)), 0)
+
+        for _ in range(17):
+            first, second = stakes(), stakes()
+        profile = rb.Profile(
+            rb.StationaryStrategy(rb.Player.ONE, first), rb.StationaryStrategy(rb.Player.TWO, second)
+        )
+        assert rb.absorption_certain(rb.exp_difference_table(80), profile)
+        profile_file = tmp_path / "profile.json"
+        profile_file.write_text(json.dumps(profile.to_json_dict()))
+        common = ["--table", str(table), "--profile", str(profile_file), "--x0", "40"]
+        for argv in (["solve", *common], ["sim", *common, "--trials", "20"]):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == ""
+            assert err.startswith("error: singular matrix: a chain absorbs, but ")
+            assert "within rounding of 0 or 1" in err and "iterate" not in err
 
 
 class TestNash:

@@ -13,6 +13,7 @@ Frozen values used below, derived by hand:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -283,6 +284,16 @@ class TestProfile:
     def test_json_round_trip(self) -> None:
         profile = rb.Profile.from_name("timid-bold", 4)
         assert rb.Profile.from_json_dict(profile.to_json_dict()) == profile
+
+    def test_frozen_with_slots(self) -> None:
+        profile = rb.Profile.from_name("bold-timid", 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profile.first = rb.timid_strategy(rb.Player.ONE, 4)  # type: ignore[misc]
+        assert not hasattr(profile, "__dict__")
+        with pytest.raises(ValueError, match="player I's strategy first"):
+            rb.Profile(profile.second, profile.first)
+        with pytest.raises(ValueError, match="same total money"):
+            rb.Profile(profile.first, rb.timid_strategy(rb.Player.TWO, 5))
 
 
 class TestNumpyInterop:

@@ -24,6 +24,7 @@ assembled entry by entry.  The engine must reproduce it bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -41,10 +42,20 @@ from redblack.solver import (
     _IMPROVE_MARGIN,
     _chain_arrays,
     _iterate_chain,
+    _linear_system,
     _pairwise_value_tensors,
     _stake_rows,
-    _step_laws,
 )
+
+
+def _step_laws(M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray) -> np.ndarray:
+    """Chain arrays scattered into step laws: ``step[..., x - 1, y]`` is the
+    chance of moving from interior fortune ``x`` to fortune ``y``."""
+    step = np.zeros((p.size, M + 1))
+    at = np.arange(p.size)
+    step[at, up.ravel()] = p.ravel()
+    step[at, dn.ravel()] = 1.0 - p.ravel()
+    return step.reshape(*p.shape, M + 1)
 
 
 def _timid_timid(M: int) -> rb.Profile:
@@ -262,7 +273,7 @@ class TestHittingValues:
     def test_cycling_profile_forced_solve_is_singular(
         self, cycle_m4: rb.WinProbTable, cycle_profile: rb.Profile
     ) -> None:
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(np.linalg.LinAlgError, match="can cycle forever"):
             rb.hitting_values(cycle_m4, cycle_profile, method="solve")
 
     def test_cycling_profile_auto_values_are_exact_zeros(
@@ -520,6 +531,36 @@ class TestBatchedEngine:
             tracemalloc.stop()
         assert VI.shape == (120, 120, 7)
         assert peak < 4 * 2**20
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and equal float64 bit patterns, so -0.0 differs from 0.0."""
+    return a.shape == b.shape and np.array_equal(np.signbit(a), np.signbit(b)) and (a == b).all()
+
+
+class TestLinearSystem:
+    def test_assembly_equals_the_step_law_reference(self) -> None:
+        """``I - A`` and both right-hand sides equal the step-law reference
+        ``eye - step`` entry for entry, the sign of zero included, with and
+        without pinning.  Exp-diff rounds P(a, b) to exactly 0 and 1 from
+        M = 41, so the seeded chains have steps of probability 0 at an up
+        target, where writing ``-p`` would give -0.0, and stuck fortunes."""
+        seen = np.zeros(3, dtype=bool)
+        for M in range(41, 61):
+            table = rb.exp_difference_table(M)
+            rng = random.Random(M)
+            stakes = [(0, *(rng.randint(1, x) for x in range(1, M)), 0) for _ in range(32)]
+            p, up, dn = _chain_arrays(table, np.array(stakes[:16]), np.array(stakes[16:]))
+            stuck = solver._stuck(M, p, up, dn)
+            seen |= [(p == 0.0).any(), (p == 1.0).any(), stuck.any()]
+            step = _step_laws(M, p, up, dn)
+            pinned = step.copy()
+            pinned[..., 1:M] *= ~stuck[:, None, :]
+            for mask, law in ((None, step), (stuck, pinned)):
+                lhs, rhs = _linear_system(M, p, up, dn, mask)
+                assert _same_bits(lhs, np.eye(M - 1) - law[..., 1:M])
+                assert _same_bits(rhs, law[..., [M, 0]])
+        assert seen.all()
 
 
 class TestStrategyEnumeration:
@@ -892,6 +933,37 @@ class TestEnumerateEquilibria:
             predicted = {(f, s) for f in firsts if f[x0:] == bold[x0:] for s in seconds}
             assert found == predicted
             assert len(found) == math.factorial(M - 1) * math.factorial(x0 - 1)
+
+    @pytest.mark.parametrize("M", [3, 4, 5])
+    @pytest.mark.parametrize("maker", ["pow2", "el", "min_exp"])
+    def test_certificates_equal_the_checked_constructors(self, maker: str, M: int) -> None:
+        """Enumeration writes its certificates' slots without re-validation;
+        every hit must equal, hash, print and serialise as the certificate
+        the validating constructors build from the same stakes and values."""
+        table = MAKERS[maker](M)
+        for x0 in range(M + 1):
+            for cert in rb.enumerate_equilibria(table, x0):
+                profile = rb.Profile(
+                    rb.StationaryStrategy(Player.ONE, cert.profile.first.bets),
+                    rb.StationaryStrategy(Player.TWO, cert.profile.second.bets),
+                )
+                values = rb.hitting_values(table, profile)
+                checked = rb.EquilibriumCertificate(
+                    profile, x0, values.q[x0], values.t[x0], True, "enumeration",
+                    "stationary-deterministic",
+                )
+                assert cert == checked and cert.profile == profile
+                assert hash(cert) == hash(checked)
+                assert repr(cert) == repr(checked)
+                assert cert.to_json_dict() == checked.to_json_dict()
+
+    def test_certificates_stay_frozen(self, pow2_m3: rb.WinProbTable) -> None:
+        cert = rb.enumerate_equilibria(pow2_m3, 1)[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.value_I = 1.0  # type: ignore[misc]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.profile.second = cert.profile.second  # type: ignore[misc]
+        assert not hasattr(cert, "__dict__") and not hasattr(cert.profile, "__dict__")
 
     def test_cap_message_stays_short(self) -> None:
         """The limit names the strategy count as a factorial, not in full."""
