@@ -20,8 +20,8 @@ The checks and what passing them buys:
 * ``product-bound`` implies the bold player's values are excessive against
   a timid opponent (see :func:`redblack.solver.check_bold_excessive`);
 * ``supermultiplicative`` implies the timid player's values are excessive
-  against a bold opponent, and transports exactly to the ``sincov``
-  composition law of the pair-of-fortunes form.
+  against a bold opponent; the ``sincov`` law of the pair-of-fortunes form
+  is its playable mask (``x + a + b <= M``), scanned by the same planes.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ import math
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .families import ExtendedTable, SincovTable
+from .families import ExtendedTable, SincovTable, table_of_sincov
 from .game import UnitBetCurve, WinProbTable
 from .reports import (
     DEFAULT_TOL,
@@ -95,6 +96,25 @@ def check_product_bound(
     return scan_slabs("product-bound", [slab], tol=tol, max_witnesses=max_witnesses)
 
 
+def _composition_planes(P: np.ndarray, tag: str, *, playable: bool) -> Iterator[Slab]:
+    """The planes of ``P(x, a) * P(x + a, b) <= P(x, a + b)``, one per ``x``, over
+    ``0 <= a <= M - x`` and ``0 <= b <= M - a``, without the skipped ``(0, 0, b)``.
+    With ``playable`` only ``x + a + b <= M`` is valid, reported in fortune form
+    ``(x, x + a, x + a + b)``, which keeps C order lexicographic."""
+    M = len(P) - 1
+    # right[x, a, b] = P(x, min(a + b, M)): windows over rows padded with their last entry
+    right = sliding_window_view(np.pad(P, ((0, 0), (0, M)), mode="edge"), M + 1, axis=1)
+    a, b = np.ogrid[: M + 1, : M + 1]
+    total = a + np.arange(2 * M + 1)  # total[a, s + b] = a + b + s
+    fits = total <= M
+    for x in range(M + 1):
+        n = M - x + 1
+        s, w = (x, n) if playable else (0, M + 1)  # playable stakes have b <= M - x - a
+        valid = fits[:n, s : s + w] if x else fits[:, :w] & (a > 0)
+        index = (x, a[x:], total[:n, s : s + w]) if playable else (x, a[:n], b)
+        yield Slab(P[x, :n, None] * P[x:, :w], right[x, :n, :w], valid, index, tag)
+
+
 def check_supermultiplicative(
     table: WinProbTable,
     *,
@@ -113,31 +133,13 @@ def check_supermultiplicative(
     stakes ``b`` give ``x + a + b > M``, and
     ``sum_x x * (M - x + 1) = M (M + 1) (M + 2) / 6``.
     """
-    M = table.M
-    P = table.array
-    a = np.arange(M + 1)[:, None]
-    b = np.arange(M + 1)[None, :]
-    ab = np.minimum(a + b, M)
-    within = a + b <= M
-
-    def slabs() -> Iterator[Slab]:
-        for x in range(M + 1):
-            n = M - x + 1  # 0 <= a <= M - x; x + a > 0 drops the skipped (0, 0, b)
-            yield Slab(
-                P[x, :n, None] * P[x:],
-                P[x, ab[:n]],
-                within[:n] & (x + a[:n] > 0),
-                (x, a[:n], b),
-                "supermultiplicative",
-            )
-
     return scan_slabs(
         "supermultiplicative",
-        slabs(),
+        _composition_planes(table.array, "supermultiplicative", playable=False),
         tol=tol,
         max_witnesses=max_witnesses,
-        skipped=M + 1,
-        flagged=math.comb(M + 2, 3),
+        skipped=table.M + 1,
+        flagged=math.comb(table.M + 2, 3),
     )
 
 
@@ -163,13 +165,15 @@ def check_supermultiplicative_extended(
     a = np.arange(lo, hi + 1)[:, None]
     b = np.arange(lo, hi + 1)[None, :]
     scanned = slice(lo + o, hi + o + 1)
+    # right[x + o, a - lo, b - lo] = E[x + o, a + b + o]
+    right = sliding_window_view(E, len(a), axis=1)[:, 2 * lo + o : 2 * lo + o + len(a)]
     skipped = 0
 
     def slabs() -> Iterator[Slab]:
         nonlocal skipped
         for x in range(lo, hi + 1):
             lhs = E[x + o, scanned, None] * E[x + lo + o : x + hi + o + 1, scanned]
-            rhs = E[x + o, a + b + o]
+            rhs = right[x + o]
             defined = ~(np.isnan(lhs) | np.isnan(rhs))  # nan only at (0, 0)
             skipped += defined.size - int(np.count_nonzero(defined))
             yield Slab(lhs, rhs, defined, (x, a, b), "supermultiplicative-extended")
@@ -189,23 +193,19 @@ def check_sincov(
     """Composition law of the pair-of-fortunes form:
     ``F(x, a) * F(a, b) <= F(x, b)`` for ``0 <= x <= a <= b <= M``.
 
-    Triples evaluating the undefined entry ``(0, 0)`` — exactly the
-    ``M + 1`` with ``x = a = 0`` — are skipped.  Restricted to playable
-    stakes this is the same comparison, term for term, as
-    ``supermultiplicative`` under the substitution
-    ``a -> x + a, b -> x + a + b``.
+    Triples evaluating the undefined entry ``(0, 0)`` — exactly the ``M + 1``
+    with ``x = a = 0`` — are skipped.  Each triple is playable, and is the
+    ``supermultiplicative`` term ``(x, a - x, b - a)`` of
+    :func:`~redblack.families.table_of_sincov`, so this scan is the playable
+    mask of the ``supermultiplicative`` planes, reported in fortune form.
     """
-    M = F.M
-    G = F.array
-    a = np.arange(M + 1)[:, None]
-    b = np.arange(M + 1)[None, :]
-    ordered = (b >= a) & (a > 0)  # a > 0 drops the skipped (0, 0, b)
-
-    def slabs() -> Iterator[Slab]:
-        for x in range(M + 1):  # rows x <= a <= M
-            yield Slab(G[x, x:, None] * G[x:], G[x], ordered[x:], (x, a[x:], b), "sincov")
-
-    return scan_slabs("sincov", slabs(), tol=tol, max_witnesses=max_witnesses, skipped=M + 1)
+    return scan_slabs(
+        "sincov",
+        _composition_planes(table_of_sincov(F).array, "sincov", playable=True),
+        tol=tol,
+        max_witnesses=max_witnesses,
+        skipped=F.M + 1,
+    )
 
 
 def check_uniqueness_conditions(

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple
 
@@ -220,19 +219,7 @@ class FairnessReport:
         }
 
 
-def _sanitize(value: Any) -> Any:
-    """Coerce numpy scalars and containers into plain JSON-ready Python."""
-    if hasattr(value, "item") and not isinstance(value, (bool, int, float, str)):
-        value = value.item()
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"non-finite float {value!r} cannot be serialized")
-    if isinstance(value, dict):
-        return {str(k): _sanitize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(v) for v in value]
-    return value
-
-
 def canonical_json(payload: Any) -> str:
-    """Serialize deterministically: sorted keys, two-space indent, repr floats."""
-    return json.dumps(_sanitize(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Serialize plain Python values deterministically: sorted keys, two-space
+    indent, repr floats.  A nan or infinite float raises ``ValueError``."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -93,6 +93,11 @@ DEFAULT_TIE_TOL = 1e-9
 # A policy-iteration stake switches only on a gain above this, so rounding
 # in the exact solves cannot make two stakes alternate forever.
 _IMPROVE_MARGIN = 1e-14
+# best_response refuses values that leave [0, 1] by more than this.  Valid
+# responses overshoot by rounding alone, at most 3.4e-13 over the seeded
+# opponents of tests/test_exact_values.py at M = 20-80; a near-singular final
+# system, as against seed 26's player I on exp-diff M = 80, by 6.8e-5.
+_RANGE_SLACK = 1e-9
 # Profile pairs per block of the batched value engine (see _value_grid).
 _BLOCK_PAIRS = 1024
 # Sweeps per convergence test of the value iteration, and the most bytes
@@ -497,7 +502,9 @@ def best_response(table: WinProbTable, opponent: StationaryStrategy) -> BestResp
     values are that policy's own solve.  In exact arithmetic every round
     strictly improves, so no policy comes back; in floating point one can
     when the solves are too ill-conditioned to rank the stakes, and then
-    ``RuntimeError`` is raised instead of looping forever.
+    ``RuntimeError`` is raised instead of looping forever.  A last solve
+    whose values leave [0, 1] by more than ``_RANGE_SLACK`` is too
+    ill-conditioned to trust, and raises ``np.linalg.LinAlgError``.
     """
     M = table.M
     responder = opponent.owner.other
@@ -543,6 +550,10 @@ def best_response(table: WinProbTable, opponent: StationaryStrategy) -> BestResp
                 "policy iteration revisited a policy: the solves are too "
                 "ill-conditioned to rank the stakes"
             )
+    if not -_RANGE_SLACK <= v.min() <= v.max() <= 1.0 + _RANGE_SLACK:
+        raise np.linalg.LinAlgError(
+            f"ill-conditioned solve: a best-response value leaves [0, 1] by over {_RANGE_SLACK}"
+        )
 
     own = (policy + 1).tolist()
     if responder is Player.TWO:

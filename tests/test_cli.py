@@ -24,6 +24,7 @@ import pytest
 
 import redblack as rb
 from redblack.cli import main
+from test_exact_values import _seeded_profile
 
 
 def run(argv: list[str], capsys) -> tuple[int, str, str]:
@@ -402,6 +403,19 @@ class TestNash:
         code, out, err = run(args, capsys)
         assert code == 2 and out == ""
         assert "ill-conditioned" in err
+
+    def test_best_response_outside_the_unit_interval_exits_2(self, tmp_path: Path, capsys) -> None:
+        """Against seed 26's player I, player II's best response solves to
+        values above 1; nash exits 2 instead of refuting with them."""
+        table = tmp_path / "el-m80.json"
+        assert run(["gen", "--M", "80", "--family", "exp-diff", "--out", str(table)], capsys)[0] == 0
+        profile = tmp_path / "profile.json"
+        second = rb.bold_strategy(rb.Player.TWO, 80)
+        profile.write_text(json.dumps(rb.Profile(_seeded_profile(26, 80).first, second).to_json_dict()))
+        args = ["nash", "--table", str(table), "--profile", str(profile), "--x0", "20"]
+        code, out, err = run(args, capsys)
+        assert code == 2 and out == ""
+        assert "leaves [0, 1]" in err
 
 
 class TestEnum:

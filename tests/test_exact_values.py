@@ -162,6 +162,15 @@ class TestExactOracle:
         exact = _exact_values(table, rb.Profile(opponent, response.strategy), 0)
         assert list(response.values) == pytest.approx([float(v) for v in exact], rel=0, abs=1e-14)
 
+    def test_best_response_refuses_values_outside_the_unit_interval(self) -> None:
+        """Player II's final system against seed 26's player I has condition
+        number 4.5e13, and its solve overshoots 1 by 6.8e-5: ``verify_nash``
+        would name a deviation worth 1.0000677.  It raises instead."""
+        table = rb.exp_difference_table(80)
+        profile = rb.Profile(_seeded_profile(26, 80).first, rb.bold_strategy(Player.TWO, 80))
+        with pytest.raises(np.linalg.LinAlgError, match=r"leaves \[0, 1\]"):
+            rb.verify_nash(table, profile, 20)
+
 
 class _Iterated(Exception):
     """Raised by the stand-in for the value iteration."""

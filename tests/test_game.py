@@ -111,6 +111,11 @@ class TestWinProbTable:
         assert rb.canonical_json(clone.to_json_dict()) == text
         assert clone.array.tobytes() == table.array.tobytes()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_canonical_json_refuses_non_finite_floats(self, value: float) -> None:
+        with pytest.raises(ValueError):
+            rb.canonical_json({"checks": [{"margin": value}]})
+
     def test_unreachable_entry_count(self, pow2_m3: rb.WinProbTable) -> None:
         # pairs with a + b > 3 inside {0..3}^2: 6 of 16
         assert pow2_m3.unreachable_entries == 6

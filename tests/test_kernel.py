@@ -12,6 +12,7 @@ counts, same witnesses in the same order, same floats to the last bit.
 from __future__ import annotations
 
 import math
+import random
 import tracemalloc
 from typing import Callable, Iterator
 
@@ -24,6 +25,20 @@ CAPS = (0, 1, 16, None, -1)
 # A negative tolerance is not rejected by the library; fairness then
 # counts an entry within |tol| of the benchmark as above only.
 TOLS = (0.0, 1e-12, 1e-6, -1e-6)
+
+
+def _random_table(M: int, seed: int) -> rb.WinProbTable:
+    """Seeded uniform entries, about a third of them replaced by an exact 0
+    or 1 or by the float one ulp inside it."""
+    rng = random.Random(seed)
+    edges = (0.0, 1.0, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))
+    rows: list[list[float | None]] = [
+        [rng.choice(edges) if rng.random() < 1 / 3 else rng.random() for _ in range(M + 1)]
+        for _ in range(M + 1)
+    ]
+    rows[0][0] = None
+    return rb.WinProbTable(M, rows)
+
 
 TABLES: dict[str, Callable[[], rb.WinProbTable]] = {
     "pow1-m4": lambda: rb.power_family(4, 1.0),
@@ -40,6 +55,8 @@ TABLES: dict[str, Callable[[], rb.WinProbTable]] = {
         .with_entry(1, 1, 0.0)
         .with_entry(1, 3, 1.0)
     ),
+    "random-m8": lambda: _random_table(8, 8),
+    "random-m9": lambda: _random_table(9, 9),
 }
 
 _Term = tuple[tuple[int, ...], float, float, str]
