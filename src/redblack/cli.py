@@ -17,6 +17,10 @@ with sorted keys and repr floats, so reruns are byte-identical.
 The comparison tolerance resolves as ``--tol`` over the ``REDBLACK_TOL``
 environment variable over the built-in default ``1e-12``; a non-finite
 tolerance is a usage error.
+
+Each subcommand imports only the layers it runs, so ``--help``,
+``--version`` and ``report`` on anything but a table artifact never load
+numpy.
 """
 
 from __future__ import annotations
@@ -28,45 +32,12 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from . import __version__
-from .checks import (
-    check_bold_inequality,
-    check_product_bound,
-    check_sincov,
-    check_supermultiplicative,
-    check_uniqueness_conditions,
-)
-from .families import (
-    DecayParams,
-    FamilyMember,
-    curve_from_decay,
-    exp_difference_table,
-    family_infimum,
-    min_exp_table,
-    power_family,
-    sincov_of,
-)
-from .game import (
-    GameError,
-    Profile,
-    WinProbTable,
-    check_border,
-    check_fairness,
-    unit_bet_curve,
-)
-from .montecarlo import SimConfig, compare_exact, replay_trial, simulate
-from .reports import DEFAULT_TOL, DEFAULT_WITNESS_CAP, canonical_json
-from .solver import (
-    DEFAULT_ENUM_CAP,
-    absorption_certain,
-    enumerate_equilibria,
-    hitting_values,
-    product_form_values,
-    strategy_count,
-    verify_nash,
-)
+
+if TYPE_CHECKING:
+    from .game import Profile, WinProbTable
 
 _ENV_TOL = "REDBLACK_TOL"
 
@@ -81,6 +52,8 @@ def _resolve_tol(arg_tol: float | None) -> float:
     else:
         raw = os.environ.get(_ENV_TOL)
         if raw is None:
+            from .reports import DEFAULT_TOL
+
             return DEFAULT_TOL
         try:
             tol = float(raw)
@@ -102,6 +75,8 @@ def _read_json(path: str) -> Any:
 
 
 def _load_table(path: str) -> WinProbTable:
+    from .game import WinProbTable
+
     payload = _read_json(path)
     try:
         return WinProbTable.from_json_dict(payload)
@@ -110,6 +85,8 @@ def _load_table(path: str) -> WinProbTable:
 
 
 def _load_profile(spec: str, M: int) -> Profile:
+    from .game import Profile
+
     if "-" in spec and not os.path.exists(spec):
         try:
             return Profile.from_name(spec, M)
@@ -145,6 +122,8 @@ def _manifest(
 
 
 def _emit(payload: dict[str, Any], out: str | None) -> None:
+    from .reports import canonical_json
+
     text = canonical_json(payload)
     if out is None:
         sys.stdout.write(text)
@@ -153,6 +132,16 @@ def _emit(payload: dict[str, Any], out: str | None) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .families import (
+        DecayParams,
+        FamilyMember,
+        curve_from_decay,
+        exp_difference_table,
+        family_infimum,
+        min_exp_table,
+        power_family,
+    )
+
     family = args.family
     parameters: dict[str, Any] = {"M": args.M, "family": family}
     inputs: list[str] = []
@@ -203,8 +192,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .reports import DEFAULT_WITNESS_CAP
+    from .game import check_border, check_fairness, unit_bet_curve
+    from .families import sincov_of
+    from .checks import (
+        check_bold_inequality,
+        check_product_bound,
+        check_sincov,
+        check_supermultiplicative,
+        check_uniqueness_conditions,
+    )
+
     tol = _resolve_tol(args.tol)
-    cap = args.max_witnesses
+    cap = DEFAULT_WITNESS_CAP if args.max_witnesses is None else args.max_witnesses
     if cap < 0:
         raise _UsageError(f"--max-witnesses must be >= 0, got {cap}")
     table = _load_table(args.table)
@@ -236,6 +236,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from .game import unit_bet_curve
+    from .solver import absorption_certain, hitting_values, product_form_values
+
     table = _load_table(args.table)
     if args.x0 is not None and not 0 <= args.x0 <= table.M:
         raise _UsageError(f"initial fortune {args.x0} outside 0..{table.M}")
@@ -264,6 +267,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_nash(args: argparse.Namespace) -> int:
+    from .solver import verify_nash
+
     tol = _resolve_tol(args.tol)
     table = _load_table(args.table)
     profile = _load_profile(args.profile, table.M)
@@ -282,13 +287,16 @@ def _cmd_nash(args: argparse.Namespace) -> int:
 
 
 def _cmd_enum(args: argparse.Namespace) -> int:
+    from .solver import DEFAULT_ENUM_CAP, enumerate_equilibria, strategy_count
+
     tol = _resolve_tol(args.tol)
+    cap = DEFAULT_ENUM_CAP if args.cap is None else args.cap
     table = _load_table(args.table)
-    found = enumerate_equilibria(table, args.x0, tol=tol, cap=args.cap)
+    found = enumerate_equilibria(table, args.x0, tol=tol, cap=cap)
     payload = {
         "manifest": _manifest(
             "enum",
-            {"table": args.table, "x0": args.x0, "cap": args.cap},
+            {"table": args.table, "x0": args.x0, "cap": cap},
             inputs=[args.table],
             tolerance=tol,
         ),
@@ -303,6 +311,9 @@ def _cmd_enum(args: argparse.Namespace) -> int:
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:
+    from .solver import hitting_values
+    from .montecarlo import SimConfig, compare_exact, replay_trial, simulate
+
     table = _load_table(args.table)
     profile = _load_profile(args.profile, table.M)
     config = SimConfig(x0=args.x0, trials=args.trials, seed=args.seed, horizon=args.horizon)
@@ -349,6 +360,8 @@ def _render_report(payload: dict[str, Any]) -> list[str]:
             f"— {manifest.get('subcommand', '?')}"
         )
     if "entries" in payload:
+        from .game import WinProbTable
+
         lines.append(f"win-probability table, money M = {payload['M']}")
         table = WinProbTable.from_json_dict(payload)
         lines.extend(table.to_csv().rstrip("\n").split("\n"))
@@ -457,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run the full inequality suite on a table")
     check.add_argument("--table", required=True)
     check.add_argument("--tol", type=float, default=None)
-    check.add_argument("--max-witnesses", type=int, default=DEFAULT_WITNESS_CAP)
+    check.add_argument("--max-witnesses", type=int, default=None)
     check.add_argument("--out", default=None)
 
     solve = sub.add_parser("solve", help="exact values of a profile")
@@ -486,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--table", required=True)
     enum.add_argument("--x0", type=int, required=True)
     enum.add_argument("--tol", type=float, default=None)
-    enum.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
+    enum.add_argument("--cap", type=int, default=None)
     enum.add_argument("--out", default=None)
 
     sim = sub.add_parser("sim", help="seeded Monte Carlo with exact cross-check")
@@ -504,6 +517,14 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser("report", help="render an artifact as text")
     report.add_argument("artifact")
     return parser
+
+
+def _expected_errors() -> tuple[type[Exception], ...]:
+    """Errors reported as exit 2.  A ``GameError`` can only be raised once
+    ``game`` has loaded, so it is looked up when an error is being matched."""
+    errors = (ValueError, IndexError, KeyError, OSError, RuntimeError)
+    game = sys.modules.get(f"{__package__}.game")
+    return errors if game is None else (game.GameError, *errors)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -525,7 +546,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GameError, ValueError, IndexError, KeyError, OSError, RuntimeError) as exc:
+    except _expected_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

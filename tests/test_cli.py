@@ -204,6 +204,17 @@ class TestCheck:
         assert not by_name["sincov"]["pass"]
         assert not by_name["uniqueness-conditions"]["pass"]
 
+    def test_default_witness_cap(self, tmp_path: Path, capsys) -> None:
+        table = tmp_path / "el-m6.json"
+        assert run(["gen", "--M", "6", "--family", "exp-diff", "--out", str(table)], capsys)[0] == 0
+        out = tmp_path / "check.json"
+        assert run(["check", "--table", str(table), "--out", str(out)], capsys)[0] == 1
+        payload = json.loads(out.read_text())
+        assert payload["manifest"]["parameters"]["max_witnesses"] == 16
+        mult = next(r for r in payload["checks"] if r["check"] == "supermultiplicative")
+        assert mult["violations"] == 22 and len(mult["witnesses"]) == 16
+        assert all(len(r["witnesses"]) <= 16 for r in payload["checks"])
+
     def test_malformed_table(self, tmp_path: Path, capsys) -> None:
         bad = tmp_path / "bad.json"
         bad.write_text("{\"M\": 2}")
@@ -253,7 +264,7 @@ class TestCheck:
     def test_negative_witness_cap_is_a_usage_error(
         self, pow2_m3_file: Path, tmp_path: Path, capsys, monkeypatch
     ) -> None:
-        monkeypatch.setattr("redblack.cli.check_border", lambda *a, **k: pytest.fail("scanned"))
+        monkeypatch.setattr("redblack.game.check_border", lambda *a, **k: pytest.fail("scanned"))
         out = tmp_path / "check.json"
         args = ["check", "--table", str(pow2_m3_file), "--max-witnesses", "-1", "--out", str(out)]
         code, _, err = run(args, capsys)
@@ -427,6 +438,11 @@ class TestEnum:
         assert payload["count"] == 2
         assert payload["strategies_per_player"] == 2
 
+    def test_default_cap_in_manifest(self, pow2_m3_file: Path, tmp_path: Path, capsys) -> None:
+        out = tmp_path / "enum.json"
+        assert run(["enum", "--table", str(pow2_m3_file), "--x0", "1", "--out", str(out)], capsys)[0] == 0
+        assert json.loads(out.read_text())["manifest"]["parameters"]["cap"] == 7
+
     def test_exp_difference_degenerate_start(self, el_m4_file: Path, tmp_path: Path, capsys) -> None:
         out = tmp_path / "enum.json"
         code, _, _ = run(["enum", "--table", str(el_m4_file), "--x0", "1", "--out", str(out)], capsys)
@@ -554,7 +570,7 @@ class TestToleranceResolution:
     def test_non_finite_flag_is_a_usage_error(
         self, pow2_m3_file: Path, tmp_path: Path, capsys, monkeypatch, value: str
     ) -> None:
-        monkeypatch.setattr("redblack.cli.check_border", lambda *a, **k: pytest.fail("scanned"))
+        monkeypatch.setattr("redblack.game.check_border", lambda *a, **k: pytest.fail("scanned"))
         out = tmp_path / "check.json"
         args = ["check", "--table", str(pow2_m3_file), f"--tol={value}", "--out", str(out)]
         code, _, err = run(args, capsys)
