@@ -243,13 +243,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.x0 is not None and not 0 <= args.x0 <= table.M:
         raise _UsageError(f"initial fortune {args.x0} outside 0..{table.M}")
     profile = _load_profile(args.profile, table.M)
-    values = hitting_values(table, profile, method=args.method)
+    values = hitting_values(table, profile)
     absorbing = absorption_certain(table, profile)
     exact = product_form_values(profile, unit_bet_curve(table))
     payload: dict[str, Any] = {
         "manifest": _manifest(
             "solve",
-            {"table": args.table, "profile": args.profile, "method": args.method, "x0": args.x0},
+            {"table": args.table, "profile": args.profile, "method": "auto", "x0": args.x0},
             inputs=[args.table],
         ),
         "M": table.M,
@@ -476,15 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="exact values of a profile")
     solve.add_argument("--table", required=True)
     solve.add_argument("--profile", default="bold-timid", help="name like bold-timid, or a JSON path")
-    solve.add_argument(
-        "--method",
-        choices=("auto", "solve", "iterate"),
-        default="auto",
-        help="auto: one linear solve with the fortunes that reach neither boundary pinned "
-        "to 0, so cycling chains are solved too; it fails (exit 2) on a chain whose system "
-        "is singular in floating point; solve: the plain linear solve, singular on a chain "
-        "that can cycle; iterate: value iteration, the slow approximate oracle",
-    )
     solve.add_argument("--x0", type=int, default=None)
     solve.add_argument("--out", default=None)
 

@@ -19,27 +19,19 @@ The chain a profile induces is built only by :func:`_chain_arrays`, which
 :mod:`redblack.montecarlo` walks as well; it rejects a profile whose total
 money differs from the table's.  :data:`DEFAULT_TIE_TOL` is the tie
 tolerance of :func:`enumerate_best_response`; :data:`DEFAULT_VI_TOL` and
-:data:`DEFAULT_MAX_SWEEPS` serve only the value iteration of
-``method="iterate"``.
+:data:`DEFAULT_MAX_SWEEPS` serve only :func:`_iterate_chain`, the value
+iteration of ``hitting_values(..., method="iterate")``.
 
 One batched engine computes every profile's values, a single profile
 included.  It gathers the chains of a block of profile pairs from two stake
 matrices at once, runs a vectorised backward-reachability fixpoint to find
 the stuck fortunes of every chain, and solves all chains with one stacked
-``np.linalg.solve``; under ``method="iterate"`` they share one stacked
-value iteration instead, with a row per chain and goal.  It sweeps in
-blocks into a ring of states and tests the stop rule once per block; a row
-leaves the live set with the state and count of the first sweep where it
-settled, as if tested after every sweep.  Enumeration solves all
-``(M-1)!^2`` pairs in row blocks of player I's strategies, so its memory
-is the two value tensors of ``(M-1)!^2 * (M+1)`` floats each plus one
-small block: 1.6 MiB in all at ``M = 6``, 66 MiB at ``M = 7`` and 3.4 GiB
-at ``M = 8``, which is why :data:`DEFAULT_ENUM_CAP` is 7.  Each hit's
-certificate is built from the cached strategies without re-validating
-them.  On a 2-core VM, enumerating every start takes about 0.05 s at
-``M = 6`` and about 1.6 s at ``M = 7``: about 1.2 s for the cold tensors,
-mostly the stacked solves, and 0.4 s for the six starts and their 110 880
-certificates.
+``np.linalg.solve``.  Enumeration solves all ``(M-1)!^2`` pairs in row
+blocks of player I's strategies, so its memory is the two value tensors of
+``(M-1)!^2 * (M+1)`` floats each plus one small block: 1.6 MiB in all at
+``M = 6``, 66 MiB at ``M = 7`` and 3.4 GiB at ``M = 8``, which is why
+:data:`DEFAULT_ENUM_CAP` is 7.  Each hit's certificate is built from the
+cached strategies without re-validating them.
 
 A best response is found by policy iteration (Howard) on the responder's
 ``(M-1) x (M-1)`` grid of fortunes and stakes, gathered by
@@ -100,10 +92,8 @@ _IMPROVE_MARGIN = 1e-14
 _RANGE_SLACK = 1e-9
 # Profile pairs per block of the batched value engine (see _value_grid).
 _BLOCK_PAIRS = 1024
-# Sweeps per convergence test of the value iteration, and the most bytes
-# its ring of states may take before a block holds fewer (see _iterate_chain).
+# Sweeps per convergence test of the value iteration (see _iterate_chain).
 _SWEEP_BLOCK = 128
-_RING_BYTES = 8 << 20
 
 
 class EnumerationLimitError(GameError):
@@ -290,126 +280,82 @@ _NEAR_CYCLE = (
 )
 
 
-def _solve_linear(
-    M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray, stuck: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact interior values of both players for a stack of chains.
-
-    The system of :func:`_linear_system` is solved for every row and both
-    right-hand sides in one call.  No step enters a ``stuck`` fortune; as
-    those step only to each other, their rows empty too, so they read
-    ``u_x = 0`` exactly, and the rest of the system is nonsingular: a
-    boundary is reachable from every other fortune.  With ``stuck=None`` a
-    chain that can cycle is singular.
-    """
-    lhs, rhs = _linear_system(M, p, up, dn, stuck)
-    try:
-        solution = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        if stuck is None and _stuck(M, p, up, dn).any():
-            raise np.linalg.LinAlgError(
-                "singular matrix: a chain can cycle forever; method 'auto' pins "
-                "the fortunes that reach neither boundary to 0"
-            ) from exc
-        raise np.linalg.LinAlgError(_NEAR_CYCLE) from exc
-    return np.clip(solution[..., 0], 0.0, 1.0), np.clip(solution[..., 1], 0.0, 1.0)
-
-
 def _iterate_chain(
-    M: int,
-    p: np.ndarray,
-    up: np.ndarray,
-    dn: np.ndarray,
-    goals: np.ndarray,
+    M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Monotone iteration from zero toward the minimal fixed point, per row.
+    """Monotone iteration from zero toward the minimal fixed point of one chain.
 
-    ``p``, ``up`` and ``dn`` are stacked ``(R, M - 1)`` chain arrays and
-    ``goals`` holds each row's goal fortune.  Returns the ``(R, M + 1)``
-    value vectors (boundary included) and each row's sweep count.  A row
-    settles at the first sweep that moves none of its values by
-    :data:`DEFAULT_VI_TOL`; the iterates only grow, so a sweep's change is
-    its increase.  The stop rule is not an error bound: on a slowly mixing
-    chain the remaining error is that step divided by the spectral gap.
+    ``p``, ``up`` and ``dn`` are the chain's ``(M - 1,)`` arrays.  Returns
+    the ``(2, M + 1)`` value vectors toward ``M`` and toward ``0`` (boundary
+    included) and both goals' sweep counts.  A goal settles at the first
+    sweep that moves none of its values by :data:`DEFAULT_VI_TOL`; the
+    iterates only grow, so a sweep's change is its increase.  The stop rule
+    is not an error bound: on a slowly mixing chain the remaining error is
+    that step divided by the spectral gap.
 
-    All live rows sweep together, a block of up to :data:`_SWEEP_BLOCK`
-    sweeps at a time into a ring of states, and the convergence test runs
-    once per block over every sweep in it.  Each row that settled in the
-    block leaves the live set with the state and count of its first
-    settling sweep; the others go on from the block's last state.  A row's
-    sweeps touch only its own values, so its values and count are those of
-    iterating it alone and checking after every sweep.
+    Both goals sweep together, :data:`_SWEEP_BLOCK` sweeps at a time into a
+    ring of states, and the stop rule is tested once per block over every
+    sweep in it.  A goal that settled in the block keeps the state and count
+    of its first settling sweep and sweeps on with the other, so its values
+    and count are those of testing after every sweep.
     """
-    values = np.zeros((len(p), M + 1))
-    values[np.arange(len(p)), goals] = 1.0
-    sweeps = np.zeros(len(p), dtype=np.int64)
-    live = np.arange(len(p))
+    ring = np.zeros((_SWEEP_BLOCK + 1, 2, M + 1))
+    ring[:, 0, M] = ring[:, 1, 0] = 1.0
+    flats = [state.reshape(-1) for state in ring]
+    inners = [state[:, 1:M] for state in ring]
+    # Sweep k gathers the [up, dn] targets of state k, weighs them by
+    # [p, 1 - p] and writes their sum into state k + 1.
+    at = np.stack([[up, up + M + 1], [dn, dn + M + 1]])
+    law = np.stack([[p, p], [1.0 - p, 1.0 - p]])
+    terms = np.empty_like(law)
+    rise, fall = terms
+    values = np.empty((2, M + 1))
+    sweeps = np.zeros(2, dtype=np.int64)
     sweep = 0
-    while live.size:
-        rows = len(live)
-        depth = max(1, min(_SWEEP_BLOCK, _RING_BYTES // (8 * rows * (M + 1)) - 1))
-        ring = np.broadcast_to(values[live], (depth + 1, rows, M + 1)).copy()
-        flats = [state.reshape(-1) for state in ring]
-        inners = [state[:, 1:M] for state in ring]
-        # Sweep k gathers the [up, dn] targets of state k, weighs them by
-        # [p, 1 - p] and writes their sum into state k + 1.
-        row_start = (M + 1) * np.arange(rows)[:, None]
-        at = np.stack([row_start + up[live], row_start + dn[live]])
-        law = np.stack([p[live], 1.0 - p[live]])
-        terms = np.empty_like(law)
-        rise, fall = terms
-        while True:
-            block = min(depth, DEFAULT_MAX_SWEEPS - sweep)
-            if block < 1:
-                raise RuntimeError(
-                    f"value iteration did not settle within {DEFAULT_MAX_SWEEPS} sweeps"
-                )
-            for k in range(block):
-                flats[k].take(at, out=terms, mode="clip")
-                terms *= law
-                np.add(rise, fall, out=inners[k + 1])
-            steps = ring[1 : block + 1, :, 1:M] - ring[:block, :, 1:M]
-            settled = steps.max(axis=2) < DEFAULT_VI_TOL
-            sweep += block
-            if settled.any():
-                break
-            ring[0] = ring[block]
-        done = settled.any(axis=0)
-        first = settled.argmax(axis=0)
-        ends = np.where(done, first + 1, block)
-        values[live] = ring[ends, np.arange(rows)]
-        sweeps[live[done]] = sweep - block + ends[done]
-        live = live[~done]
+    while not sweeps.all():
+        block = min(_SWEEP_BLOCK, DEFAULT_MAX_SWEEPS - sweep)
+        if block < 1:
+            raise RuntimeError(f"value iteration did not settle within {DEFAULT_MAX_SWEEPS} sweeps")
+        for k in range(block):
+            flats[k].take(at, out=terms, mode="clip")
+            terms *= law
+            np.add(rise, fall, out=inners[k + 1])
+        steps = ring[1 : block + 1, :, 1:M] - ring[:block, :, 1:M]
+        settled = (steps.max(axis=2) < DEFAULT_VI_TOL) & (sweeps == 0)
+        for goal in np.flatnonzero(settled.any(axis=0)):
+            first = settled[:, goal].argmax()
+            values[goal] = ring[first + 1, goal]
+            sweeps[goal] = sweep + first + 1
+        sweep += block
+        ring[0] = ring[block]
     return values, sweeps
 
 
 def _block_values(
-    table: WinProbTable,
-    firsts: np.ndarray,
-    seconds: np.ndarray,
-    *,
-    method: str = "auto",
+    table: WinProbTable, firsts: np.ndarray, seconds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both players' value vectors for every pair of two blocks of stake rows.
 
     Returns two ``(B * K, M + 1)`` arrays, rows ordered as in
-    :func:`_chain_arrays`.  Every chain takes one stacked linear solve, with
-    its stuck fortunes pinned to 0 under ``method='auto'``; ``'iterate'``
-    runs one stacked value iteration instead, a row per chain and goal.
+    :func:`_chain_arrays`.  The systems of :func:`_linear_system` are solved
+    for every chain and both right-hand sides in one call.  No step enters a
+    stuck fortune (see :func:`_stuck`); as those step only to each other,
+    their rows empty too, so they read ``u_x = 0`` exactly, and the rest of
+    each system is nonsingular: a boundary is reachable from every other
+    fortune.
     """
-    if method not in ("auto", "solve", "iterate"):
-        raise ValueError(f"unknown method {method!r}; use 'auto', 'solve' or 'iterate'")
     M = table.M
     p, up, dn = _chain_arrays(table, firsts, seconds)
-    if method == "iterate":
-        goals = np.repeat([M, 0], len(p))
-        u = _iterate_chain(M, *(np.concatenate([a, a]) for a in (p, up, dn)), goals)[0]
-        return u[: len(p)], u[len(p) :]
+    lhs, rhs = _linear_system(M, p, up, dn, _stuck(M, p, up, dn))
+    try:
+        solution = np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(_NEAR_CYCLE) from exc
     q = np.zeros((len(p), M + 1))
     t = np.zeros_like(q)
     q[:, M] = t[:, 0] = 1.0
-    stuck = _stuck(M, p, up, dn) if method == "auto" else None
-    q[:, 1:M], t[:, 1:M] = _solve_linear(M, p, up, dn, stuck)
+    q[:, 1:M] = np.clip(solution[..., 0], 0.0, 1.0)
+    t[:, 1:M] = np.clip(solution[..., 1], 0.0, 1.0)
     return q, t
 
 
@@ -440,16 +386,18 @@ def hitting_values(
 
     ``method='auto'`` solves the interior linear system with the fortunes
     that reach neither boundary pinned to 0: the minimal fixed point of
-    every chain.  ``'solve'`` pins nothing, so a chain that can cycle is
-    singular; ``'iterate'`` is the slow approximate oracle.
+    every chain.  ``'iterate'`` runs :func:`_iterate_chain` instead, the
+    slow approximate oracle.
     """
-    q, t = _block_values(
-        table,
-        _stake_rows([profile.first]),
-        _stake_rows([profile.second]),
-        method=method,
-    )
-    return ValueVector(table.M, tuple(q[0].tolist()), tuple(t[0].tolist()))
+    if method not in ("auto", "iterate"):
+        raise ValueError(f"unknown method {method!r}; use 'auto' or 'iterate'")
+    firsts, seconds = _stake_rows([profile.first]), _stake_rows([profile.second])
+    if method == "iterate":
+        chain = _chain_arrays(table, firsts, seconds)
+        q, t = _iterate_chain(table.M, *(a[0] for a in chain))[0]
+    else:
+        q, t = (v[0] for v in _block_values(table, firsts, seconds))
+    return ValueVector(table.M, tuple(q.tolist()), tuple(t.tolist()))
 
 
 def all_strategies(owner: Player, M: int) -> Iterator[StationaryStrategy]:

@@ -315,7 +315,9 @@ class TestSolve:
         assert run(["solve", "--table", str(pow2_m3_file), "--profile", "brash-shy"], capsys)[0] == 2
 
     def test_bad_method_is_a_usage_error(self, pow2_m3_file: Path, capsys) -> None:
-        assert run(["solve", "--table", str(pow2_m3_file), "--method", "magic"], capsys)[0] == 2
+        """``solve`` has no ``--method``: it always runs ``auto``."""
+        for method in ("magic", "auto"):
+            assert run(["solve", "--table", str(pow2_m3_file), "--method", method], capsys)[0] == 2
 
     @pytest.mark.parametrize("x0", ["-1", "4"])
     def test_start_out_of_range(self, pow2_m3_file: Path, x0: str, capsys) -> None:

@@ -8,8 +8,8 @@ one-stage recursion, with no rounding anywhere.  The float solver must
 come within 1e-15 of it, also on chains that cycle, where ``auto`` pins
 the fortunes that reach neither boundary and solves the rest.
 
-Every default path must give those values without value iteration;
-``method="iterate"`` alone may run it.
+Every path to those values must get them without value iteration, except
+``hitting_values(..., method="iterate")``, the one caller of it.
 """
 
 from __future__ import annotations
@@ -196,9 +196,6 @@ class TestNoDefaultPathIterates:
         assert list(values.q[1:-1]) == pytest.approx(
             [float(v) for v in _exact_values(table, profile, table.M)[1:-1]], rel=0, abs=1e-15
         )
-        # The plain solve never iterates either; on a cycling chain it is singular.
-        with pytest.raises(np.linalg.LinAlgError):
-            rb.hitting_values(table, profile, method="solve")
         for opponent in (profile.first, profile.second):
             assert rb.best_response(table, opponent).player is opponent.owner.other
         with pytest.raises(_Iterated):

@@ -95,8 +95,7 @@ def _oracle_values(
     up = np.array([x + second.bets[M - x] for x in xs])
     dn = np.array([x - first.bets[x] for x in xs])
     if not _oracle_absorbs(M, p, up, dn):
-        q = _iterate_chain(M, p[None], up[None], dn[None], np.array([M]))[0][0]
-        t = _iterate_chain(M, p[None], up[None], dn[None], np.array([0]))[0][0]
+        q, t = _iterate_chain(M, p, up, dn)[0]
         return q, t, False
     n = M - 1
     A = np.zeros((n, n))
@@ -254,27 +253,22 @@ class TestHittingValues:
     def test_iterate_agrees_with_solve(self) -> None:
         table = rb.power_family(5, 2)
         profile = _timid_timid(5)
-        solved = rb.hitting_values(table, profile, method="solve")
+        solved = rb.hitting_values(table, profile)
         iterated = rb.hitting_values(table, profile, method="iterate")
         for x in range(6):
             assert iterated.q[x] == pytest.approx(solved.q[x], abs=1e-10)
             assert iterated.t[x] == pytest.approx(solved.t[x], abs=1e-10)
 
     def test_unknown_method(self, pow2_m3: rb.WinProbTable) -> None:
-        with pytest.raises(ValueError, match="unknown method"):
-            rb.hitting_values(pow2_m3, _timid_timid(3), method="guess")
+        for method in ("guess", "solve"):
+            with pytest.raises(ValueError, match="unknown method"):
+                rb.hitting_values(pow2_m3, _timid_timid(3), method=method)
 
     def test_cycling_profile_is_not_absorbing(
         self, cycle_m4: rb.WinProbTable, cycle_profile: rb.Profile
     ) -> None:
         assert not rb.absorption_certain(cycle_m4, cycle_profile)
         assert rb.absorption_certain(cycle_m4, _timid_timid(4))
-
-    def test_cycling_profile_forced_solve_is_singular(
-        self, cycle_m4: rb.WinProbTable, cycle_profile: rb.Profile
-    ) -> None:
-        with pytest.raises(np.linalg.LinAlgError, match="can cycle forever"):
-            rb.hitting_values(cycle_m4, cycle_profile, method="solve")
 
     def test_cycling_profile_auto_values_are_exact_zeros(
         self, cycle_m4: rb.WinProbTable, cycle_profile: rb.Profile
@@ -284,95 +278,81 @@ class TestHittingValues:
         assert values.t == (1.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_iteration_diagnostics(self, pow2_m3: rb.WinProbTable) -> None:
-        profile = _timid_timid(3)
-        p, up, dn = _chain_arrays(
-            pow2_m3, _stake_rows([profile.first]), _stake_rows([profile.second])
-        )
-        u, sweeps = _iterate_chain(3, p, up, dn, np.array([3]))
-        assert sweeps[0] > 1
+        """Fair timid-timid at M = 40 takes 7 901 sweeps for either goal."""
+        u, sweeps = _iterate_chain(3, *_one_chain(pow2_m3, _timid_timid(3)))
+        assert (sweeps > 1).all()
         assert u[0, 1] == pytest.approx(1 / 13, abs=1e-10)
-
-    def test_stacked_iteration_equals_one_row_calls(self) -> None:
-        """Rows that settle at different sweeps keep their own values and counts.
-
-        Fair timid-timid at M = 40 takes 7 901 sweeps for either goal, and
-        bold-timid on the same table 40.
-        """
+        assert u[1, 1] == pytest.approx(12 / 13, abs=1e-10)
         M = 40
-        table = rb.power_family(M, 1)
-        profiles = [_timid_timid(M), _bold_timid(M)]
-        p, up, dn = _chain_arrays(
-            table,
-            _stake_rows([profile.first for profile in profiles]),
-            _stake_rows([profile.second for profile in profiles]),
-        )
-        # Pair rows 0 and 3 are timid-timid and bold-timid, each toward M then 0.
-        rows = np.array([0, 0, 3, 3])
-        goals = np.array([M, 0, M, 0])
-        values, sweeps = _iterate_chain(M, p[rows], up[rows], dn[rows], goals)
-        assert sweeps.tolist() == [7901, 7901, 40, 40]
-        for k, (row, goal) in enumerate(zip(rows, goals)):
-            alone, count = _iterate_chain(M, p[[row]], up[[row]], dn[[row]], goal[None])
-            assert np.array_equal(values[k], alone[0]) and sweeps[k] == count[0]
+        u, sweeps = _iterate_chain(M, *_one_chain(rb.power_family(M, 1), _timid_timid(M)))
+        assert sweeps.tolist() == [7901, 7901]
         fair = np.arange(M + 1) / M
-        assert np.abs(values[0] - fair).max() < 1e-10
-        assert np.abs(values[1] - fair[::-1]).max() < 1e-10
+        assert np.abs(u[0] - fair).max() < 1e-10
+        assert np.abs(u[1] - fair[::-1]).max() < 1e-10
+
+    def test_goals_settling_apart_keep_their_own_sweeps(self) -> None:
+        """On power p = 2 at M = 10, timid-timid settles at sweep 132 toward
+        M and 161 toward 0: the first goal keeps its state and count while
+        the other sweeps on."""
+        M = 10
+        chain = _one_chain(rb.power_family(M, 2), _timid_timid(M))
+        values, sweeps = _iterate_chain(M, *chain)
+        assert sweeps.tolist() == [132, 161]
+        expected, counts = _oracle_iterate(M, *chain)
+        assert values.tobytes() == expected.tobytes()
+        assert np.array_equal(sweeps, counts)
+
+
+def _one_chain(
+    table: rb.WinProbTable, profile: rb.Profile
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(M - 1,)`` chain arrays of one profile."""
+    chain = _chain_arrays(table, _stake_rows([profile.first]), _stake_rows([profile.second]))
+    return tuple(a[0] for a in chain)
 
 
 def _oracle_iterate(
-    M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray, goals: np.ndarray
+    M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The value iteration that tests convergence after every sweep.
-
-    All live rows sweep together until one settles; the settled rows leave
-    with that sweep's values and count, and the rest go on.
-    """
-    values = np.zeros((len(p), M + 1))
-    values[np.arange(len(p)), goals] = 1.0
-    sweeps = np.zeros(len(p), dtype=np.int64)
-    live = np.arange(len(p))
-    fall = 1.0 - p
-    sweep = 0
-    while live.size:
-        u = values[live]
-        flat, inner = u.reshape(-1), u[:, 1:M]
-        row_start = (M + 1) * np.arange(len(live))[:, None]
-        up_at, dn_at = row_start + up[live], row_start + dn[live]
-        rise, drop = p[live], fall[live]
-        for sweep in range(sweep + 1, solver.DEFAULT_MAX_SWEEPS + 1):
-            fresh = rise * flat[up_at] + drop * flat[dn_at]
-            change = fresh - inner
-            inner[...] = fresh
-            if change.max(axis=1).min() < solver.DEFAULT_VI_TOL:
+    """The value iteration of one chain toward M, then toward 0, each goal
+    alone and tested after every sweep."""
+    values = np.zeros((2, M + 1))
+    sweeps = np.zeros(2, dtype=np.int64)
+    for row, goal in enumerate((M, 0)):
+        u = values[row]
+        u[goal] = 1.0
+        for sweep in range(1, solver.DEFAULT_MAX_SWEEPS + 1):
+            fresh = p * u[up] + (1.0 - p) * u[dn]
+            change = fresh - u[1:M]
+            u[1:M] = fresh
+            if change.max() < solver.DEFAULT_VI_TOL:
                 break
         else:
             raise RuntimeError("value iteration did not settle")
-        settled = change.max(axis=1) < solver.DEFAULT_VI_TOL
-        values[live] = u
-        sweeps[live[settled]] = sweep
-        live = live[~settled]
+        sweeps[row] = sweep
     return values, sweeps
 
 
 @st.composite
-def _stacked_chains(draw):
-    """Rows of random chains on one ``MAKERS`` table at M <= 30, each toward
-    a random goal, with some steps forced to exact 0 or 1 so that rows can
-    cycle.  Timid and bold rows are always among them: fair timid-timid is
-    the slowest to settle."""
+def _random_chains(draw):
+    """One random chain on a ``MAKERS`` table at M <= 30, with some steps
+    forced to exact 0 or 1 so that it can cycle.  Each player is timid,
+    bold or random: fair timid-timid is the slowest to settle."""
     M = draw(st.integers(2, 30))
     table = MAKERS[draw(st.sampled_from(sorted(MAKERS)))](M)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    count = draw(st.integers(1, 12))
-    stakes = np.zeros((count + 2, M + 1), dtype=np.int64)
-    stakes[0, 1:M] = 1
-    stakes[1, 1:M] = np.arange(1, M)
-    stakes[2:, 1:M] = rng.integers(1, np.arange(2, M + 1), size=(count, M - 1))
-    p, up, dn = _chain_arrays(table, stakes, stakes)
+    stakes = {
+        "timid": np.ones(M - 1, dtype=np.int64),
+        "bold": np.arange(1, M),
+        "random": rng.integers(1, np.arange(2, M + 1)),
+    }
+    rows = np.zeros((2, M + 1), dtype=np.int64)
+    for row in rows:
+        row[1:M] = stakes[draw(st.sampled_from(sorted(stakes)))]
+    p, up, dn = (a[0] for a in _chain_arrays(table, rows[:1], rows[1:]))
     forced = rng.random(p.shape) < draw(st.sampled_from([0.0, 0.1, 0.3]))
     p = np.where(forced, rng.integers(0, 2, p.shape).astype(float), p)
-    goals = rng.choice([0, M], size=len(p))
-    return M, p, up, dn, goals
+    return M, p, up, dn
 
 
 class TestBlockIteration:
@@ -380,57 +360,54 @@ class TestBlockIteration:
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(
-        chains=_stacked_chains(),
-        pick=st.integers(0, 10**6),
+        chain=_random_chains(),
+        goal=st.integers(0, 1),
         offset=st.sampled_from([-1, 0, 1, None]),
-        tiny_ring=st.booleans(),
+        single=st.booleans(),
     )
-    def test_values_and_counts_equal_the_oracle(self, chains, pick, offset, tiny_ring) -> None:
-        """The block length is set so that one row settles just before
+    def test_values_and_counts_equal_the_oracle(self, chain, goal, offset, single) -> None:
+        """The block length is set so that one goal settles just before
         (``+1``), exactly at (``0``) or just after (``-1``) the end of a
-        block, or left at its default; a tiny ring budget forces blocks of
-        one sweep."""
-        M, p, up, dn, goals = chains
+        block, or left at its default; ``single`` forces blocks of one
+        sweep."""
+        M, p, up, dn = chain
         with pytest.MonkeyPatch.context() as patch:
-            # Forced steps can make a row settle only after millions of
+            # Forced steps can make a goal settle only after millions of
             # sweeps; past this budget both iterations must raise.
             patch.setattr(solver, "DEFAULT_MAX_SWEEPS", 6000)
             try:
-                expected, counts = _oracle_iterate(M, p, up, dn, goals)
+                expected, counts = _oracle_iterate(M, p, up, dn)
             except RuntimeError:
                 expected = counts = None
             block = solver._SWEEP_BLOCK
             if offset is not None and counts is not None:
-                block = max(1, int(counts[pick % len(counts)]) + offset)
-            patch.setattr(solver, "_SWEEP_BLOCK", block)
-            if tiny_ring:
-                patch.setattr(solver, "_RING_BYTES", 1)
+                block = max(1, int(counts[goal]) + offset)
+            patch.setattr(solver, "_SWEEP_BLOCK", 1 if single else block)
             if counts is None:
                 with pytest.raises(RuntimeError, match="did not settle"):
-                    _iterate_chain(M, p, up, dn, goals)
+                    _iterate_chain(M, p, up, dn)
                 return
-            values, sweeps = _iterate_chain(M, p, up, dn, goals)
+            values, sweeps = _iterate_chain(M, p, up, dn)
         assert values.tobytes() == expected.tobytes()
         assert np.array_equal(sweeps, counts)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 64, 128])
     def test_sweep_budget_is_exact(self, block: int, monkeypatch) -> None:
-        """A budget of exactly a row's sweep count is enough; one fewer
+        """A budget of exactly both goals' sweep count is enough; one fewer
         raises, whatever the block length."""
         M = 10
         profile = _timid_timid(M)
-        p, up, dn = _chain_arrays(
-            rb.power_family(M, 1), _stake_rows([profile.first]), _stake_rows([profile.second])
-        )
-        goals = np.array([M])
-        expected, counts = _oracle_iterate(M, p, up, dn, goals)
+        chain = _one_chain(rb.power_family(M, 1), profile)
+        expected, counts = _oracle_iterate(M, *chain)
+        assert counts[0] == counts[1]
         monkeypatch.setattr(solver, "_SWEEP_BLOCK", block)
         monkeypatch.setattr(solver, "DEFAULT_MAX_SWEEPS", int(counts[0]))
-        values, sweeps = _iterate_chain(M, p, up, dn, goals)
-        assert values.tobytes() == expected.tobytes() and sweeps[0] == counts[0]
+        values, sweeps = _iterate_chain(M, *chain)
+        assert values.tobytes() == expected.tobytes()
+        assert np.array_equal(sweeps, counts)
         monkeypatch.setattr(solver, "DEFAULT_MAX_SWEEPS", int(counts[0]) - 1)
         with pytest.raises(RuntimeError, match="did not settle"):
-            _iterate_chain(M, p, up, dn, goals)
+            _iterate_chain(M, *chain)
         with pytest.raises(RuntimeError, match="did not settle"):
             rb.hitting_values(rb.power_family(M, 1), profile, method="iterate")
 
