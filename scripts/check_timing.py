@@ -6,8 +6,14 @@ Times ``check_supermultiplicative``, ``check_sincov(sincov_of(table))``,
 ``check_supermultiplicative_extended`` at its default span, and the whole
 suite ``redblack check`` runs (its six reports plus fairness), on
 ``power_family(M, 2)``, ``exp_difference_table(M)`` and
-``min_exp_table(M, 0.3)`` at M = 200, 500 and 1000.  Each figure is the
-best of a few runs.  Before timing, it checks the frozen sha256 of
+``min_exp_table(M, 0.3)`` at M = 100, 200, 500 and 1000.  Each figure is
+the best of a few runs.  The composition scans run one plane per middle
+index, M + 1 planes of up to (M + 1)^2 terms, and each line ends with the
+``supermultiplicative`` time per plane and per term.  The two show the two
+regimes: at M = 100 a plane holds a few thousand terms and the fixed cost
+of its numpy calls is a large share of its time, so the time per term is
+about twice the M = 1000 figure; from M = 500 on the time per term is flat,
+as the work per term dominates.  Before timing, it checks the frozen sha256 of
 ``canonical_json`` over the suite's reports and the extended one, at the
 default witness cap and at cap 1000, and exits 1 on a mismatch, so a faster
 scan that changes a bit is caught at sizes the test suite does not reach.
@@ -25,7 +31,7 @@ from typing import Any, Callable
 import redblack as rb
 
 REPEATS = 2
-SIZES = (200, 500, 1000)
+SIZES = (100, 200, 500, 1000)
 CAPS = (rb.DEFAULT_WITNESS_CAP, 1000)
 BUILDERS: dict[str, Callable[[int], rb.WinProbTable]] = {
     "power_family(M, 2)": lambda M: rb.power_family(M, 2),
@@ -35,6 +41,10 @@ BUILDERS: dict[str, Callable[[int], rb.WinProbTable]] = {
 # sha256 of canonical_json(_reports(table, cap)), per builder, M and cap.
 DIGESTS: dict[str, dict[int, dict[int, str]]] = {
     "power_family(M, 2)": {
+        100: {
+            16: "4760e4d68aaff8d64691c8df7d4fcce931dbee0b211ad43ff09ab1597bfb9bc8",
+            1000: "82661edd8e9310c24f653ffe0a9ab09941a2d63d58131c5bac28e4c60c386067",
+        },
         200: {
             16: "11747ca9b06fdcef34624111dc162b988d22aea379ed9a465becd63f5e537ef0",
             1000: "82bd7e283a16b431c0d376da91a07350b1974ea1d85a6ecb95a83989321e65a0",
@@ -49,6 +59,10 @@ DIGESTS: dict[str, dict[int, dict[int, str]]] = {
         },
     },
     "exp_difference_table(M)": {
+        100: {
+            16: "4de8168154200cfbb0a9686cfe387d8262220028b7abc5b8ec0ab5e68ce61e43",
+            1000: "b533dd5e390f0602cbac7e72a9620758a5af3f58e01bb2e4d061db66e86e76da",
+        },
         200: {
             16: "638afae9f6edb85b388373495e9ed2c143586708b0927b9ad0947fa2875eb83f",
             1000: "19d306302d0cd7f666d8e1ec720ebae4f7e941fcf4dcc13820f56200d1b558ae",
@@ -63,6 +77,10 @@ DIGESTS: dict[str, dict[int, dict[int, str]]] = {
         },
     },
     "min_exp_table(M, 0.3)": {
+        100: {
+            16: "7e4b943be33c1c31529f716930634082404c54e78b60f040d1bac1d73db1a6a8",
+            1000: "44499d72db13cd6aa9fc08cf8f319c65076fa74a354573f701969434ee1bc16a",
+        },
         200: {
             16: "10971b6b189a918240c20b199eabef2fd5e303131cb51e5744aeb973d5ed4225",
             1000: "f5add7273660a5c24791a28edd00211a7403e075d990e676b9474091aa597fa3",
@@ -131,8 +149,12 @@ def main() -> int:
                 "extended": _best(lambda: rb.check_supermultiplicative_extended(extended)),
                 "check suite": _best(lambda: _suite(table, rb.DEFAULT_WITNESS_CAP)),
             }
+            terms = (M + 1) * (M + 2) * (2 * M + 3) // 6  # sum of the plane sizes (M - a + 1)^2
+            per_plane = timings["supermultiplicative"] / (M + 1) * 1e6
+            per_term = timings["supermultiplicative"] / terms * 1e9
             label = f"M = {M}, {name}: "
-            print(label + ", ".join(f"{key} {t:.3f} s" for key, t in timings.items()), flush=True)
+            line = ", ".join(f"{key} {t:.3f} s" for key, t in timings.items())
+            print(f"{label}{line}; {per_plane:.0f} us/plane, {per_term:.1f} ns/term", flush=True)
     return 1 if failures else 0
 
 

@@ -3,12 +3,12 @@
 Every checker builds both sides of its inequality as numpy arrays and hands
 them to the kernel :func:`redblack.reports.scan_slabs`, which counts every
 violation exactly and keeps the first ``max_witnesses`` with both sides of
-the comparison.  The two-index scans are one slab; the three-index
-composition scans are one two-dimensional slab per leading index ``x``, in
-ascending ``x``.  C order within a slab is lexicographic order of the
-reported index, so witnesses come out in lexicographic scan order, and
-memory stays O(M^2) however large the O(M^3) scan.  Both sides are the same
-IEEE products and sums a term-by-term scan computes.
+the comparison, ordered by constraint and then lexicographically by reported
+index.  The two-index scans are one slab; the three-index composition scans
+are one two-dimensional slab per middle index (a stake, or the middle
+fortune of the pair form), over the full rectangle of the outer two, so no
+plane carries a mask.  Memory stays O(M^2) however large the O(M^3) scan.
+Both sides are the same IEEE products and sums a term-by-term scan computes.
 
 Index combinations that would touch the undefined stake pair ``(0, 0)`` are
 skipped and counted; combinations that only involve entries unreachable in
@@ -21,19 +21,16 @@ The checks and what passing them buys:
   a timid opponent (see :func:`redblack.solver.check_bold_excessive`);
 * ``supermultiplicative`` implies the timid player's values are excessive
   against a bold opponent; the ``sincov`` law of the pair-of-fortunes form
-  is its playable mask (``x + a + b <= M``), scanned by the same planes.
+  is its playable part (``x + a + b <= M``) in fortune coordinates.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from typing import Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .families import ExtendedTable, SincovTable, table_of_sincov
+from .families import ExtendedTable, SincovTable
 from .game import UnitBetCurve, WinProbTable
 from .reports import (
     DEFAULT_TOL,
@@ -96,25 +93,6 @@ def check_product_bound(
     return scan_slabs("product-bound", [slab], tol=tol, max_witnesses=max_witnesses)
 
 
-def _composition_planes(P: np.ndarray, tag: str, *, playable: bool) -> Iterator[Slab]:
-    """The planes of ``P(x, a) * P(x + a, b) <= P(x, a + b)``, one per ``x``, over
-    ``0 <= a <= M - x`` and ``0 <= b <= M - a``, without the skipped ``(0, 0, b)``.
-    With ``playable`` only ``x + a + b <= M`` is valid, reported in fortune form
-    ``(x, x + a, x + a + b)``, which keeps C order lexicographic."""
-    M = len(P) - 1
-    # right[x, a, b] = P(x, min(a + b, M)): windows over rows padded with their last entry
-    right = sliding_window_view(np.pad(P, ((0, 0), (0, M)), mode="edge"), M + 1, axis=1)
-    a, b = np.ogrid[: M + 1, : M + 1]
-    total = a + np.arange(2 * M + 1)  # total[a, s + b] = a + b + s
-    fits = total <= M
-    for x in range(M + 1):
-        n = M - x + 1
-        s, w = (x, n) if playable else (0, M + 1)  # playable stakes have b <= M - x - a
-        valid = fits[:n, s : s + w] if x else fits[:, :w] & (a > 0)
-        index = (x, a[x:], total[:n, s : s + w]) if playable else (x, a[:n], b)
-        yield Slab(P[x, :n, None] * P[x:, :w], right[x, :n, :w], valid, index, tag)
-
-
 def check_supermultiplicative(
     table: WinProbTable,
     *,
@@ -133,13 +111,16 @@ def check_supermultiplicative(
     stakes ``b`` give ``x + a + b > M``, and
     ``sum_x x * (M - x + 1) = M (M + 1) (M + 2) / 6``.
     """
+    P, x, b = table.array, np.arange(table.M + 1)[:, None], np.arange(table.M + 1)
+    tag = "supermultiplicative"
+    # plane a: x and b in 0..M - a, so a + b never passes M; row x = 0 of a = 0 is skipped
+    planes = (
+        Slab(P[:n, a, None] * P[a:, :n], P[:n, a:], a > 0 or x > 0, (x[:n], a, b[:n]), tag)
+        for a, n in enumerate(range(table.M + 1, 0, -1))
+    )
+    flagged = math.comb(table.M + 2, 3)
     return scan_slabs(
-        "supermultiplicative",
-        _composition_planes(table.array, "supermultiplicative", playable=False),
-        tol=tol,
-        max_witnesses=max_witnesses,
-        skipped=table.M + 1,
-        flagged=math.comb(table.M + 2, 3),
+        tag, planes, tol=tol, max_witnesses=max_witnesses, skipped=table.M + 1, flagged=flagged
     )
 
 
@@ -156,32 +137,24 @@ def check_supermultiplicative_extended(
     ``[-span, M + span]``, skipping exactly the triples that would evaluate
     the undefined pair ``(0, 0)``: for ``span >= 0`` there are
     ``M + 2 span + 1`` with ``(x, a) = (0, 0)``, plus ``2 span`` each with
-    ``(x + a, b) = (0, 0)`` or ``(x, a + b) = (0, 0)`` but not ``x = a = 0``.
+    ``(x + a, b) = (0, 0)`` or ``(x, a + b) = (0, 0)`` but not ``x = a = 0``,
+    so ``M + 6 span + 1`` in all, and none for ``span < 0``.
     """
     lo, hi = -span, extended.M + span
     # x + a and a + b range over 2 lo .. 2 hi; E[i + o, j + o] = value(i, j)
     o = -min(lo, 2 * lo)
     E = extended.grid(-o, max(hi, 2 * hi))
-    a = np.arange(lo, hi + 1)[:, None]
-    b = np.arange(lo, hi + 1)[None, :]
-    scanned = slice(lo + o, hi + o + 1)
-    # right[x + o, a - lo, b - lo] = E[x + o, a + b + o]
-    right = sliding_window_view(E, len(a), axis=1)[:, 2 * lo + o : 2 * lo + o + len(a)]
-    skipped = 0
-
-    def slabs() -> Iterator[Slab]:
-        nonlocal skipped
-        for x in range(lo, hi + 1):
-            lhs = E[x + o, scanned, None] * E[x + lo + o : x + hi + o + 1, scanned]
-            rhs = right[x + o]
-            defined = ~(np.isnan(lhs) | np.isnan(rhs))  # nan only at (0, 0)
-            skipped += defined.size - int(np.count_nonzero(defined))
-            yield Slab(lhs, rhs, defined, (x, a, b), "supermultiplicative-extended")
-
-    report = scan_slabs(
-        "supermultiplicative-extended", slabs(), tol=tol, max_witnesses=max_witnesses
+    x, b = np.arange(lo, hi + 1)[:, None], np.arange(lo, hi + 1)
+    tag = "supermultiplicative-extended"
+    w = slice(lo + o, hi + o + 1)  # x or b in lo..hi
+    # plane a: nan, only at (0, 0), fails every comparison, so needs no mask
+    planes = (
+        Slab(E[w, a + o, None] * E[a + w.start : a + w.stop, w], E[w, a + w.start : a + w.stop],
+             True, (x, a, b), tag)
+        for a in range(lo, hi + 1)
     )
-    return dataclasses.replace(report, skipped=skipped)
+    skipped = extended.M + 6 * span + 1 if span >= 0 else 0
+    return scan_slabs(tag, planes, tol=tol, max_witnesses=max_witnesses, skipped=skipped)
 
 
 def check_sincov(
@@ -195,17 +168,16 @@ def check_sincov(
 
     Triples evaluating the undefined entry ``(0, 0)`` — exactly the ``M + 1``
     with ``x = a = 0`` — are skipped.  Each triple is playable, and is the
-    ``supermultiplicative`` term ``(x, a - x, b - a)`` of
-    :func:`~redblack.families.table_of_sincov`, so this scan is the playable
-    mask of the ``supermultiplicative`` planes, reported in fortune form.
+    ``supermultiplicative`` term ``(x, a - x, b - a)`` of the table ``F``
+    reindexes.  The scan reads ``F``'s own array, one plane per middle
+    fortune ``a >= 1`` over the rectangle ``x <= a <= b``.
     """
-    return scan_slabs(
-        "sincov",
-        _composition_planes(table_of_sincov(F).array, "sincov", playable=True),
-        tol=tol,
-        max_witnesses=max_witnesses,
-        skipped=F.M + 1,
+    A, x, b = F.array, np.arange(F.M + 1)[:, None], np.arange(F.M + 1)
+    planes = (
+        Slab(A[: a + 1, a, None] * A[a, a:], A[: a + 1, a:], True, (x[: a + 1], a, b[a:]), "sincov")
+        for a in range(1, F.M + 1)
     )
+    return scan_slabs("sincov", planes, tol=tol, max_witnesses=max_witnesses, skipped=F.M + 1)
 
 
 def check_uniqueness_conditions(

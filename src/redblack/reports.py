@@ -5,17 +5,17 @@ the semantics are uniform:
 
 * a term ``lhs <= rhs`` counts as violated exactly when ``lhs > rhs + tol``;
 * the exact number of violations is always counted, even past the witness cap;
-* the retained witnesses are the first violations in scan order.
+* the retained witnesses are the first violations ordered by constraint,
+  in the order the constraints first appear, then by reported index.
 
-A check hands the kernel its terms as :class:`Slab` arrays, in ascending
-order of the leading reported index: the whole range for a two-index
-check, one two-dimensional plane per leading index ``x`` for a three-index
-one.  Within a slab, positions are taken in C order, which is lexicographic
-order of the reported index, so witnesses come out in lexicographic scan
-order.  Memory is O(M^2) per slab.  Witnesses hold plain Python ints and
-floats: the compared values are the same IEEE results a term-by-term scan
-computes, so reports and the artifacts serialized from them do not depend
-on how a scan is sliced.
+A check hands the kernel its terms as :class:`Slab` arrays, in any order:
+the whole range for a two-index check, one plane per middle index for a
+three-index one.  Within a slab, C order must be the order of the reported
+index; once the cap is full, the kernel reads only the rows of a slab whose
+leading index can still enter it.  Memory is O(M^2) per slab.  Witnesses
+hold plain Python ints and floats: the compared values are the same IEEE
+results a term-by-term scan computes, so reports and the artifacts
+serialized from them do not depend on how a scan is sliced.
 
 Reports are plain frozen dataclasses with deterministic JSON dict forms, so
 artifacts serialized from them are byte-identical across runs.
@@ -23,7 +23,7 @@ artifacts serialized from them are byte-identical across runs.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import json
 from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple
@@ -99,8 +99,9 @@ class Slab(NamedTuple):
     ``lhs``, ``rhs`` and ``valid`` broadcast to one shape.  ``index`` holds
     the coordinates of the reported index, each an int or an integer array
     broadcastable to that shape; a violation at position ``p`` reports
-    ``tuple(c[p] for c in index)``.  Every position of a slab carries the
-    tag ``constraint``.
+    ``tuple(c[p] for c in index)``, and C order of the positions must be
+    the order of their reported indices.  Every position of a slab carries
+    the tag ``constraint``.
     """
 
     lhs: Any
@@ -125,27 +126,43 @@ def scan_slabs(
     A valid position violates ``lhs <= rhs`` exactly when
     ``lhs > rhs + tol``.  With ``strict`` the requirement is instead the
     strict gap ``lhs > rhs + tol``, violated wherever that comparison fails,
-    and a witness's ``margin`` is the shortfall ``rhs + tol - lhs``.  Slabs
-    must arrive in report order; within a slab, violations are taken in C
-    order of its positions.  A negative ``max_witnesses`` keeps none.
+    and a witness's ``margin`` is the shortfall ``rhs + tol - lhs``.  The
+    witnesses kept are the first ``max_witnesses`` ordered by constraint, in
+    the order the constraints first appear, then by reported index, so slabs
+    may arrive in any order.  A negative ``max_witnesses`` keeps none.
     """
+    cap = None if max_witnesses is None else max(0, max_witnesses)
     violations = 0
     witnesses: list[Witness] = []
     counts: dict[str, int] = {}
+    rank: dict[str, int] = {}
+
+    def key(w: Witness) -> tuple[int, tuple[int, ...]]:
+        return rank[w.constraint], w.index
+
     for slab in slabs:
-        lhs, rhs, valid = np.broadcast_arrays(slab.lhs, slab.rhs, slab.valid)
-        hit = lhs > rhs + tol
-        hit = (~hit if strict else hit) & valid
+        order = rank.setdefault(slab.constraint, len(rank))
+        hit = np.greater(slab.lhs, np.add(slab.rhs, tol))
+        if strict:
+            hit = ~hit
+        if slab.valid is not True:
+            hit = hit & slab.valid
+        hit = hit if hit.ndim else hit.reshape(1)  # a slab of scalars is one position
         found = int(np.count_nonzero(hit))
         if not found:
             continue
         violations += found
         counts[slab.constraint] = counts.get(slab.constraint, 0) + found
-        room = found
-        if max_witnesses is not None:
-            room = max(0, min(found, max_witnesses - len(witnesses)))
-        if room:
-            witnesses.extend(_slab_witnesses(slab, hit, lhs, rhs, room, tol, strict))
+        last = witnesses[-1] if cap and len(witnesses) == cap else None
+        if cap == 0 or last and order > rank[last.constraint]:
+            continue
+        before = last.index if last and order == rank[last.constraint] else None
+        new = _slab_witnesses(slab, hit, cap, tol, strict, before)
+        if cap is None:
+            witnesses += new
+        elif new:
+            witnesses = sorted(witnesses + new, key=key)[:cap]
+    witnesses.sort(key=key)
     return CheckReport(
         name=name,
         passed=violations == 0,
@@ -159,23 +176,33 @@ def scan_slabs(
 
 
 def _slab_witnesses(
-    slab: Slab,
-    hit: np.ndarray,
-    lhs: np.ndarray,
-    rhs: np.ndarray,
-    room: int,
-    tol: float,
-    strict: bool,
+    slab: Slab, hit: np.ndarray, room: int | None, tol: float, strict: bool, before: tuple | None
 ) -> list[Witness]:
-    """The first ``room`` violations of one slab as plain-Python witnesses."""
-    hit, lhs, rhs = np.atleast_1d(hit, lhs, rhs)  # a slab of scalars is one position
-    pos = np.unravel_index(np.flatnonzero(hit)[:room], hit.shape)
-    coords = [np.broadcast_to(c, hit.shape)[pos].tolist() for c in slab.index]
-    indices = zip(*coords) if coords else itertools.repeat(())
+    """The first ``room`` violations of one slab as plain-Python witnesses,
+    only those whose index precedes ``before`` when it is given."""
+    lead = np.asarray(slab.index[0]) if before else None
+    if lead is not None and lead.ndim == hit.ndim and len(lead) > 1:
+        # C order is index order, so the leading index only grows down the rows
+        hit = hit[: lead.reshape(len(lead), -1)[:, 0].searchsorted(before[0], side="right")]
+    flat = hit.ravel().nonzero()[0][:room]
+    if not flat.size:
+        return []
+    pos = np.unravel_index(flat, hit.shape)
+    indices = list(zip(*(_at(c, pos) for c in slab.index))) or [()] * flat.size
+    n = flat.size if before is None else bisect.bisect_left(indices, before)
+    indices, pos = indices[:n], tuple(p[:n] for p in pos)
     return [
         Witness(index, l, r, r + tol - l if strict else l - r, slab.constraint)
-        for index, l, r in zip(indices, lhs[pos].tolist(), rhs[pos].tolist())
+        for index, l, r in zip(indices, _at(slab.lhs, pos), _at(slab.rhs, pos))
     ]
+
+
+def _at(values: Any, pos: tuple[np.ndarray, ...]) -> list:
+    """``values``, broadcast to the slab that ``pos`` indexes, at ``pos``."""
+    values = np.asarray(values)
+    at = tuple(p if n > 1 else 0 for n, p in zip(values.shape, pos[len(pos) - values.ndim :]))
+    picked = values[at]
+    return picked.tolist() if picked.ndim else [picked.item()] * len(pos[0])
 
 
 @dataclass(frozen=True)

@@ -354,8 +354,8 @@ def _block_values(
     q = np.zeros((len(p), M + 1))
     t = np.zeros_like(q)
     q[:, M] = t[:, 0] = 1.0
-    q[:, 1:M] = np.clip(solution[..., 0], 0.0, 1.0)
-    t[:, 1:M] = np.clip(solution[..., 1], 0.0, 1.0)
+    q[:, 1:M] = np.clip(solution[..., 0], 0.0, 1.0) + 0.0  # + 0.0 turns -0.0 into 0.0
+    t[:, 1:M] = np.clip(solution[..., 1], 0.0, 1.0) + 0.0
     return q, t
 
 

@@ -22,6 +22,7 @@ Frozen values used below, derived by hand (curve = unit-bet column):
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -220,6 +221,67 @@ class TestSupermultiplicativeExtended:
             if (x, a) == (0, 0) or (x + a, b) == (0, 0) or (x, a + b) == (0, 0)
         )
         assert report.skipped == expected
+
+
+class TestPowerFamilyExactOracle:
+    """The integer-exponent power family meets the composition law with
+    equality, checked in exact rationals, and its float scans miss that
+    equality by rounding alone.
+
+    ``g[a] / g[a + b]`` divides two exactly stored integers, so each entry is
+    the correctly rounded ratio: ``P = r (1 + d)`` with ``|d| <= u = 2**-53``
+    (every entry here is far above the subnormal range).  For a triple with
+    exact ``r1 * r2 = r3`` the scan compares ``lhs = fl(P1 * P2) =
+    r3 (1 + d1)(1 + d2)(1 + d3)`` with ``rhs = r3 (1 + d4)``, so
+    ``lhs - rhs <= r3 ((1 + u)**3 - (1 - u))``, and ``r3 <= rhs / (1 - u)``.
+    ``BOUND`` is that factor of ``rhs``, about ``4 u``; the pair form
+    compares the same three entries, so the same bound holds for ``sincov``.
+    """
+
+    U = Fraction(1, 2**53)
+    BOUND = ((1 + U) ** 3 - (1 - U)) / (1 - U)
+
+    @staticmethod
+    def exact(a: int, b: int, p: int) -> Fraction:
+        return Fraction(a**p, (a + b) ** p)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_entries_are_the_rounded_ratios(self, p: int) -> None:
+        for M in range(2, 13):
+            P = rb.power_family(M, p).array
+            for a in range(M + 1):
+                for b in range(M + 1):
+                    if (a, b) != (0, 0):
+                        assert P[a, b] == float(self.exact(a, b, p)), (M, a, b)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_every_composition_triple_is_an_equality(self, p: int) -> None:
+        M = 12
+        for x in range(M + 1):
+            for a in range(M - x + 1):
+                for b in range(M - a + 1):
+                    if (x, a) != (0, 0):
+                        lhs = self.exact(x, a, p) * self.exact(x + a, b, p)
+                        assert lhs == self.exact(x, a + b, p), (x, a, b)
+
+    def test_violations_are_rounding_only(self) -> None:
+        found = 0
+        for p in (1, 2, 3):
+            for M in range(2, 13):
+                table = rb.power_family(M, p)
+                reports = (
+                    rb.check_supermultiplicative(table, tol=0.0, max_witnesses=None),
+                    rb.check_sincov(rb.sincov_of(table), tol=0.0, max_witnesses=None),
+                )
+                for report in reports:
+                    assert len(report.witnesses) == report.violations
+                    found += report.violations
+                    for w in report.witnesses:
+                        excess = Fraction(w.lhs) - Fraction(w.rhs)
+                        assert 0 < excess <= Fraction(w.rhs) * self.BOUND, (p, M, w)
+                assert rb.check_supermultiplicative(table, tol=1e-12).passed
+                assert rb.check_sincov(rb.sincov_of(table), tol=1e-12).passed
+        assert found > 0  # rounding does break the equality at tol 0
 
 
 class TestUniquenessConditions:

@@ -352,6 +352,37 @@ def test_cap_fills_in_the_middle_of_a_slab() -> None:
     assert capped.violations == full.violations > cap
 
 
+@pytest.mark.parametrize("seed", [24, 25])
+@pytest.mark.parametrize("check", ["supermultiplicative", "sincov", "extended"])
+def test_witness_merge_past_the_first_plane(check: str, seed: int) -> None:
+    """The composition scans run one plane per middle index, so witnesses
+    from many planes must merge into lexicographic order under every cap."""
+    table = _random_table(24, seed)
+    full = _pair(check, table, 1e-12, None)[0]
+    assert len({w.index[1] for w in full.witnesses}) > 10  # hits spread over many planes
+    for cap in (0, 1, 2, 16, None):
+        kernel, oracle = _pair(check, table, 1e-12, cap)
+        assert kernel == oracle, cap
+
+
+def test_witnesses_sort_by_constraint_then_index() -> None:
+    """Slabs may come in any order: one constraint's witnesses come back by
+    index, and constraints keep the order in which they first appear."""
+    def slab(i: int, constraint: str) -> Slab:
+        return Slab(1.0, 0.0, True, (i,), constraint)
+
+    reverse = [slab(i, "c") for i in (5, 3, 1)]
+    report = scan_slabs("demo", reverse, max_witnesses=None)
+    assert [w.index for w in report.witnesses] == [(1,), (3,), (5,)]
+    assert [w.index for w in scan_slabs("demo", reverse, max_witnesses=2).witnesses] == [(1,), (3,)]
+    mixed = [slab(4, "z"), slab(0, "a"), slab(2, "z")]
+    report = scan_slabs("demo", mixed, max_witnesses=None)
+    assert [(w.constraint, w.index) for w in report.witnesses] == [
+        ("z", (2,)), ("z", (4,)), ("a", (0,))
+    ]
+    assert report.constraint_counts == (("a", 1), ("z", 2))
+
+
 @pytest.mark.parametrize("cap", [rb.DEFAULT_WITNESS_CAP, 0])
 def test_zero_dimensional_slab_is_one_position(cap: int) -> None:
     """A slab of scalars is counted and, when the cap leaves room, witnessed."""

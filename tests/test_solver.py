@@ -25,6 +25,7 @@ assembled entry by entry.  The engine must reproduce it bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import random
 import tracemalloc
@@ -36,6 +37,7 @@ from hypothesis import strategies as st
 
 import redblack as rb
 from redblack import solver
+from redblack.cli import main
 from redblack.game import Player
 from redblack.solver import (
     DEFAULT_TIE_TOL,
@@ -276,6 +278,23 @@ class TestHittingValues:
         values = rb.hitting_values(cycle_m4, cycle_profile)
         assert values.q == (0.0, 0.0, 0.0, 0.0, 1.0)
         assert values.t == (1.0, 0.0, 0.0, 0.0, 0.0)
+
+    def test_no_value_is_negative_zero(self, tmp_path, monkeypatch) -> None:
+        """LAPACK returns -0.0 on some fortunes of the fourth seed-41 profile
+        on exp-diff at M = 41; neither the values nor the artifact keep it."""
+        rng = random.Random(41)
+        for _ in range(4):
+            stakes = [[0, *(rng.randint(1, x) for x in range(1, 41)), 0] for _ in range(2)]
+        payload = {"M": 41, "player_I": stakes[0], "player_II": stakes[1]}
+        values = rb.hitting_values(rb.exp_difference_table(41), rb.Profile.from_json_dict(payload))
+        assert 0.0 in values.q
+        assert all(math.copysign(1.0, v) == 1.0 for v in values.q + values.t)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "profile.json").write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["gen", "--M", "41", "--family", "exp-diff", "--out", "table.json"]) == 0
+        argv = ["solve", "--table", "table.json", "--profile", "profile.json", "--out", "solve.json"]
+        assert main(argv) == 0
+        assert "-0.0" not in (tmp_path / "solve.json").read_text(encoding="utf-8")
 
     def test_iteration_diagnostics(self, pow2_m3: rb.WinProbTable) -> None:
         """Fair timid-timid at M = 40 takes 7 901 sweeps for either goal."""
