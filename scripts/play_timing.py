@@ -7,14 +7,21 @@ Times ``hitting_values(method="iterate")`` on fair timid-timid
 (``power_family(M, 1)``) at M = 40, 80 and 160; ``best_response`` against
 timid and bold player II on ``power_family(M, 2)`` at M = 150, 300 and
 600; ``verify_nash`` of timid-timid and timid-bold from x0 = M / 2 at the
-same sizes; and two simulations: bold-timid on ``power_family(150, 2)`` from
-x0 = 75 with 200 000 trials, and fair timid-timid at M = 40 from x0 = 20
-with 3 000 trials, one of which hits the default horizon.  Each figure is
-the best of a few runs.  Before timing, it checks the frozen sweep counts
-of the iteration (the same for both goals), the sha256 of its two value
-vectors (float64, little-endian, goal M first), that both best responses
-are bold, that both ``verify_nash`` verdicts are refutations by a bold
-player I, and the frozen simulation results, and exits 1 on a mismatch.
+same sizes; and five simulations.  Bold-timid on ``power_family(150, 2)``
+from x0 = 75 with 200 000 trials: short games, seven tiles of the block walk.
+Fair timid-timid at M = 40 from x0 = 20, with 3 000 trials (one of which hits
+the default horizon) and with 100 trials, the size of a replayed batch: long
+games, many steps per block.  Fair timid-timid at M = 80 from x0 = 40 with
+1 000 trials, 24 of which run to the horizon.  And timid-bold on
+``power_family(150, 2)`` from x0 = 75 with 50 000 trials: nearly every game
+runs all 75 steps to player I's ruin, so the tile stays full and each block
+is one step.  Each figure is the best of a few runs.  Before timing, it
+checks the frozen sweep counts of the iteration (the same for both goals),
+the sha256 of its two value vectors (float64, little-endian, goal M first),
+that both best responses are bold, that both ``verify_nash`` verdicts are
+refutations by a bold player I, and the frozen simulation results, and
+exits 1 on a mismatch.  Run with ``PYTHONPATH`` pointing at another
+checkout's ``src`` to time that checkout on the same cases.
 So the iteration's values stay checked to the bit at sizes the test suite
 skips: the M = 160 iteration alone takes most of a second.
 """
@@ -54,6 +61,24 @@ SIMULATIONS = {
         rb.Profile.from_name("timid-timid", 40),
         rb.SimConfig(x0=20, trials=3000, seed=7),
         (1539, 1460, 1, 1210280, 2560),
+    ),
+    "fair timid-timid, M = 40, 100 trials": (
+        rb.power_family(40, 1),
+        rb.Profile.from_name("timid-timid", 40),
+        rb.SimConfig(x0=20, trials=100, seed=3),
+        (45, 55, 0, 36914, 1410),
+    ),
+    "fair timid-timid, M = 80": (
+        rb.power_family(80, 1),
+        rb.Profile.from_name("timid-timid", 80),
+        rb.SimConfig(x0=40, trials=1000, seed=11),
+        (485, 491, 24, 1574436, 5120),
+    ),
+    "timid-bold, power p = 2, M = 150": (
+        rb.power_family(150, 2),
+        rb.Profile.from_name("timid-bold", 150),
+        rb.SimConfig(x0=75, trials=50_000, seed=2024),
+        (321, 49679, 0, 3735394, 75),
     ),
 }
 

@@ -17,11 +17,25 @@ definition of every step; a replay reads the stakes back from it.
 :func:`compare_exact` scores the empirical win frequency against an exact
 value vector with a z-statistic, and refuses to judge when too many trials
 were truncated.
+
+The batch walk
+--------------
+
+Since a draw does not depend on the walk, the draws of many future steps
+can be mixed at once.  The batch walks its trials in tiles of at most
+``_BLOCK_ELEMENTS``, and each tile in blocks of steps whose draws are mixed
+in one pass: one step per block while the tile is full, up to
+``_BLOCK_STEPS`` as its trials end.  A trial that absorbs inside a block
+stays put on its boundary until the block's end does the accounting.  The
+walk holds the tile's keys and two buffers of at most ``2 * _BLOCK_ELEMENTS``
+elements, so its memory does not grow with the trial count
+(:func:`_run_chunk` has the details).
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
@@ -37,6 +51,17 @@ _U64_GOLDEN = np.uint64(_GOLDEN)
 _U64_MUL_1 = np.uint64(0xBF58476D1CE4E5B9)
 _U64_MUL_2 = np.uint64(0x94D049BB133111EB)
 _U64_11, _U64_27, _U64_30, _U64_31 = (np.uint64(n) for n in (11, 27, 30, 31))
+# The batch walk (see ``_run_chunk``): at most ``_BLOCK_ELEMENTS`` trials per
+# tile and draws per block, at most ``_BLOCK_STEPS`` steps per block, and ended
+# trials leave the walk once they are a ``_DROP_SHARE``-th of the kept ones.
+_BLOCK_ELEMENTS = 1 << 15
+_BLOCK_STEPS = 64
+_DROP_SHARE = 8
+
+
+def _whole(value: object, least: int) -> bool:
+    """Whether ``value`` is an ``int`` (not a ``bool``) of at least ``least``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def _mix64_int(z: int) -> int:
@@ -90,15 +115,13 @@ class SimConfig:
     horizon: int | None = None
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.x0, int) and self.x0 >= 0):
+        if not _whole(self.x0, 0):
             raise ValueError(f"initial fortune must be a nonnegative integer, got {self.x0!r}")
-        if not (isinstance(self.trials, int) and self.trials >= 1):
+        if not _whole(self.trials, 1):
             raise ValueError(f"trial count must be a positive integer, got {self.trials!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not _whole(self.seed, 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.horizon is not None and not (
-            isinstance(self.horizon, int) and self.horizon >= 1
-        ):
+        if self.horizon is not None and not _whole(self.horizon, 1):
             raise ValueError(f"horizon must be a positive integer, got {self.horizon!r}")
 
 
@@ -167,7 +190,12 @@ def _fortune_chain(
         raise ValueError(f"initial fortune {config.x0} outside 0..{M}")
     p, up, dn = (row[0] for row in chain)
     horizon = config.horizon if config.horizon is not None else 64 * M
-    return np.pad(p, 1), np.r_[0, up, M], np.r_[0, dn, M], horizon
+    return (
+        np.concatenate(([0.0], p, [0.0])),
+        np.concatenate(([0], up, [M])),
+        np.concatenate(([0], dn, [M])),
+        horizon,
+    )
 
 
 def _up_thresholds(p: np.ndarray) -> np.ndarray:
@@ -194,49 +222,101 @@ def _run_chunk(
 ) -> tuple[int, int, int, int, int]:
     """Simulate trials ``start..stop-1``; chunk boundaries cannot affect draws.
 
-    Only the live trials' keys and fortunes are kept: a trial is dropped,
-    and its step count added to the total, at the step it absorbs.  Each
-    step mixes its draws in place in two buffers sliced to the live count,
-    and compares them with :func:`_up_thresholds` in integers.
+    Trials go in tiles of at most ``_BLOCK_ELEMENTS``, each walked in blocks
+    of ``s`` steps over its ``n`` kept trials: ``s`` is the largest count
+    with ``s * n`` within the chunk's element budget, but at most
+    ``_BLOCK_STEPS`` and never past the horizon.  The budget is twice the
+    tile, but at least a quarter of ``_BLOCK_ELEMENTS`` and at most all of
+    it: a small chunk still walks long blocks, and the two buffers below,
+    of ``budget + tile`` and ``budget`` elements, stay within a few arrays
+    of the tile's size.
+
+    One buffer holds a block's ``(s + 1, n)`` path of doubled fortunes: row
+    0 is where the block starts, and rows ``1..s`` first take the draws of
+    all its steps, mixed in one pass, which each step then overwrites with
+    the fortunes it moves to.  Step ``j`` gathers the thresholds of
+    :func:`_up_thresholds` into a spare row, compares them with the draws
+    of row ``j + 1`` in integers, adds the up-bit to the doubled fortune in
+    that spare row, and gathers the doubled target from the move table into
+    row ``j + 1``.  So no step allocates (``take`` buffers its ``out``
+    unless ``mode`` is ``"clip"``; the indices are always in range).
+
+    Absorption is sticky (the boundaries self-loop with up-probability
+    zero), so the accounting waits for the block's end: each entry of rows
+    ``1..s`` that is not absorbed is one step taken (besides the absorbing
+    step itself), the first row in which every ended trial is absorbed
+    gives the longest game so far, and the last row gives the winners.
+    That row becomes row 0 of the next block.  Ended trials are kept, and
+    walk on the spot, until they are a ``_DROP_SHARE``-th of the kept
+    trials; then they go, keys and fortunes.
     """
-    keys = np.arange(start, stop, dtype=np.uint64)
-    draws = np.empty_like(keys)
-    spare = np.empty_like(keys)
-    keys += np.uint64(1)
-    keys *= _U64_GOLDEN
-    keys += np.uint64(seed)
-    _mix64_array(keys, spare)
-    threshold = _up_thresholds(p)
-    states = np.full(stop - start, x0, dtype=np.int64)
-    absorbing = np.zeros(M + 1, dtype=bool)
-    absorbing[[0, M]] = True
-    # ``moves[2 * x + 1]`` is fortune x's up target, ``moves[2 * x]`` its down one.
-    moves = np.stack([dn, up], axis=1).ravel()
-    wins_i = wins_ii = total_steps = max_steps = 0
-    for k in range(horizon + 1):
-        # ``states`` holds the live trials' fortunes after ``k`` steps.
-        over = absorbing[states]
-        if over.any():
-            ended = states[over]
-            won = int(np.count_nonzero(ended))
-            wins_i += won
-            wins_ii += ended.size - won
-            total_steps += k * ended.size
-            max_steps = k
-            live = ~over
-            states, keys = states[live], keys[live]
-            draws, spare = draws[: states.size], spare[: states.size]
-        if k == horizon or not states.size:
-            break
-        np.add(keys, np.uint64((k + 1) * _GOLDEN & _MASK), out=draws)
-        _mix64_array(draws, spare)
-        draws >>= _U64_11
-        threshold.take(states, out=spare)
-        states = moves[2 * states + (draws < spare)]
-    truncated = states.size
-    if truncated:
-        total_steps += horizon * truncated
-        max_steps = horizon
+    # A start on a boundary ends at step 0, before any block.
+    if x0 in (0, M):
+        return (stop - start, 0, 0, 0, 0) if x0 == M else (0, stop - start, 0, 0, 0)
+    # Indexed by doubled fortune: ``moves[2 * x + 1]`` is fortune x's doubled
+    # up target and ``moves[2 * x]`` its doubled down one.
+    moves = 2 * np.stack([dn, up], axis=1).ravel()
+    threshold = np.zeros(2 * M + 2, dtype=np.uint64)
+    threshold[::2] = _up_thresholds(p)
+    absorbing = np.zeros(2 * M + 2, dtype=bool)
+    absorbing[[0, 2 * M]] = True
+    tile = min(stop - start, _BLOCK_ELEMENTS)
+    budget = min(_BLOCK_ELEMENTS, max(2 * tile, _BLOCK_ELEMENTS // 4))
+    fortunes = np.empty(budget + tile, dtype=np.int64)
+    spares = np.empty(budget, dtype=np.uint64)
+    bits = np.empty(tile, dtype=bool)
+    wins_i = wins_ii = truncated = total_steps = max_steps = 0
+    for lo in range(start, stop, tile):
+        n = min(stop - lo, tile)
+        keys = np.arange(lo + 1, lo + n + 1, dtype=np.uint64)
+        keys *= _U64_GOLDEN
+        keys += np.uint64(seed & _MASK)
+        _mix64_array(keys, spares[:n])
+        fortunes[:n] = 2 * x0
+        # ``fortunes[:n]`` holds the kept trials' doubled fortunes after ``k``
+        # steps; ``dead`` of them have absorbed.
+        k = dead = 0
+        while True:
+            s = min(_BLOCK_STEPS, budget // n, horizon - k)
+            path = fortunes[: (s + 1) * n].reshape(s + 1, n)
+            draws = path[1:].view(np.uint64)
+            spare = spares[: s * n].reshape(s, n)
+            index = spare.view(np.int64)
+            steps = np.arange(k + 1, k + s + 1, dtype=np.uint64)
+            steps *= _U64_GOLDEN
+            np.add(steps[:, None], keys, out=draws)
+            _mix64_array(draws, spare)
+            draws >>= _U64_11
+            bit, state = bits[:n], path[0]
+            for draw, gather, moved, after in zip(draws, spare, index, path[1:]):
+                threshold.take(state, out=gather, mode="clip")
+                np.less(draw, gather, out=bit)
+                np.add(state, bit, out=moved)
+                moves.take(moved, out=after, mode="clip")
+                state = after
+            ended = absorbing.take(path[1:], mode="clip")
+            over = int(np.count_nonzero(ended[-1]))
+            total_steps += s * n - int(np.count_nonzero(ended)) + over - dead
+            if over > dead:
+                row = bisect_left(range(s), over, key=lambda r: np.count_nonzero(ended[r]))
+                max_steps = max(max_steps, k + 1 + row)
+            k, dead = k + s, over
+            done = k == horizon or dead == n
+            if done or dead * _DROP_SHARE >= n:
+                won = int(np.count_nonzero(path[s] == 2 * M))
+                wins_i += won
+                wins_ii += dead - won
+                if done:
+                    break
+                live = np.logical_not(ended[-1], out=bit)
+                keys = keys[live]
+                n, dead = keys.size, 0
+                np.compress(live, path[s], out=fortunes[:n])
+            else:
+                path[0] = path[s]
+        truncated += n - dead
+        if n > dead:
+            max_steps = horizon
     return wins_i, wins_ii, truncated, total_steps, max_steps
 
 
@@ -249,7 +329,7 @@ def simulate(
     runs the chunks; the draws are keyed by absolute trial index, so the
     result is identical for every chunking.
     """
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+    if not _whole(jobs, 1):
         raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
     M = table.M
     p, up, dn, horizon = _fortune_chain(table, profile, config)
@@ -315,18 +395,23 @@ def replay_trial(
     ``b = up[x] - x``.
     """
     M = table.M
-    if not 0 <= trial < config.trials:
-        raise ValueError(f"trial {trial} outside 0..{config.trials - 1}")
+    if not (_whole(trial, 0) and trial < config.trials):
+        raise ValueError(f"trial {trial!r} outside 0..{config.trials - 1}")
     p, up, dn, horizon = _fortune_chain(table, profile, config)
     p, up, dn = p.tolist(), up.tolist(), dn.tolist()
-    key = trial_key(config.seed, trial)
+    # ``z`` runs through ``key + (step + 1) * _GOLDEN``; each step mixes it
+    # as :func:`_keyed_uniform` does, and tests the uniform against ``p``.
+    z = trial_key(config.seed, trial)
     x = config.x0
     stages: list[tuple[int, int, int, int]] = []
     for step in range(horizon):
-        if x in (0, M):
+        if x == 0 or x == M:
             break
         stages.append((step, x, x - dn[x], up[x] - x))
-        x = up[x] if _keyed_uniform(key, step) < p[x] else dn[x]
+        z = (z + _GOLDEN) & _MASK
+        w = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        w = ((w ^ (w >> 27)) * 0x94D049BB133111EB) & _MASK
+        x = up[x] if ((w ^ (w >> 31)) >> 11) * 2.0**-53 < p[x] else dn[x]
     return TrialPath(
         trial=trial,
         stages=tuple(stages),

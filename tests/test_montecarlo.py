@@ -10,11 +10,16 @@ probability of 1/2 gives z = 0.01 / sqrt(0.25 / 100000) = 6.32455532...
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import redblack as rb
 from redblack import montecarlo
@@ -90,6 +95,10 @@ class TestSimConfig:
             {"x0": 1, "trials": 0, "seed": 0},
             {"x0": 1, "trials": 1, "seed": -3},
             {"x0": 1, "trials": 1, "seed": 0, "horizon": 0},
+            {"x0": True, "trials": 1, "seed": 0},
+            {"x0": 1, "trials": True, "seed": 0},
+            {"x0": 1, "trials": 1, "seed": False},
+            {"x0": 1, "trials": 1, "seed": 0, "horizon": True},
         ],
     )
     def test_rejects_bad_fields(self, kwargs: dict) -> None:
@@ -112,6 +121,27 @@ class TestSimulate:
         assert rb.simulate(pow2_m4, _profile(4), config, jobs=1) == rb.simulate(
             pow2_m4, _profile(4), config, jobs=3
         )
+
+    def test_a_seed_counts_modulo_two_to_the_64(self, pow2_m4: rb.WinProbTable) -> None:
+        """Keys are sums mod 2**64, so a seed past it plays as its residue,
+        in the batch and in every replay."""
+        profile, config = _profile(4, "timid-timid"), rb.SimConfig(x0=2, trials=50, seed=2**64 + 5)
+        residue = rb.simulate(pow2_m4, profile, dataclasses.replace(config, seed=5))
+        assert rb.simulate(pow2_m4, profile, config) == dataclasses.replace(residue, seed=config.seed)
+        _assert_replays_match_the_batch(pow2_m4, profile, config)
+
+    def test_memory_does_not_grow_with_the_trial_count(self) -> None:
+        """The walk goes tile by tile, so a batch of many short games never
+        holds as much as one uint64 per trial at once."""
+        table, trials = rb.power_family(150, 2), 12 * montecarlo._BLOCK_ELEMENTS
+        profile, config = _profile(150, "bold-timid"), rb.SimConfig(x0=75, trials=trials, seed=4)
+        tracemalloc.start()
+        try:
+            rb.simulate(table, profile, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * trials
 
     def test_seed_matters(self, pow2_m4: rb.WinProbTable) -> None:
         runs = {
@@ -285,13 +315,68 @@ class TestReplayTrial:
             )
 
     def test_trial_must_exist(self, pow2_m4: rb.WinProbTable) -> None:
-        with pytest.raises(ValueError, match="trial"):
-            rb.replay_trial(pow2_m4, _profile(4), rb.SimConfig(x0=2, trials=5, seed=0), 5)
+        config = rb.SimConfig(x0=2, trials=5, seed=0)
+        for trial in (5, -1, True, False, 1.0, "1", None):
+            with pytest.raises(ValueError, match="trial"):
+                rb.replay_trial(pow2_m4, _profile(4), config, trial)
 
     def test_start_must_lie_in_range(self, pow2_m4: rb.WinProbTable) -> None:
         config = rb.SimConfig(x0=5, trials=5, seed=0)
         with pytest.raises(ValueError, match="outside"):
             rb.replay_trial(pow2_m4, _profile(4), config, 0)
+
+
+@st.composite
+def _small_batches(draw):
+    """A shipped table at M <= 12, some entries forced to exactly 0 or 1 (so
+    that some chains cycle), a random profile whose stakes may be capped
+    (so that some games are long and few trials end per step), any start, a
+    horizon that is seldom a multiple of a block, and a tile budget on
+    either side of the trial count."""
+    M = draw(st.integers(2, 12))
+    table = draw(st.sampled_from([
+        rb.power_family(M, 1), rb.power_family(M, 2), rb.min_exp_table(M, 1.0),
+        rb.exp_difference_table(M),
+    ]))
+    if draw(st.booleans()):
+        for a in range(1, M):
+            for b in range(1, M):
+                forced = draw(st.sampled_from([0.0, 1.0, None, None]))
+                if forced is not None:
+                    table = table.with_entry(a, b, forced)
+    cap = draw(st.sampled_from([1, 2, M]))
+
+    def strategy(player: Player) -> rb.StationaryStrategy:
+        stakes = (draw(st.integers(1, min(x, cap))) for x in range(1, M))
+        return rb.StationaryStrategy(player, (0, *stakes, 0))
+
+    config = rb.SimConfig(
+        x0=draw(st.integers(0, M)),
+        trials=draw(st.integers(1, 100)),
+        seed=draw(st.integers(0, 2**40)),
+        horizon=draw(st.one_of(st.none(), st.integers(1, 200))),
+    )
+    budget = draw(st.sampled_from([16, 64, montecarlo._BLOCK_ELEMENTS]))
+    return table, rb.Profile(strategy(Player.ONE), strategy(Player.TWO)), config, budget
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(batch=_small_batches())
+# Two tiles of long fair games: few trials end per step, so ended trials
+# stay in the walk across blocks, and the horizon cuts a block short.
+@example(batch=(
+    rb.power_family(12, 1), rb.Profile.from_name("timid-timid", 12),
+    rb.SimConfig(x0=6, trials=100, seed=1, horizon=97), 64,
+))
+def test_batches_agree_across_chunkings_and_with_their_replays(batch) -> None:
+    """The block walk's tiles, block boundaries and horizon cut cannot
+    change a result: every chunking gives the same ``SimResult``, and the
+    scalar replays of all trials add up to it."""
+    table, profile, config, budget = batch
+    with mock.patch.object(montecarlo, "_BLOCK_ELEMENTS", budget):
+        results = [rb.simulate(table, profile, config, jobs=jobs) for jobs in (1, 2, 3)]
+        assert results[1] == results[0] and results[2] == results[0]
+        _assert_replays_match_the_batch(table, profile, config)
 
 
 def _manual_result(wins_I: int, trials: int, truncated: int = 0, **kw) -> rb.SimResult:
