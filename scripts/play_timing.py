@@ -15,13 +15,14 @@ games, many steps per block.  Fair timid-timid at M = 80 from x0 = 40 with
 1 000 trials, 24 of which run to the horizon.  And timid-bold on
 ``power_family(150, 2)`` from x0 = 75 with 50 000 trials: nearly every game
 runs all 75 steps to player I's ruin, so the tile stays full and each block
-is one step.  Each figure is the best of a few runs.  Before timing, it
-checks the frozen sweep counts of the iteration (the same for both goals),
-the sha256 of its two value vectors (float64, little-endian, goal M first),
+is one step.  Each simulation runs at ``jobs`` 1 and 2, and both times are
+printed.  Each figure is the best of a few runs.  Before timing, it checks
+the frozen sweep counts of the iteration (the same for both goals), the
+sha256 of its two value vectors (float64, little-endian, goal M first),
 that both best responses are bold, that both ``verify_nash`` verdicts are
-refutations by a bold player I, and the frozen simulation results, and
-exits 1 on a mismatch.  Run with ``PYTHONPATH`` pointing at another
-checkout's ``src`` to time that checkout on the same cases.
+refutations by a bold player I, and the frozen simulation results at every
+job count, and exits 1 on a mismatch.  Run with ``PYTHONPATH`` pointing at
+another checkout's ``src`` to time that checkout on the same cases.
 So the iteration's values stay checked to the bit at sizes the test suite
 skips: the M = 160 iteration alone takes most of a second.
 """
@@ -38,6 +39,9 @@ from redblack.game import Player
 from redblack.solver import _chain_arrays, _iterate_chain, _stake_rows
 
 REPEATS = 3
+# Each simulation is checked and timed at every job count: one tile walks in
+# the calling thread whatever ``jobs`` is, several share up to ``jobs`` threads.
+JOBS = (1, 2)
 # Sweeps the iteration takes on fair timid-timid, per goal.
 SWEEPS = {40: 7901, 80: 29831, 160: 112157}
 # sha256 of the iterated value vectors toward M and toward 0, in that order.
@@ -132,14 +136,18 @@ def main() -> int:
             print(f"verify_nash {name}, power p = 2, M = {M}: {elapsed:.3f} s")
 
     for name, (table, profile, config, expected) in SIMULATIONS.items():
-        result = rb.simulate(table, profile, config)
-        got = (result.wins_I, result.wins_II, result.truncated, result.total_steps, result.max_steps)
-        if got != expected:
-            print(f"simulate, {name}: {got}, expected {expected}", file=sys.stderr)
-            failures += 1
-            continue
-        elapsed = _best(lambda: rb.simulate(table, profile, config))
-        print(f"simulate, {name}: {elapsed:.3f} s ({config.trials} trials)")
+        times = []
+        for jobs in JOBS:
+            result = rb.simulate(table, profile, config, jobs=jobs)
+            got = (result.wins_I, result.wins_II, result.truncated, result.total_steps, result.max_steps)
+            if got != expected:
+                print(f"simulate, {name}, jobs {jobs}: {got}, expected {expected}", file=sys.stderr)
+                failures += 1
+                continue
+            elapsed = _best(lambda: rb.simulate(table, profile, config, jobs=jobs))
+            times.append(f"{elapsed:.3f} s at jobs {jobs}")
+        if times:
+            print(f"simulate, {name}: {', '.join(times)} ({config.trials} trials)")
     return 1 if failures else 0
 
 

@@ -164,8 +164,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         else:
             inputs.append(args.k_file)
             raw = _read_json(args.k_file)
-            values = raw["k"] if isinstance(raw, dict) else raw
-            k = tuple(float(v) for v in values)
+            values = raw.get("k") if isinstance(raw, dict) else raw
+            try:
+                if not isinstance(values, list) or not all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+                ):
+                    raise TypeError('expected a list of numbers, or an object with a "k" list')
+                k = tuple(float(v) for v in values)
+            except (TypeError, OverflowError) as exc:
+                raise _UsageError(f"{args.k_file} is not a valid k file: {exc}") from exc
             parameters["k_file"] = args.k_file
         curve = curve_from_decay(DecayParams(k, args.c))
         if curve.M != args.M:
@@ -311,6 +318,8 @@ def _cmd_enum(args: argparse.Namespace) -> int:
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:
+    if args.traj_limit < 0:
+        raise _UsageError(f"--traj-limit must be nonnegative, got {args.traj_limit}")
     from .solver import hitting_values
     from .montecarlo import SimConfig, compare_exact, replay_trial, simulate
 

@@ -6,8 +6,9 @@ Determinism contract
 Every uniform draw is a pure function of ``(seed, trial, step)``: trial
 keys and per-step draws come from the SplitMix64 output permutation applied
 to counter sequences.  Consequently results are byte-identical across runs,
-independent of chunking (``jobs``), and any single trial can be replayed
-in isolation (:func:`replay_trial`) to audit the vectorized stepping.
+independent of how many threads walk the trials (``jobs``), and any single
+trial can be replayed in isolation (:func:`replay_trial`) to audit the
+vectorized stepping.
 
 A trial walks player I's fortune until absorption at ``0`` or ``M``, or
 until the step horizon is hit (such trials are reported as truncated, never
@@ -15,29 +16,32 @@ as wins).  The walk follows the chain the solver builds for the profile
 (``solver._chain_arrays``), so simulation and exact values share one
 definition of every step; a replay reads the stakes back from it.
 :func:`compare_exact` scores the empirical win frequency against an exact
-value vector with a z-statistic, and refuses to judge when too many trials
-were truncated.
+value vector with a z-statistic, bounded by ``Z_MAX``, and refuses to judge
+when more than ``MAX_TRUNCATED_FRACTION`` of the trials were truncated.
 
 The batch walk
 --------------
 
 Since a draw does not depend on the walk, the draws of many future steps
-can be mixed at once.  The batch walks its trials in tiles of at most
-``_BLOCK_ELEMENTS``, and each tile in blocks of steps whose draws are mixed
-in one pass: one step per block while the tile is full, up to
-``_BLOCK_STEPS`` as its trials end.  A trial that absorbs inside a block
-stays put on its boundary until the block's end does the accounting.  The
-walk holds the tile's keys and two buffers of at most ``2 * _BLOCK_ELEMENTS``
-elements, so its memory does not grow with the trial count
-(:func:`_run_chunk` has the details).
+can be mixed at once.  The batch splits its trials one way, into tiles of
+at most ``_BLOCK_ELEMENTS``; ``jobs`` only caps the threads that walk them.
+Each tile walks in blocks of steps whose draws are mixed in one pass: one
+step per block while the tile is full, up to ``_BLOCK_STEPS`` as its trials
+end.  A trial that absorbs inside a block stays put on its boundary until
+the block's end does the accounting.  A tile's walk holds its keys and two
+buffers of at most ``2 * _BLOCK_ELEMENTS`` elements, so the memory per
+thread does not grow with the trial count (:func:`_walk_tile` has the
+details).
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -51,12 +55,15 @@ _U64_GOLDEN = np.uint64(_GOLDEN)
 _U64_MUL_1 = np.uint64(0xBF58476D1CE4E5B9)
 _U64_MUL_2 = np.uint64(0x94D049BB133111EB)
 _U64_11, _U64_27, _U64_30, _U64_31 = (np.uint64(n) for n in (11, 27, 30, 31))
-# The batch walk (see ``_run_chunk``): at most ``_BLOCK_ELEMENTS`` trials per
+# The batch walk (see ``_walk_tile``): at most ``_BLOCK_ELEMENTS`` trials per
 # tile and draws per block, at most ``_BLOCK_STEPS`` steps per block, and ended
 # trials leave the walk once they are a ``_DROP_SHARE``-th of the kept ones.
 _BLOCK_ELEMENTS = 1 << 15
 _BLOCK_STEPS = 64
 _DROP_SHARE = 8
+# :func:`compare_exact`'s bounds on |z| and on the truncated fraction.
+Z_MAX = 4.0
+MAX_TRUNCATED_FRACTION = 0.01
 
 
 def _whole(value: object, least: int) -> bool:
@@ -209,27 +216,27 @@ def _up_thresholds(p: np.ndarray) -> np.ndarray:
     return np.ceil(p * 2.0**53).astype(np.uint64)
 
 
-def _run_chunk(
-    p: np.ndarray,
-    up: np.ndarray,
-    dn: np.ndarray,
+def _walk_tile(
+    moves: np.ndarray,
+    threshold: np.ndarray,
+    absorbing: np.ndarray,
     M: int,
     x0: int,
     seed: int,
-    start: int,
-    stop: int,
     horizon: int,
+    buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
+    lo: int,
+    n: int,
 ) -> tuple[int, int, int, int, int]:
-    """Simulate trials ``start..stop-1``; chunk boundaries cannot affect draws.
+    """Walk trials ``lo..lo+n-1`` from an inner start; return their wins of
+    I and II, truncations, steps taken and longest game.
 
-    Trials go in tiles of at most ``_BLOCK_ELEMENTS``, each walked in blocks
-    of ``s`` steps over its ``n`` kept trials: ``s`` is the largest count
-    with ``s * n`` within the chunk's element budget, but at most
-    ``_BLOCK_STEPS`` and never past the horizon.  The budget is twice the
-    tile, but at least a quarter of ``_BLOCK_ELEMENTS`` and at most all of
-    it: a small chunk still walks long blocks, and the two buffers below,
-    of ``budget + tile`` and ``budget`` elements, stay within a few arrays
-    of the tile's size.
+    The tables are indexed by doubled fortune (see :func:`simulate`).  The
+    walk writes only its keys and ``buffers``: an int64 array of at least
+    ``budget + n`` elements, a uint64 one of ``budget`` and a bool one of at
+    least ``n``.  It goes in blocks of ``s`` steps over the tile's ``n`` kept
+    trials: ``s`` is the largest count with ``s * n`` within ``budget``, but
+    at most ``_BLOCK_STEPS`` and never past the horizon.
 
     One buffer holds a block's ``(s + 1, n)`` path of doubled fortunes: row
     0 is where the block starts, and rows ``1..s`` first take the draws of
@@ -250,74 +257,58 @@ def _run_chunk(
     walk on the spot, until they are a ``_DROP_SHARE``-th of the kept
     trials; then they go, keys and fortunes.
     """
-    # A start on a boundary ends at step 0, before any block.
-    if x0 in (0, M):
-        return (stop - start, 0, 0, 0, 0) if x0 == M else (0, stop - start, 0, 0, 0)
-    # Indexed by doubled fortune: ``moves[2 * x + 1]`` is fortune x's doubled
-    # up target and ``moves[2 * x]`` its doubled down one.
-    moves = 2 * np.stack([dn, up], axis=1).ravel()
-    threshold = np.zeros(2 * M + 2, dtype=np.uint64)
-    threshold[::2] = _up_thresholds(p)
-    absorbing = np.zeros(2 * M + 2, dtype=bool)
-    absorbing[[0, 2 * M]] = True
-    tile = min(stop - start, _BLOCK_ELEMENTS)
-    budget = min(_BLOCK_ELEMENTS, max(2 * tile, _BLOCK_ELEMENTS // 4))
-    fortunes = np.empty(budget + tile, dtype=np.int64)
-    spares = np.empty(budget, dtype=np.uint64)
-    bits = np.empty(tile, dtype=bool)
-    wins_i = wins_ii = truncated = total_steps = max_steps = 0
-    for lo in range(start, stop, tile):
-        n = min(stop - lo, tile)
-        keys = np.arange(lo + 1, lo + n + 1, dtype=np.uint64)
-        keys *= _U64_GOLDEN
-        keys += np.uint64(seed & _MASK)
-        _mix64_array(keys, spares[:n])
-        fortunes[:n] = 2 * x0
-        # ``fortunes[:n]`` holds the kept trials' doubled fortunes after ``k``
-        # steps; ``dead`` of them have absorbed.
-        k = dead = 0
-        while True:
-            s = min(_BLOCK_STEPS, budget // n, horizon - k)
-            path = fortunes[: (s + 1) * n].reshape(s + 1, n)
-            draws = path[1:].view(np.uint64)
-            spare = spares[: s * n].reshape(s, n)
-            index = spare.view(np.int64)
-            steps = np.arange(k + 1, k + s + 1, dtype=np.uint64)
-            steps *= _U64_GOLDEN
-            np.add(steps[:, None], keys, out=draws)
-            _mix64_array(draws, spare)
-            draws >>= _U64_11
-            bit, state = bits[:n], path[0]
-            for draw, gather, moved, after in zip(draws, spare, index, path[1:]):
-                threshold.take(state, out=gather, mode="clip")
-                np.less(draw, gather, out=bit)
-                np.add(state, bit, out=moved)
-                moves.take(moved, out=after, mode="clip")
-                state = after
-            ended = absorbing.take(path[1:], mode="clip")
-            over = int(np.count_nonzero(ended[-1]))
-            total_steps += s * n - int(np.count_nonzero(ended)) + over - dead
-            if over > dead:
-                row = bisect_left(range(s), over, key=lambda r: np.count_nonzero(ended[r]))
-                max_steps = max(max_steps, k + 1 + row)
-            k, dead = k + s, over
-            done = k == horizon or dead == n
-            if done or dead * _DROP_SHARE >= n:
-                won = int(np.count_nonzero(path[s] == 2 * M))
-                wins_i += won
-                wins_ii += dead - won
-                if done:
-                    break
-                live = np.logical_not(ended[-1], out=bit)
-                keys = keys[live]
-                n, dead = keys.size, 0
-                np.compress(live, path[s], out=fortunes[:n])
-            else:
-                path[0] = path[s]
-        truncated += n - dead
-        if n > dead:
-            max_steps = horizon
-    return wins_i, wins_ii, truncated, total_steps, max_steps
+    fortunes, spares, bits = buffers
+    budget = spares.size
+    keys = np.arange(lo + 1, lo + n + 1, dtype=np.uint64)
+    keys *= _U64_GOLDEN
+    keys += np.uint64(seed & _MASK)
+    _mix64_array(keys, spares[:n])
+    fortunes[:n] = 2 * x0
+    wins_i = wins_ii = total_steps = max_steps = 0
+    # ``fortunes[:n]`` holds the kept trials' doubled fortunes after ``k``
+    # steps; ``dead`` of them have absorbed.
+    k = dead = 0
+    while True:
+        s = min(_BLOCK_STEPS, budget // n, horizon - k)
+        path = fortunes[: (s + 1) * n].reshape(s + 1, n)
+        draws = path[1:].view(np.uint64)
+        spare = spares[: s * n].reshape(s, n)
+        index = spare.view(np.int64)
+        steps = np.arange(k + 1, k + s + 1, dtype=np.uint64)
+        steps *= _U64_GOLDEN
+        np.add(steps[:, None], keys, out=draws)
+        _mix64_array(draws, spare)
+        draws >>= _U64_11
+        bit, state = bits[:n], path[0]
+        for draw, gather, moved, after in zip(draws, spare, index, path[1:]):
+            threshold.take(state, out=gather, mode="clip")
+            np.less(draw, gather, out=bit)
+            np.add(state, bit, out=moved)
+            moves.take(moved, out=after, mode="clip")
+            state = after
+        ended = absorbing.take(path[1:], mode="clip")
+        over = int(np.count_nonzero(ended[-1]))
+        total_steps += s * n - int(np.count_nonzero(ended)) + over - dead
+        if over > dead:
+            row = bisect_left(range(s), over, key=lambda r: np.count_nonzero(ended[r]))
+            max_steps = max(max_steps, k + 1 + row)
+        k, dead = k + s, over
+        done = k == horizon or dead == n
+        if done or dead * _DROP_SHARE >= n:
+            won = int(np.count_nonzero(path[s] == 2 * M))
+            wins_i += won
+            wins_ii += dead - won
+            if done:
+                break
+            live = np.logical_not(ended[-1], out=bit)
+            keys = keys[live]
+            n, dead = keys.size, 0
+            np.compress(live, path[s], out=fortunes[:n])
+        else:
+            path[0] = path[s]
+    if n > dead:
+        max_steps = horizon
+    return wins_i, wins_ii, n - dead, total_steps, max_steps
 
 
 def simulate(
@@ -325,49 +316,66 @@ def simulate(
 ) -> SimResult:
     """Play ``config.trials`` independent trials of the profile.
 
-    ``jobs`` chunks the trial range, and at most one worker thread per CPU
-    runs the chunks; the draws are keyed by absolute trial index, so the
-    result is identical for every chunking.
+    The trials go in tiles of at most ``_BLOCK_ELEMENTS``, the one unit of
+    work, walked by :func:`_walk_tile`.  ``jobs`` caps the worker threads
+    that walk them, and so does the tile count and the CPU count; with one
+    worker the calling thread walks every tile.  The draws are keyed by
+    absolute trial index, so the result is the same for every ``jobs``.
     """
     if not _whole(jobs, 1):
         raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
-    M = table.M
+    M, x0, trials = table.M, config.x0, config.trials
     p, up, dn, horizon = _fortune_chain(table, profile, config)
-
-    chunk = -(-config.trials // jobs)  # ceil division
-    bounds = [
-        (lo, min(lo + chunk, config.trials))
-        for lo in range(0, config.trials, chunk)
-    ]
-    if len(bounds) == 1:
-        parts = [_run_chunk(p, up, dn, M, config.x0, config.seed, 0, config.trials, horizon)]
+    # A start on a boundary ends at step 0, before any walk.
+    if x0 in (0, M):
+        parts = [(trials, 0, 0, 0, 0) if x0 == M else (0, trials, 0, 0, 0)]
     else:
-        workers = min(len(bounds), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda span: _run_chunk(
-                        p, up, dn, M, config.x0, config.seed, span[0], span[1], horizon
-                    ),
-                    bounds,
+        # Indexed by doubled fortune: ``moves[2 * x + 1]`` is fortune x's
+        # doubled up target and ``moves[2 * x]`` its doubled down one.
+        moves = 2 * np.stack([dn, up], axis=1).ravel()
+        threshold = np.zeros(2 * M + 2, dtype=np.uint64)
+        threshold[::2] = _up_thresholds(p)
+        absorbing = np.zeros(2 * M + 2, dtype=bool)
+        absorbing[[0, 2 * M]] = True
+        tile = min(trials, _BLOCK_ELEMENTS)
+        # Twice the tile, but at least a quarter of a full tile and at most a
+        # full one: a small batch still walks long blocks.
+        budget = min(_BLOCK_ELEMENTS, max(2 * tile, _BLOCK_ELEMENTS // 4))
+        # Each thread walks all its tiles in one set of buffers, so a batch
+        # allocates and faults in its buffers once per thread, not per tile.
+        scratch = threading.local()
+
+        def walk(lo: int) -> tuple[int, int, int, int, int]:
+            if not hasattr(scratch, "buffers"):
+                scratch.buffers = (
+                    np.empty(budget + tile, dtype=np.int64),
+                    np.empty(budget, dtype=np.uint64),
+                    np.empty(tile, dtype=bool),
                 )
+            n = min(trials - lo, tile)
+            return _walk_tile(
+                moves, threshold, absorbing, M, x0, config.seed, horizon, scratch.buffers, lo, n
             )
-    wins_i = sum(part[0] for part in parts)
-    wins_ii = sum(part[1] for part in parts)
-    truncated = sum(part[2] for part in parts)
-    total_steps = sum(part[3] for part in parts)
-    max_steps = max(part[4] for part in parts)
+
+        starts = range(0, trials, tile)
+        workers = min(jobs, len(starts), os.cpu_count() or 1)
+        if workers == 1:
+            parts = list(map(walk, starts))
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(walk, starts))
+    wins_i, wins_ii, truncated, total_steps, longest = zip(*parts)
     return SimResult(
         M=M,
-        x0=config.x0,
-        trials=config.trials,
+        x0=x0,
+        trials=trials,
         seed=config.seed,
         horizon=horizon,
-        wins_I=wins_i,
-        wins_II=wins_ii,
-        truncated=truncated,
-        total_steps=total_steps,
-        max_steps=max_steps,
+        wins_I=sum(wins_i),
+        wins_II=sum(wins_ii),
+        truncated=sum(truncated),
+        total_steps=sum(total_steps),
+        max_steps=max(longest),
     )
 
 
@@ -452,13 +460,7 @@ class AgreementReport:
         }
 
 
-def compare_exact(
-    result: SimResult,
-    values: ValueVector,
-    *,
-    z_max: float = 4.0,
-    max_truncated_fraction: float = 0.01,
-) -> AgreementReport:
+def compare_exact(result: SimResult, values: ValueVector) -> AgreementReport:
     """Score the empirical frequency of player I's wins against exact values.
 
     Too many truncated trials withdraw the verdict; the reason names the exact
@@ -468,48 +470,37 @@ def compare_exact(
         raise ValueError("value vector and simulation disagree on the total money")
     exact = values.q[result.x0]
     frac = result.truncated_fraction
-    if frac > max_truncated_fraction:
+    report = partial(
+        AgreementReport,
+        empirical=result.freq_I,
+        exact=exact,
+        trials=result.trials,
+        truncated_fraction=frac,
+    )
+    if frac > MAX_TRUNCATED_FRACTION:
         cycling = 1.0 - exact - values.t[result.x0]
         advice = (
             f"the chain never absorbs from x0 with probability {cycling:.6g}, so no horizon helps"
-            if cycling > max_truncated_fraction
+            if cycling > MAX_TRUNCATED_FRACTION
             else "raise the horizon"
         )
-        return AgreementReport(
-            empirical=result.freq_I,
-            exact=exact,
-            trials=result.trials,
+        return report(
             z=None,
-            truncated_fraction=frac,
             valid=False,
             passed=False,
-            reason=f"truncated fraction {frac:.6g} exceeds {max_truncated_fraction:.6g}; {advice}",
+            reason=f"truncated fraction {frac:.6g} exceeds {MAX_TRUNCATED_FRACTION:.6g}; {advice}",
         )
     if exact in (0.0, 1.0):
         expected = int(round(exact)) * result.trials
         ok = result.wins_I == expected
-        return AgreementReport(
-            empirical=result.freq_I,
-            exact=exact,
-            trials=result.trials,
+        return report(
             z=None,
-            truncated_fraction=frac,
             valid=True,
             passed=ok,
             reason="degenerate exact value: win count must match exactly"
             if ok
             else f"expected exactly {expected} wins for player I, got {result.wins_I}",
         )
-    z = (result.freq_I - exact) / np.sqrt(exact * (1.0 - exact) / result.trials)
-    z = float(z)
-    ok = abs(z) <= z_max
-    return AgreementReport(
-        empirical=result.freq_I,
-        exact=exact,
-        trials=result.trials,
-        z=z,
-        truncated_fraction=frac,
-        valid=True,
-        passed=ok,
-        reason=f"|z| = {abs(z):.4g} vs bound {z_max:g}",
-    )
+    z = float((result.freq_I - exact) / np.sqrt(exact * (1.0 - exact) / result.trials))
+    ok = abs(z) <= Z_MAX
+    return report(z=z, valid=True, passed=ok, reason=f"|z| = {abs(z):.4g} vs bound {Z_MAX:g}")

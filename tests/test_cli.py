@@ -121,6 +121,25 @@ class TestGen:
         code, _, err = run(["gen", "--M", "5", "--family", "k-exp", "--k-file", str(k_file)], capsys)
         assert code == 2 and "--M 5" in err
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"k": 5},
+            {"c": [1.0, 0.9, 0.8, 0.7]},
+            "1.0",
+            ["1.0", "0.9", "0.8", "0.7"],
+            [None, 1.0, 1.0, 1.0],
+            [True, 1.0, 1.0, 1.0],
+            [1.0, 1.0, 1.0, 10**400],
+        ],
+        ids=["k-not-a-list", "no-k", "bare-string", "strings", "null", "bool", "int-past-float"],
+    )
+    def test_unreadable_k_file_is_a_usage_error(self, body: object, tmp_path: Path, capsys) -> None:
+        k_file = tmp_path / "k.json"
+        k_file.write_text(json.dumps(body))
+        code, _, err = run(["gen", "--M", "3", "--family", "k-exp", "--k-file", str(k_file)], capsys)
+        assert code == 2 and f"{k_file} is not a valid k file: " in err
+
     def test_gauge_family_file(self, tmp_path: Path, capsys) -> None:
         spec = tmp_path / "gauges.json"
         spec.write_text(json.dumps({"members": [
@@ -470,7 +489,7 @@ class TestSim:
         payload = json.loads(a.read_text())
         chunked = json.loads(c.read_text())
         # jobs is an honest manifest parameter, but the drawn outcome is
-        # keyed by absolute trial index and cannot depend on chunking
+        # keyed by absolute trial index and cannot depend on the thread count
         assert chunked["result"] == payload["result"]
         assert chunked["agreement"] == payload["agreement"]
         assert payload["agreement"]["passed"] is True
@@ -492,6 +511,17 @@ class TestSim:
         assert {row[0] for row in rows} <= {"0", "1", "2"}
         first_stages = [row for row in rows if row[1] == "0"]
         assert all(row[2] == "2" for row in first_stages)  # every trial starts at x0
+
+    def test_negative_traj_limit_is_a_usage_error(
+        self, pow2_m3_file: Path, tmp_path: Path, capsys
+    ) -> None:
+        traj, out = tmp_path / "traj.csv", tmp_path / "sim.json"
+        base = ["sim", "--table", str(pow2_m3_file), "--x0", "2", "--trials", "50", "--seed", "1"]
+        code, _, err = run(base + ["--traj-csv", str(traj), "--traj-limit", "-3", "--out", str(out)], capsys)
+        assert code == 2 and "--traj-limit" in err
+        assert not traj.exists() and not out.exists()
+        assert run(base + ["--traj-csv", str(traj), "--traj-limit", "0", "--out", str(out)], capsys)[0] == 0
+        assert traj.read_text() == "trial,stage,fortune,stake_I,stake_II\n"
 
     def test_truncation_fails_the_agreement(self, pow2_m3_file: Path, tmp_path: Path, capsys) -> None:
         out = tmp_path / "sim.json"

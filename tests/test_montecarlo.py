@@ -199,23 +199,39 @@ class TestSimulate:
         with pytest.raises(ValueError, match="jobs"):
             rb.simulate(pow2_m3, _profile(4), rb.SimConfig(x0=2, trials=10, seed=1), jobs=jobs)
 
-    def test_worker_threads_are_capped_at_the_cpu_count(
-        self, pow2_m4: rb.WinProbTable, monkeypatch: pytest.MonkeyPatch
-    ) -> None:
-        pools: list[int] = []
+    @pytest.fixture
+    def pools(self, monkeypatch: pytest.MonkeyPatch) -> list[int]:
+        """The worker count of every thread pool ``simulate`` opens, on a
+        machine with three CPUs."""
+        opened: list[int] = []
 
         class RecordingPool(ThreadPoolExecutor):
             def __init__(self, max_workers: int) -> None:
-                pools.append(max_workers)
+                opened.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        return opened
+
+    def test_worker_threads_are_capped_at_the_cpu_count(
+        self, pow2_m4: rb.WinProbTable, pools: list[int], monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        # Four tiles of 16 trials: at most one thread per CPU, and per job.
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 16)
         config = rb.SimConfig(x0=2, trials=64, seed=4)
         single = rb.simulate(pow2_m4, _profile(4), config)
         assert rb.simulate(pow2_m4, _profile(4), config, jobs=100_000) == single
         assert rb.simulate(pow2_m4, _profile(4), config, jobs=2) == single
         assert pools == [3, 2]
+
+    def test_a_single_tile_walks_in_the_calling_thread(
+        self, pow2_m4: rb.WinProbTable, pools: list[int]
+    ) -> None:
+        config = rb.SimConfig(x0=2, trials=64, seed=4)
+        single = rb.simulate(pow2_m4, _profile(4), config)
+        assert rb.simulate(pow2_m4, _profile(4), config, jobs=2) == single
+        assert pools == []
 
     # Table, profile, config and the frozen (wins_I, wins_II, truncated,
     # total_steps, max_steps); the second case truncates one trial.
@@ -370,7 +386,7 @@ def _small_batches(draw):
 ))
 def test_batches_agree_across_chunkings_and_with_their_replays(batch) -> None:
     """The block walk's tiles, block boundaries and horizon cut cannot
-    change a result: every chunking gives the same ``SimResult``, and the
+    change a result: every ``jobs`` gives the same ``SimResult``, and the
     scalar replays of all trials add up to it."""
     table, profile, config, budget = batch
     with mock.patch.object(montecarlo, "_BLOCK_ELEMENTS", budget):
