@@ -19,10 +19,12 @@ is one step.  Each simulation runs at ``jobs`` 1 and 2, and both times are
 printed.  Each figure is the best of a few runs.  Before timing, it checks
 the frozen sweep counts of the iteration (the same for both goals), the
 sha256 of its two value vectors (float64, little-endian, goal M first),
-that both best responses are bold, that both ``verify_nash`` verdicts are
-refutations by a bold player I, and the frozen simulation results at every
-job count, and exits 1 on a mismatch.  Run with ``PYTHONPATH`` pointing at
-another checkout's ``src`` to time that checkout on the same cases.
+that both best responses are bold and that their values are, to the bit,
+player I's ``hitting_values`` of the profile they play, that both
+``verify_nash`` verdicts are refutations by a bold player I, and the frozen
+simulation results at every job count, and exits 1 on a mismatch.  Run
+with ``PYTHONPATH`` pointing at another checkout's ``src`` to time that
+checkout on the same cases.
 So the iteration's values stay checked to the bit at sizes the test suite
 skips: the M = 160 iteration alone takes most of a second.
 """
@@ -33,6 +35,8 @@ import hashlib
 import sys
 import time
 from typing import Callable
+
+import numpy as np
 
 import redblack as rb
 from redblack.game import Player
@@ -87,6 +91,10 @@ SIMULATIONS = {
 }
 
 
+def _bits(values: tuple[float, ...]) -> bytes:
+    return np.array(values).astype("<f8").tobytes()
+
+
 def _best(run: Callable[[], object]) -> float:
     times = []
     for _ in range(REPEATS):
@@ -119,8 +127,15 @@ def main() -> int:
         table = rb.power_family(M, 2)
         for name, make in (("timid", rb.timid_strategy), ("bold", rb.bold_strategy)):
             opponent = make(Player.TWO, M)
-            if not rb.best_response(table, opponent).strategy.is_bold:
+            response = rb.best_response(table, opponent)
+            if not response.strategy.is_bold:
                 print(f"best_response vs {name} II, M = {M}: not bold", file=sys.stderr)
+                failures += 1
+                continue
+            own = rb.hitting_values(table, rb.Profile(response.strategy, opponent)).q
+            if _bits(response.values) != _bits(own):
+                print(f"best_response vs {name} II, M = {M}: values differ from "
+                      "hitting_values of its profile", file=sys.stderr)
                 failures += 1
                 continue
             elapsed = _best(lambda: rb.best_response(table, opponent))

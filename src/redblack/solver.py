@@ -26,18 +26,20 @@ One batched engine computes every profile's values, a single profile
 included.  It gathers the chains of a block of profile pairs from two stake
 matrices at once, runs a vectorised backward-reachability fixpoint to find
 the stuck fortunes of every chain, and solves all chains with one stacked
-``np.linalg.solve``.  Enumeration solves all ``(M-1)!^2`` pairs in row
-blocks of player I's strategies, so its memory is the two value tensors of
-``(M-1)!^2 * (M+1)`` floats each plus one small block: 1.6 MiB in all at
-``M = 6``, 66 MiB at ``M = 7`` and 3.4 GiB at ``M = 8``, which is why
-:data:`DEFAULT_ENUM_CAP` is 7.  Each hit's certificate is built from the
-cached strategies without re-validating them.
+``np.linalg.solve`` (:func:`_solve_chains`); one range rule,
+:func:`_in_range`, accepts its values.  Enumeration solves all
+``(M-1)!^2`` pairs in row blocks of player I's strategies, so its memory is
+the two value tensors of ``(M-1)!^2 * (M+1)`` floats each plus one small
+block: 1.6 MiB in all at ``M = 6``, 66 MiB at ``M = 7`` and 3.4 GiB at
+``M = 8``, which is why :data:`DEFAULT_ENUM_CAP` is 7.  Each hit's
+certificate is built from the cached strategies without re-validating them.
 
 A best response is found by policy iteration (Howard) on the responder's
 ``(M-1) x (M-1)`` grid of fortunes and stakes, gathered by
-:func:`_chain_arrays` and ranked by the same reachability fixpoint: one
-exact solve per policy, one argmax over the grid per improvement.  The
-response is the last policy, and its values are that policy's own solve.
+:func:`_chain_arrays` and ranked by the same reachability fixpoint: each
+policy's chain is solved by the same engine as a stack of one, then one
+argmax over the grid improves it.  The response is the last policy, and
+its values are that policy's own, to the bit those of ``hitting_values``.
 
 Equilibrium certification is by excessivity, else by exact best response
 at any ``M``:
@@ -85,10 +87,10 @@ DEFAULT_TIE_TOL = 1e-9
 # A policy-iteration stake switches only on a gain above this, so rounding
 # in the exact solves cannot make two stakes alternate forever.
 _IMPROVE_MARGIN = 1e-14
-# best_response refuses values that leave [0, 1] by more than this.  Valid
-# responses overshoot by rounding alone, at most 3.4e-13 over the seeded
-# opponents of tests/test_exact_values.py at M = 20-80; a near-singular final
-# system, as against seed 26's player I on exp-diff M = 80, by 6.8e-5.
+# _in_range refuses solved values that leave [0, 1] by more than this.  Over
+# best responses to both seeded players of tests/test_exact_values.py (seeds
+# 0-49) on exp-diff M = 20, 30, ..., 80, rounding overshoots by 2.7e-12 at
+# most; a near-singular system, as against seed 26's player I, by 6.8e-5.
 _RANGE_SLACK = 1e-9
 # Profile pairs per block of the batched value engine (see _value_grid).
 _BLOCK_PAIRS = 1024
@@ -238,7 +240,7 @@ def absorption_certain(table: WinProbTable, profile: Profile) -> bool:
 
 
 def _linear_system(
-    M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray, stuck: np.ndarray | None
+    M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray, stuck: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``I - A`` and the right-hand sides of a stack of chains, for ``(I - A) u = c``.
 
@@ -254,7 +256,7 @@ def _linear_system(
     """
     R = len(p)
     rise, fall = 0.0 - p, p - 1.0
-    if stuck is not None and stuck.any():
+    if stuck.any():
         into = np.zeros((R, M + 1), dtype=bool)
         into[:, 1:M] = stuck
         rise[np.take_along_axis(into, up, axis=1)] = 0.0
@@ -331,32 +333,39 @@ def _iterate_chain(
     return values, sweeps
 
 
-def _block_values(
-    table: WinProbTable, firsts: np.ndarray, seconds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both players' value vectors for every pair of two blocks of stake rows.
+def _solve_chains(M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray) -> np.ndarray:
+    """Both players' value vectors of a stack of chains, as solved.
 
-    Returns two ``(B * K, M + 1)`` arrays, rows ordered as in
-    :func:`_chain_arrays`.  The systems of :func:`_linear_system` are solved
-    for every chain and both right-hand sides in one call.  No step enters a
-    stuck fortune (see :func:`_stuck`); as those step only to each other,
-    their rows empty too, so they read ``u_x = 0`` exactly, and the rest of
-    each system is nonsingular: a boundary is reachable from every other
-    fortune.
+    ``p``, ``up`` and ``dn`` are ``(R, M - 1)`` chain arrays.  Returns the
+    ``(2, R, M + 1)`` values toward ``M`` (player I's), then toward ``0``,
+    boundaries included, from one solve of every system of
+    :func:`_linear_system`.  No step enters a stuck fortune (see
+    :func:`_stuck`); as those step only to each other, their rows empty
+    too, so they read ``u_x = 0`` exactly, and the rest of each system is
+    nonsingular: a boundary is reachable from every other fortune.
     """
-    M = table.M
-    p, up, dn = _chain_arrays(table, firsts, seconds)
     lhs, rhs = _linear_system(M, p, up, dn, _stuck(M, p, up, dn))
     try:
         solution = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(_NEAR_CYCLE) from exc
-    q = np.zeros((len(p), M + 1))
-    t = np.zeros_like(q)
-    q[:, M] = t[:, 0] = 1.0
-    q[:, 1:M] = np.clip(solution[..., 0], 0.0, 1.0) + 0.0  # + 0.0 turns -0.0 into 0.0
-    t[:, 1:M] = np.clip(solution[..., 1], 0.0, 1.0) + 0.0
-    return q, t
+    values = np.zeros((2, len(p), M + 1))
+    values[0, :, M] = values[1, :, 0] = 1.0
+    values[:, :, 1:M] = solution.transpose(2, 0, 1)
+    return values
+
+
+def _in_range(values: np.ndarray) -> np.ndarray:
+    """The range rule: raise ``np.linalg.LinAlgError`` if a solved value
+    leaves [0, 1] by more than :data:`_RANGE_SLACK`, else clip the rounding
+    away in place."""
+    if not ((values >= -_RANGE_SLACK) & (values <= 1.0 + _RANGE_SLACK)).all():
+        raise np.linalg.LinAlgError(
+            f"ill-conditioned solve: a value leaves [0, 1] by over {_RANGE_SLACK}"
+        )
+    np.clip(values, 0.0, 1.0, out=values)
+    values += 0.0  # turns -0.0 into 0.0
+    return values
 
 
 def _value_grid(
@@ -373,7 +382,8 @@ def _value_grid(
     VII = np.empty(shape)
     rows = max(1, _BLOCK_PAIRS // len(seconds))
     for lo in range(0, len(firsts), rows):
-        q, t = _block_values(table, firsts[lo : lo + rows], seconds)
+        chain = _chain_arrays(table, firsts[lo : lo + rows], seconds)
+        q, t = _in_range(_solve_chains(table.M, *chain))
         VI[lo : lo + rows] = q.reshape(-1, *shape[1:])
         VII[lo : lo + rows] = t.reshape(-1, *shape[1:])
     return VI, VII
@@ -391,12 +401,11 @@ def hitting_values(
     """
     if method not in ("auto", "iterate"):
         raise ValueError(f"unknown method {method!r}; use 'auto' or 'iterate'")
-    firsts, seconds = _stake_rows([profile.first]), _stake_rows([profile.second])
+    chain = _chain_arrays(table, _stake_rows([profile.first]), _stake_rows([profile.second]))
     if method == "iterate":
-        chain = _chain_arrays(table, firsts, seconds)
         q, t = _iterate_chain(table.M, *(a[0] for a in chain))[0]
     else:
-        q, t = (v[0] for v in _block_values(table, firsts, seconds))
+        q, t = _in_range(_solve_chains(table.M, *chain))[:, 0]
     return ValueVector(table.M, tuple(q.tolist()), tuple(t.tolist()))
 
 
@@ -425,8 +434,8 @@ class BestResponse:
 
     ``values[x]`` is the responder's own winning probability when player
     I's fortune is ``x`` (for player II that is the chance of driving the
-    chain to ``0``): the exact solve of ``strategy``, the last policy of
-    the iteration.
+    chain to ``0``): the solve of ``strategy``, the last policy of the
+    iteration, as :func:`hitting_values` gives it to the bit.
     """
 
     player: Player
@@ -437,22 +446,22 @@ class BestResponse:
 def best_response(table: WinProbTable, opponent: StationaryStrategy) -> BestResponse:
     """Optimal stationary response by policy iteration with exact evaluation.
 
-    Fortunes from which no stakes reach the responder's goal are worth
-    exactly 0.  The starting policy takes, at each other fortune, the
-    smallest stake that steps toward the goal in the reachability ranking,
-    so its chain absorbs from those fortunes and its solve is nonsingular.
+    Fortunes from which no stakes reach the responder's goal are worth 0.
+    The starting policy takes, at each other fortune, the smallest stake
+    that steps toward the goal in the reachability ranking, so its chain
+    absorbs from those fortunes and its solve is nonsingular.
     A stake switches only on a gain above ``_IMPROVE_MARGIN``, and a strict
     improvement never closes a cycle that avoids the goal, so every later
     policy absorbs as well.  That matters when the table holds exact zeros
     and ones: a merely greedy stake can stall in a cycle whose value the
     optimum already priced as if the goal were reached.  The iteration
     stops when no stake switches; the response is the last policy, and its
-    values are that policy's own solve.  In exact arithmetic every round
-    strictly improves, so no policy comes back; in floating point one can
-    when the solves are too ill-conditioned to rank the stakes, and then
-    ``RuntimeError`` is raised instead of looping forever.  A last solve
-    whose values leave [0, 1] by more than ``_RANGE_SLACK`` is too
-    ill-conditioned to trust, and raises ``np.linalg.LinAlgError``.
+    values are that policy's own solve by :func:`_solve_chains`.  In exact
+    arithmetic every round strictly improves, so no policy comes back; in
+    floating point one can when the solves are too ill-conditioned to rank
+    the stakes, and then ``RuntimeError`` is raised instead of looping
+    forever.  Only the responder's values of the last solve meet the range
+    rule (:func:`_in_range`): an intermediate policy may overshoot.
     """
     M = table.M
     responder = opponent.owner.other
@@ -473,19 +482,10 @@ def best_response(table: WinProbTable, opponent: StationaryStrategy) -> BestResp
     here = rank[1:M, None]
     progress = ((p > 0.0) & (rank[up] < here)) | ((p < 1.0) & (rank[dn] < here))
     policy = progress.argmax(axis=1)
-    live = np.flatnonzero(rank[1:M] < M)
-    v = np.zeros(M + 1)
-    v[goal] = 1.0
-    system = np.ix_(live, live)
     column = 0 if goal == M else 1
     seen = set()
     while True:
-        chain = (a[rows, policy][None] for a in (p, up, dn))
-        lhs, rhs = _linear_system(M, *chain, None)
-        try:
-            v[live + 1] = np.linalg.solve(lhs[0][system], rhs[0, live, column])
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(_NEAR_CYCLE) from exc
+        v = _solve_chains(M, *(a[rows, policy][None] for a in (p, up, dn)))[column, 0]
         one_stage = p * v[up] + (1.0 - p) * v[dn]
         best = one_stage.argmax(axis=1)
         switch = one_stage[rows, best] > one_stage[rows, policy] + _IMPROVE_MARGIN
@@ -498,10 +498,7 @@ def best_response(table: WinProbTable, opponent: StationaryStrategy) -> BestResp
                 "policy iteration revisited a policy: the solves are too "
                 "ill-conditioned to rank the stakes"
             )
-    if not -_RANGE_SLACK <= v.min() <= v.max() <= 1.0 + _RANGE_SLACK:
-        raise np.linalg.LinAlgError(
-            f"ill-conditioned solve: a best-response value leaves [0, 1] by over {_RANGE_SLACK}"
-        )
+    v = _in_range(v)
 
     own = (policy + 1).tolist()
     if responder is Player.TWO:

@@ -399,6 +399,22 @@ class TestNash:
     def test_start_out_of_range(self, pow2_m3_file: Path, capsys) -> None:
         assert run(["nash", "--table", str(pow2_m3_file), "--x0", "7"], capsys)[0] == 2
 
+    def test_own_strategy_is_no_deviation_at_zero_tolerance(self, tmp_path: Path, capsys) -> None:
+        """Player I's best response to timid II on min-exp m = 0.5 at M = 4
+        is timid itself.  Its value is the profile's own, to the bit, so at
+        ``--tol 0`` it refutes nothing, and player II's deviation is found."""
+        table = tmp_path / "min-exp-m4.json"
+        args = ["gen", "--M", "4", "--family", "min-exp", "--m", "0.5", "--out", str(table)]
+        assert run(args, capsys)[0] == 0
+        out = tmp_path / "nash.json"
+        args = ["nash", "--table", str(table), "--profile", "timid-timid", "--x0", "1",
+                "--tol", "0", "--out", str(out)]
+        assert run(args, capsys)[0] == 1
+        deviation = json.loads(out.read_text())["certificate"]["deviation"]
+        assert deviation["player"] == "II"
+        assert deviation["strategy"]["bets"] == [0, 1, 1, 3, 0]
+        assert deviation["gain"] > 0.02
+
     def test_past_the_enumeration_cap(self, tmp_path: Path, capsys) -> None:
         """At M = 40 the best responses refute timid-timid on power p = 2:
         player I goes bold.  The manifest carries no enumeration cap."""

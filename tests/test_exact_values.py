@@ -14,6 +14,7 @@ Every path to those values must get them without value iteration, except
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 import redblack as rb
 from redblack import solver
+from redblack.cli import main
 from redblack.game import Player
 
 # exp_difference_table(80) rounds the entries with a - b >= 38 to exactly 1,
@@ -37,6 +39,12 @@ CYCLING_SEEDS = (20, 22, 37, 48)
 # seed 3 raised LinAlgError, and seeds 0 and 22 came back 0.19 and 0.34 off
 # the exact values of the strategy they returned.
 RESPONSE_SEEDS = (0, 3, 22)
+# Player II's last policy against seed 26's player I on exp_difference_table(80).
+SEED_26_RESPONSE = (
+    0, 1, 2, 3, 1, 2, 1, 6, 1, 2, 3, 6, 1, 2, 3, 12, 1, 14, 3, 2, 1, 6, 7, 8, 9, 9, 5, 1, 1,
+    10, 1, 2, 1, 2, 3, 13, 1, 1, 13, 1, 2, 3, 4, 5, 6, 1, 1, 1, 1, 2, 1, 2, 1, 1, 3, 1, 2, 1,
+    1, 3, 1, 1, 1, 1, 1, 2, 3, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 1, 1, 1, 0,
+)
 
 
 def _seeded_profile(seed: int, M: int) -> rb.Profile:
@@ -170,6 +178,22 @@ class TestExactOracle:
         profile = rb.Profile(_seeded_profile(26, 80).first, rb.bold_strategy(Player.TWO, 80))
         with pytest.raises(np.linalg.LinAlgError, match=r"leaves \[0, 1\]"):
             rb.verify_nash(table, profile, 20)
+
+    def test_values_outside_the_unit_interval_raise_on_every_path(self, tmp_path, capsys) -> None:
+        """Player II's stakes here are the last policy of the best response
+        above, whose values solve to 1 + 6.8e-5.  The same range rule
+        refuses them in ``hitting_values``, and ``solve`` exits 2."""
+        table = rb.exp_difference_table(80)
+        second = rb.StationaryStrategy(Player.TWO, SEED_26_RESPONSE)
+        profile = rb.Profile(_seeded_profile(26, 80).first, second)
+        with pytest.raises(np.linalg.LinAlgError, match=r"leaves \[0, 1\]"):
+            rb.hitting_values(table, profile)
+        table_file, profile_file = tmp_path / "el-m80.json", tmp_path / "profile.json"
+        assert main(["gen", "--M", "80", "--family", "exp-diff", "--out", str(table_file)]) == 0
+        profile_file.write_text(json.dumps(profile.to_json_dict()))
+        args = ["solve", "--table", str(table_file), "--profile", str(profile_file), "--x0", "20"]
+        assert main(args) == 2
+        assert "leaves [0, 1]" in capsys.readouterr().err
 
 
 class _Iterated(Exception):

@@ -552,7 +552,7 @@ class TestLinearSystem:
             step = _step_laws(M, p, up, dn)
             pinned = step.copy()
             pinned[..., 1:M] *= ~stuck[:, None, :]
-            for mask, law in ((None, step), (stuck, pinned)):
+            for mask, law in ((np.zeros_like(stuck), step), (stuck, pinned)):
                 lhs, rhs = _linear_system(M, p, up, dn, mask)
                 assert _same_bits(lhs, np.eye(M - 1) - law[..., 1:M])
                 assert _same_bits(rhs, law[..., [M, 0]])
@@ -682,13 +682,18 @@ class TestBestResponse:
         response's profile plays from each fortune (counted on the fortunes
         it values above zero; elsewhere no response can win), plus 1e-12
         for rounding.  The example is a game where a tie rule that gave up
-        up to DEFAULT_TIE_TOL per stage lost 1.005e-9 at fortune 3."""
+        up to DEFAULT_TIE_TOL per stage lost 1.005e-9 at fortune 3.  The
+        best response's values are its own profile's ``hitting_values``, to
+        the bit."""
         table, opponent, response = game
         M = table.M
         best = rb.best_response(table, opponent)
         theirs = rb.hitting_values(table, _against(opponent, response))
         own = np.array(theirs.q if opponent.owner is Player.TWO else theirs.t)
         profile = _against(opponent, best.strategy)
+        own_solve = rb.hitting_values(table, profile)
+        own_values = own_solve.q if opponent.owner is Player.TWO else own_solve.t
+        assert _same_bits(np.array(best.values), np.array(own_values))
         chain = _chain_arrays(table, _stake_rows([profile.first]), _stake_rows([profile.second]))
         p, up, dn = (a[0] for a in chain)
         values = np.array(best.values)
