@@ -16,15 +16,18 @@ games, many steps per block.  Fair timid-timid at M = 80 from x0 = 40 with
 ``power_family(150, 2)`` from x0 = 75 with 50 000 trials: nearly every game
 runs all 75 steps to player I's ruin, so the tile stays full and each block
 is one step.  Each simulation runs at ``jobs`` 1 and 2, and both times are
-printed.  Each figure is the best of a few runs.  Before timing, it checks
-the frozen sweep counts of the iteration (the same for both goals), the
-sha256 of its two value vectors (float64, little-endian, goal M first),
-that both best responses are bold and that their values are, to the bit,
-player I's ``hitting_values`` of the profile they play, that both
-``verify_nash`` verdicts are refutations by a bold player I, and the frozen
-simulation results at every job count, and exits 1 on a mismatch.  Run
-with ``PYTHONPATH`` pointing at another checkout's ``src`` to time that
-checkout on the same cases.
+printed.  Then it replays the 100 trials of the fair M = 40 batch with
+``replay_trials``, and prints their time and the bytes per stage the paths
+hold under ``tracemalloc``.  Each figure is the best of a few runs.  Before
+timing, it checks the frozen sweep counts of the iteration (the same for
+both goals), the sha256 of its two value vectors (float64, little-endian,
+goal M first), that both best responses are bold and that their values are,
+to the bit, player I's ``hitting_values`` of the profile they play, that
+both ``verify_nash`` verdicts are refutations by a bold player I, the frozen
+simulation results at every job count, and that the replayed paths add up
+to the same frozen result, and exits 1 on a mismatch.  Run with
+``PYTHONPATH`` pointing at another checkout's ``src`` to time that checkout
+on the same cases.
 So the iteration's values stay checked to the bit at sizes the test suite
 skips: the M = 160 iteration alone takes most of a second.
 """
@@ -34,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import sys
 import time
+import tracemalloc
 from typing import Callable
 
 import numpy as np
@@ -89,6 +93,8 @@ SIMULATIONS = {
         (321, 49679, 0, 3735394, 75),
     ),
 }
+# The simulation whose trials are replayed: the size of perfbench's replays.
+REPLAYED = "fair timid-timid, M = 40, 100 trials"
 
 
 def _bits(values: tuple[float, ...]) -> bytes:
@@ -163,6 +169,30 @@ def main() -> int:
             times.append(f"{elapsed:.3f} s at jobs {jobs}")
         if times:
             print(f"simulate, {name}: {', '.join(times)} ({config.trials} trials)")
+
+    table, profile, config, expected = SIMULATIONS[REPLAYED]
+    trials = range(config.trials)
+    tracemalloc.start()
+    try:
+        paths = list(rb.replay_trials(table, profile, config, trials))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    stages = [len(path.fortunes) for path in paths]
+    got = (
+        sum(path.final_state == table.M for path in paths),
+        sum(path.final_state == 0 for path in paths),
+        sum(path.truncated for path in paths),
+        sum(stages),
+        max(stages),
+    )
+    if got != expected:
+        print(f"replay_trials, {REPLAYED}: {got}, expected {expected}", file=sys.stderr)
+        failures += 1
+    else:
+        elapsed = _best(lambda: list(rb.replay_trials(table, profile, config, trials)))
+        print(f"replay_trials, {REPLAYED}: {elapsed:.3f} s "
+              f"({sum(stages)} stages, {held / sum(stages):.1f} B held per stage)")
     return 1 if failures else 0
 
 

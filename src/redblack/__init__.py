@@ -94,6 +94,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "TrialPath",
         "compare_exact",
         "replay_trial",
+        "replay_trials",
         "simulate",
         "step_uniform",
         "trial_key",

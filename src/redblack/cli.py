@@ -321,7 +321,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     if args.traj_limit < 0:
         raise _UsageError(f"--traj-limit must be nonnegative, got {args.traj_limit}")
     from .solver import hitting_values
-    from .montecarlo import SimConfig, compare_exact, replay_trial, simulate
+    from .montecarlo import SimConfig, compare_exact, replay_trials, simulate
 
     table = _load_table(args.table)
     profile = _load_profile(args.profile, table.M)
@@ -334,10 +334,8 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         with open(args.traj_csv, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["trial", "stage", "fortune", "stake_I", "stake_II"])
-            for trial in range(limit):
-                path = replay_trial(table, profile, config, trial)
-                for stage, fortune, stake_i, stake_ii in path.stages:
-                    writer.writerow([trial, stage, fortune, stake_i, stake_ii])
+            for path in replay_trials(table, profile, config, range(limit)):
+                writer.writerows((path.trial, *stage) for stage in path.stages)
     payload = {
         "manifest": _manifest(
             "sim",

@@ -14,7 +14,9 @@ A trial walks player I's fortune until absorption at ``0`` or ``M``, or
 until the step horizon is hit (such trials are reported as truncated, never
 as wins).  The walk follows the chain the solver builds for the profile
 (``solver._chain_arrays``), so simulation and exact values share one
-definition of every step; a replay reads the stakes back from it.
+definition of every step.  A replay (:func:`replay_trials`) walks it one
+trial at a time and keeps only the fortunes it visits; the stakes are read
+back from the chain, in tables that every path of the replay shares.
 :func:`compare_exact` scores the empirical win frequency against an exact
 value vector with a z-statistic, bounded by ``Z_MAX``, and refuses to judge
 when more than ``MAX_TRUNCATED_FRACTION`` of the trials were truncated.
@@ -39,7 +41,7 @@ from __future__ import annotations
 import os
 import threading
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
 from typing import Any
@@ -362,6 +364,9 @@ def simulate(
         if workers == 1:
             parts = list(map(walk, starts))
         else:
+            # Imported here: a one-tile batch never opens a pool.
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 parts = list(pool.map(walk, starts))
     wins_i, wins_ii, truncated, total_steps, longest = zip(*parts)
@@ -381,51 +386,76 @@ def simulate(
 
 @dataclass(frozen=True)
 class TrialPath:
-    """One replayed trial: the stakes actually played, stage by stage.
+    """One replayed trial: the fortunes it visited, and the chain's stakes.
 
-    ``stages[n] = (n, x, a, b)`` records the fortune and both stakes at
-    stage ``n``; ``final_state`` is the fortune after the last recorded
-    stage (absorbing unless the trial was truncated).
+    ``fortunes[n]`` is player I's fortune at stage ``n``; ``final_state`` is
+    the fortune after the last stage (absorbing unless the trial was
+    truncated).  ``stake_I[x]`` and ``stake_II[x]`` are the stakes the
+    profile's chain plays at fortune ``x``, read back from it; every path of
+    one :func:`replay_trials` call shares these two tables.
     """
 
     trial: int
-    stages: tuple[tuple[int, int, int, int], ...]
+    fortunes: tuple[int, ...]
+    stake_I: tuple[int, ...]
+    stake_II: tuple[int, ...]
     final_state: int
     truncated: bool
+
+    @property
+    def stages(self) -> tuple[tuple[int, int, int, int], ...]:
+        """``(n, x, a, b)`` for each stage ``n``: the fortune and both stakes.
+
+        Built on each access; ``len(fortunes)`` counts the stages.
+        """
+        stake_i, stake_ii = self.stake_I, self.stake_II
+        return tuple((n, x, stake_i[x], stake_ii[x]) for n, x in enumerate(self.fortunes))
+
+
+def replay_trials(
+    table: WinProbTable, profile: Profile, config: SimConfig, trials: Iterable[int]
+) -> Iterator[TrialPath]:
+    """Re-walk the given trials with scalar arithmetic, each bit-identical to
+    its walk in the batch.
+
+    The chain is built once, when called; the paths are walked one at a
+    time, as the iterator is read.  The walk tests each uniform against the
+    float ``p[x]``, not the batch's integer thresholds, so a replay audits
+    them.  The stakes are read back from the chain: ``a = x - dn[x]`` and
+    ``b = up[x] - x``.
+    """
+    M, x0, seed = table.M, config.x0, config.seed
+    p, up, dn, horizon = _fortune_chain(table, profile, config)
+    fortune = np.arange(M + 1)
+    stake_i, stake_ii = tuple((fortune - dn).tolist()), tuple((up - fortune).tolist())
+    p, up, dn = p.tolist(), up.tolist(), dn.tolist()
+
+    def walk(trial: int) -> TrialPath:
+        if not (_whole(trial, 0) and trial < config.trials):
+            raise ValueError(f"trial {trial!r} outside 0..{config.trials - 1}")
+        # ``z`` runs through ``key + (step + 1) * _GOLDEN``; each step mixes it
+        # as :func:`_keyed_uniform` does, and tests the uniform against ``p``.
+        z = trial_key(seed, trial)
+        x = x0
+        fortunes: list[int] = []
+        for _ in range(horizon):
+            if x == 0 or x == M:
+                break
+            fortunes.append(x)
+            z = (z + _GOLDEN) & _MASK
+            w = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            w = ((w ^ (w >> 27)) * 0x94D049BB133111EB) & _MASK
+            x = up[x] if ((w ^ (w >> 31)) >> 11) * 2.0**-53 < p[x] else dn[x]
+        return TrialPath(trial, tuple(fortunes), stake_i, stake_ii, x, x not in (0, M))
+
+    return map(walk, trials)
 
 
 def replay_trial(
     table: WinProbTable, profile: Profile, config: SimConfig, trial: int
 ) -> TrialPath:
-    """Re-walk one trial with scalar arithmetic; bit-identical to the batch.
-
-    The stakes are read back from the chain: ``a = x - dn[x]`` and
-    ``b = up[x] - x``.
-    """
-    M = table.M
-    if not (_whole(trial, 0) and trial < config.trials):
-        raise ValueError(f"trial {trial!r} outside 0..{config.trials - 1}")
-    p, up, dn, horizon = _fortune_chain(table, profile, config)
-    p, up, dn = p.tolist(), up.tolist(), dn.tolist()
-    # ``z`` runs through ``key + (step + 1) * _GOLDEN``; each step mixes it
-    # as :func:`_keyed_uniform` does, and tests the uniform against ``p``.
-    z = trial_key(config.seed, trial)
-    x = config.x0
-    stages: list[tuple[int, int, int, int]] = []
-    for step in range(horizon):
-        if x == 0 or x == M:
-            break
-        stages.append((step, x, x - dn[x], up[x] - x))
-        z = (z + _GOLDEN) & _MASK
-        w = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        w = ((w ^ (w >> 27)) * 0x94D049BB133111EB) & _MASK
-        x = up[x] if ((w ^ (w >> 31)) >> 11) * 2.0**-53 < p[x] else dn[x]
-    return TrialPath(
-        trial=trial,
-        stages=tuple(stages),
-        final_state=x,
-        truncated=x not in (0, M),
-    )
+    """Re-walk one trial: :func:`replay_trials` of that trial alone."""
+    return next(replay_trials(table, profile, config, (trial,)))
 
 
 @dataclass(frozen=True)

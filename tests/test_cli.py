@@ -12,6 +12,7 @@ Conventions under test:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -527,6 +528,43 @@ class TestSim:
         assert {row[0] for row in rows} <= {"0", "1", "2"}
         first_stages = [row for row in rows if row[1] == "0"]
         assert all(row[2] == "2" for row in first_stages)  # every trial starts at x0
+
+    # sha256 of three trajectory CSVs of 25 trials from 200 at seed 3:
+    # long fair games on power p = 1 at M = 40, the same cut at 40 steps,
+    # and bold-timid on exp-diff at M = 41, whose steps from 39 and 40 rise
+    # with probability exactly 1.
+    TRAJECTORIES = {
+        "fair-timid-timid": (
+            ["gen", "--M", "40", "--family", "power", "--p", "1"],
+            ["--profile", "timid-timid", "--x0", "20"],
+            0,
+            "010e9fa8ab10676702f4b366669d386c1e4cebc7652c80a25148ca90541f6c71",
+        ),
+        "fair-timid-timid-horizon-40": (
+            ["gen", "--M", "40", "--family", "power", "--p", "1"],
+            ["--profile", "timid-timid", "--x0", "20", "--horizon", "40"],
+            1,
+            "a492d8da5fc074a92b76f332a435608bc6936d0819a8d8c2c1fd89886ee5b480",
+        ),
+        "exp-diff-bold-timid": (
+            ["gen", "--M", "41", "--family", "exp-diff"],
+            ["--profile", "bold-timid", "--x0", "39"],
+            0,
+            "44587946864b103ef06d24daf063b5cfd9af017300cb6a5d008e98065bd55d0a",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TRAJECTORIES))
+    def test_trajectory_csv_is_frozen(self, case: str, tmp_path: Path, capsys) -> None:
+        gen, sim, code, digest = self.TRAJECTORIES[case]
+        table, traj = tmp_path / "table.json", tmp_path / "traj.csv"
+        assert run(gen + ["--out", str(table)], capsys)[0] == 0
+        args = [
+            "sim", "--table", str(table), *sim, "--trials", "200", "--seed", "3",
+            "--traj-csv", str(traj), "--traj-limit", "25", "--out", str(tmp_path / "sim.json"),
+        ]
+        assert run(args, capsys)[0] == code
+        assert hashlib.sha256(traj.read_bytes()).hexdigest() == digest
 
     def test_negative_traj_limit_is_a_usage_error(
         self, pow2_m3_file: Path, tmp_path: Path, capsys

@@ -21,12 +21,16 @@ import redblack as rb
 from redblack.cli import main
 
 # Runs the CLI on the argv in sys.argv[1] and prints, as its last line, the
-# numpy and redblack layer modules the process holds afterwards.
+# numpy, concurrent.futures and redblack layer modules the process holds
+# afterwards.
 _CLI_CHILD = """
 import json, sys
 from redblack.cli import main
 code = main(json.loads(sys.argv[1]))
-loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("redblack."))
+loaded = sorted(
+    m for m in sys.modules
+    if m in ("numpy", "concurrent.futures") or m.startswith("redblack.")
+)
 print(json.dumps({"code": code, "loaded": loaded}))
 """
 
@@ -101,6 +105,14 @@ class TestImportBoundary:
     )
     def test_parser_exits_skip_numpy(self, argv: list[str], code: int) -> None:
         assert _cli_child(argv)[0] == {"code": code, "loaded": ["redblack.cli"]}
+
+    def test_a_one_tile_sim_opens_no_pool(self, artifacts: dict[str, Path], tmp_path: Path) -> None:
+        """``concurrent.futures`` loads only where a pool opens: 200 trials
+        are one tile, which the calling thread walks whatever ``--jobs`` is."""
+        argv = ["sim", "--table", str(artifacts["table"]), "--x0", "1", "--trials", "200"]
+        result, _ = _cli_child(argv + ["--jobs", "2", "--out", str(tmp_path / "sim.json")])
+        assert result["code"] == 0 and "redblack.montecarlo" in result["loaded"]
+        assert "concurrent.futures" not in result["loaded"]
 
     def test_report_of_a_table_still_renders(self, artifacts: dict[str, Path]) -> None:
         result, output = _cli_child(["report", str(artifacts["table"])])

@@ -10,6 +10,7 @@ probability of 1/2 gives z = 0.01 / sqrt(0.25 / 100000) = 6.32455532...
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import os
 import tracemalloc
@@ -33,9 +34,10 @@ def _profile(M: int, name: str = "bold-timid") -> rb.Profile:
 
 def _walk(
     table: rb.WinProbTable, profile: rb.Profile, config: rb.SimConfig, trial: int
-) -> rb.TrialPath:
+) -> tuple[int, tuple[tuple[int, int, int, int], ...], int, bool]:
     """Reference replay: each stage reads both stakes and the table, and
-    draws ``step_uniform``."""
+    draws ``step_uniform``.  Returns the trial, the ``(n, x, a, b)`` of
+    every stage, the final fortune and the truncation flag."""
     M = table.M
     horizon = 64 * M if config.horizon is None else config.horizon
     x, stages = config.x0, []
@@ -45,7 +47,11 @@ def _walk(
         a, b = profile.first.bets[x], profile.second.bets[M - x]
         stages.append((step, x, a, b))
         x = x + b if rb.step_uniform(config.seed, trial, step) < table.prob(a, b) else x - a
-    return rb.TrialPath(trial, tuple(stages), x, x not in (0, M))
+    return trial, tuple(stages), x, x not in (0, M)
+
+
+def _as_walk(path: rb.TrialPath) -> tuple[int, tuple[tuple[int, int, int, int], ...], int, bool]:
+    return path.trial, path.stages, path.final_state, path.truncated
 
 
 class TestSplitMixDraws:
@@ -210,7 +216,7 @@ class TestSimulate:
                 opened.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         return opened
 
@@ -270,7 +276,7 @@ def _assert_replays_match_the_batch(
     table: rb.WinProbTable, profile: rb.Profile, config: rb.SimConfig
 ) -> None:
     batch = rb.simulate(table, profile, config)
-    paths = [rb.replay_trial(table, profile, config, t) for t in range(config.trials)]
+    paths = list(rb.replay_trials(table, profile, config, range(config.trials)))
     assert sum(p.final_state == table.M for p in paths) == batch.wins_I
     assert sum(p.final_state == 0 for p in paths) == batch.wins_II
     assert sum(p.truncated for p in paths) == batch.truncated
@@ -326,9 +332,49 @@ class TestReplayTrial:
         profile = _profile(40, name)
         config = rb.SimConfig(x0=x0, trials=6, seed=123, horizon=horizon)
         for trial in range(config.trials):
-            assert rb.replay_trial(table, profile, config, trial) == _walk(
-                table, profile, config, trial
-            )
+            path = rb.replay_trial(table, profile, config, trial)
+            assert _as_walk(path) == _walk(table, profile, config, trial)
+
+    def test_fortunes_past_one_byte_replay_exactly(self) -> None:
+        """Fair games at M = 300 from x0 = 250 cross fortune 255, and one
+        of them ends at 300."""
+        table = rb.power_family(300, 1)
+        profile = _profile(300, "timid-timid")
+        config = rb.SimConfig(x0=250, trials=4, seed=123, horizon=2000)
+        paths = [rb.replay_trial(table, profile, config, t) for t in range(config.trials)]
+        assert max(max(path.fortunes) for path in paths) > 255
+        assert 300 in {path.final_state for path in paths}
+        for path in paths:
+            assert _as_walk(path) == _walk(table, profile, config, path.trial)
+
+    def test_a_replay_shares_its_stake_tables(self, pow2_m4: rb.WinProbTable) -> None:
+        """Every path of one replay holds the same two tables; a path's
+        equality and repr depend on its contents alone."""
+        profile, config = _profile(4, "timid-timid"), rb.SimConfig(x0=2, trials=3, seed=11)
+        paths = list(rb.replay_trials(pow2_m4, profile, config, range(config.trials)))
+        first = paths[0]
+        assert all(p.stake_I is first.stake_I and p.stake_II is first.stake_II for p in paths)
+        alone = rb.replay_trial(pow2_m4, profile, config, 1)
+        assert alone.stake_I is not first.stake_I
+        assert alone == paths[1] and repr(alone) == repr(paths[1])
+        assert repr(first) == (
+            "TrialPath(trial=0, fortunes=(2, 1), stake_I=(0, 1, 1, 1, 0), "
+            "stake_II=(0, 1, 1, 1, 0), final_state=0, truncated=False)"
+        )
+
+    def test_replays_hold_their_fortunes_not_a_tuple_per_stage(self) -> None:
+        """100 long fair games, 36 914 stages, hold under 0.5 MiB: one
+        pointer to a small int per stage, not a tuple of four."""
+        table, profile = rb.power_family(40, 1), _profile(40, "timid-timid")
+        config = rb.SimConfig(x0=20, trials=100, seed=3)
+        tracemalloc.start()
+        try:
+            paths = [rb.replay_trial(table, profile, config, t) for t in range(config.trials)]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(path.fortunes) for path in paths) == 36914
+        assert held < 2**19
 
     def test_trial_must_exist(self, pow2_m4: rb.WinProbTable) -> None:
         config = rb.SimConfig(x0=2, trials=5, seed=0)

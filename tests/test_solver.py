@@ -442,6 +442,10 @@ CHAIN_ENTRY_POINTS = {
     "replay_trial": lambda table, profile: rb.replay_trial(
         table, profile, rb.SimConfig(x0=1, trials=10, seed=0), 0
     ),
+    # Rejected when called, before any path is asked for.
+    "replay_trials": lambda table, profile: rb.replay_trials(
+        table, profile, rb.SimConfig(x0=1, trials=10, seed=0), range(10)
+    ),
 }
 
 
