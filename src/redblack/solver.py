@@ -32,7 +32,11 @@ the stuck fortunes of every chain, and solves all chains with one stacked
 the two value tensors of ``(M-1)!^2 * (M+1)`` floats each plus one small
 block: 1.6 MiB in all at ``M = 6``, 66 MiB at ``M = 7`` and 3.4 GiB at
 ``M = 8``, which is why :data:`DEFAULT_ENUM_CAP` is 7.  Each hit's
-certificate is built from the cached strategies without re-validating them.
+certificate is built from the cached strategies without re-validating them,
+and each pair's ``Profile`` is built once per table and shared by the
+certificates of every start.  The certificates are built with the cyclic
+garbage collector paused (:func:`_collector_paused`): none of them is in a
+reference cycle, so a collection would only walk every live one again.
 
 A best response is found by policy iteration (Howard) on the responder's
 ``(M-1) x (M-1)`` grid of fortunes and stakes, gathered by
@@ -55,8 +59,10 @@ at any ``M``:
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Any, Iterable, Iterator, Sequence
@@ -219,10 +225,12 @@ def _ranks(M: int, goals: list[int], p: np.ndarray, up: np.ndarray, dn: np.ndarr
 def _stuck(M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray) -> np.ndarray:
     """Per chain row and interior fortune, whether no boundary is reachable.
 
-    Where no step goes up with probability 1, every fortune steps down with
-    positive probability and so reaches 0: then nothing is stuck.
+    Up steps climb and down steps fall.  Where no step goes up with
+    probability 1, every fortune steps down with positive probability and so
+    reaches 0; where none goes up with probability 0, every fortune climbs
+    to M.  Then nothing is stuck.
     """
-    if (p < 1.0).all():
+    if (p < 1.0).all() or (p > 0.0).all():
         return np.zeros(p.shape, dtype=bool)
     steps = (a[..., None] for a in (p, up, dn))
     return _ranks(M, [0, M], *steps)[:, 1:M] == M
@@ -731,22 +739,57 @@ def _pairwise_value_tensors(
     return firsts, seconds, VI, VII
 
 
+@lru_cache(maxsize=1)
+def _pair_profiles(table: WinProbTable) -> dict[int, Profile]:
+    """The ``Profile`` of pair ``i * K + j`` of :func:`_pairwise_value_tensors`,
+    over ``K`` player-II strategies, for the last table.
+
+    Empty at first; :func:`_enumerated_certificates` adds each pair the
+    first time a start hits it, so every start of the table shares it.
+    """
+    return {}
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Run a block with CPython's cyclic garbage collector disabled.
+
+    A block that allocates tens of thousands of objects and keeps them all
+    triggers collections that walk every live object again, although none
+    is in a reference cycle.  Pausing only defers collection: reference
+    counting still frees what the block drops, so no result changes.  On
+    exit, also when the block raises, the collector is re-enabled only if
+    it was enabled on entry.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _enumerated_certificates(
     firsts: tuple[StationaryStrategy, ...],
     seconds: tuple[StationaryStrategy, ...],
+    profiles: dict[int, Profile],
     x0: int,
     hits: Iterable[tuple[int, int, float, float]],
 ) -> tuple[EquilibriumCertificate, ...]:
     """One enumeration certificate per hit ``(i, j, value_I, value_II)``.
 
-    The profile of hit ``(i, j)`` is ``firsts[i]`` against ``seconds[j]``.
-    ``Profile(...)`` would check that player I's strategy comes first,
-    player II's second, and that both share the total money; that cannot
-    fail here, because the strategies come from :func:`all_strategies` for
-    each player at the table's ``M``.  So each frozen instance is allocated
-    and its slots are written through the class's own slot descriptors,
-    skipping checks that cost most of a hit when the hits number tens of
-    thousands.  The instances equal, hash and print as the checked ones.
+    The profile of hit ``(i, j)`` is ``firsts[i]`` against ``seconds[j]``,
+    taken from ``profiles`` at key ``i * len(seconds) + j`` (see
+    :func:`_pair_profiles`), and added there if missing.  ``Profile(...)``
+    would check that player I's strategy comes first, player II's second,
+    and that both share the total money; that cannot fail here, because the
+    strategies come from :func:`all_strategies` for each player at the
+    table's ``M``.  So each frozen instance is allocated and its slots are
+    written through the class's own slot descriptors, skipping checks that
+    cost most of a hit when the hits number tens of thousands, and with the
+    collector paused (:func:`_collector_paused`).  The instances equal,
+    hash and print as the checked ones.
     """
     new = object.__new__
     set_first, set_second = (Profile.__dict__[f.name].__set__ for f in fields(Profile))
@@ -754,22 +797,27 @@ def _enumerated_certificates(
      set_coverage, set_deviation, set_reports) = (
         EquilibriumCertificate.__dict__[f.name].__set__ for f in fields(EquilibriumCertificate)
     )
+    K = len(seconds)
     certificates = []
-    for i, j, value_I, value_II in hits:
-        profile = new(Profile)
-        set_first(profile, firsts[i])
-        set_second(profile, seconds[j])
-        certificate = new(EquilibriumCertificate)
-        set_profile(certificate, profile)
-        set_x0(certificate, x0)
-        set_value_I(certificate, value_I)
-        set_value_II(certificate, value_II)
-        set_equilibrium(certificate, True)
-        set_method(certificate, "enumeration")
-        set_coverage(certificate, "stationary-deterministic")
-        set_deviation(certificate, None)
-        set_reports(certificate, ())
-        certificates.append(certificate)
+    with _collector_paused():
+        for i, j, value_I, value_II in hits:
+            key = i * K + j
+            profile = profiles.get(key)
+            if profile is None:
+                profile = profiles[key] = new(Profile)
+                set_first(profile, firsts[i])
+                set_second(profile, seconds[j])
+            certificate = new(EquilibriumCertificate)
+            set_profile(certificate, profile)
+            set_x0(certificate, x0)
+            set_value_I(certificate, value_I)
+            set_value_II(certificate, value_II)
+            set_equilibrium(certificate, True)
+            set_method(certificate, "enumeration")
+            set_coverage(certificate, "stationary-deterministic")
+            set_deviation(certificate, None)
+            set_reports(certificate, ())
+            certificates.append(certificate)
     return tuple(certificates)
 
 
@@ -796,4 +844,4 @@ def enumerate_equilibria(
     stable = (vI >= vI.max(axis=0) - tol) & (vII >= vII.max(axis=1)[:, None] - tol)
     rows, cols = np.nonzero(stable)
     hits = zip(rows.tolist(), cols.tolist(), vI[rows, cols].tolist(), vII[rows, cols].tolist())
-    return _enumerated_certificates(firsts, seconds, x0, hits)
+    return _enumerated_certificates(firsts, seconds, _pair_profiles(table), x0, hits)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import signal
 
 import pytest
@@ -78,3 +79,13 @@ def ten_second_alarm():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def collector(request):
+    """The cyclic garbage collector switched on, then off, for the test, and
+    restored afterwards; the value is whether it is on."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()

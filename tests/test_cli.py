@@ -12,6 +12,7 @@ Conventions under test:
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -468,6 +469,13 @@ class TestNash:
 
 
 class TestEnum:
+    def test_collector_left_as_found(
+        self, collector: bool, pow2_m3_file: Path, tmp_path: Path, capsys
+    ) -> None:
+        out = tmp_path / "enum.json"
+        assert run(["enum", "--table", str(pow2_m3_file), "--x0", "1", "--out", str(out)], capsys)[0] == 0
+        assert gc.isenabled() is collector
+
     def test_power_two_equilibria(self, pow2_m3_file: Path, tmp_path: Path, capsys) -> None:
         out = tmp_path / "enum.json"
         code, _, _ = run(["enum", "--table", str(pow2_m3_file), "--x0", "1", "--out", str(out)], capsys)

@@ -15,12 +15,13 @@ Every path to those values must get them without value iteration, except
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import redblack as rb
@@ -239,20 +240,28 @@ class TestNoDefaultPathIterates:
         self._values_and_responses(rb.exp_difference_table(80), _seeded_profile(22, 80))
 
 
+# The entries one ulp inside [0, 1].
+_NEAR_ENDS = (math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))
+
+
 @st.composite
 def _forced_games(draw):
     """A shipped table at M <= 8 with some entries forced to exactly 0 or 1,
-    and a random profile."""
+    or to one ulp inside them, and a random profile."""
     M = draw(st.integers(2, 8))
     table = draw(st.sampled_from([
         rb.power_family(M, 1), rb.power_family(M, 2), rb.min_exp_table(M, 1.0),
         rb.exp_difference_table(M),
     ]))
-    # About two thirds of the playable entries forced, so that many chains cycle.
+    # About two thirds of the playable entries forced, so that many chains
+    # cycle; one forced entry in five is one ulp inside, so that many chains
+    # leave a cycle only through a step of probability 5e-324 or 2**-53.
     for a in range(1, M):
         for b in range(1, M):
             forced = draw(st.sampled_from([0.0, 1.0, None]))
             if forced is not None:
+                if draw(st.integers(0, 4)) == 0:
+                    forced = math.nextafter(forced, 0.5)
                 table = table.with_entry(a, b, forced)
 
     def strategy(player: Player) -> rb.StationaryStrategy:
@@ -262,14 +271,37 @@ def _forced_games(draw):
     return table, rb.Profile(strategy(Player.ONE), strategy(Player.TWO))
 
 
+def _cycle_m4_game(climb: float, drop: float) -> tuple[rb.WinProbTable, rb.Profile]:
+    """The ``cycle_m4`` game of conftest, its sure climb 1 -> 3 (entry
+    (1, 2)) set to ``climb`` and its sure drop 3 -> 1 (entry (2, 1)) to
+    ``drop``."""
+    stakes = (0, 1, 1, 2, 0)
+    table = rb.power_family(4, 1).with_entry(1, 2, climb).with_entry(2, 1, drop)
+    return table, rb.Profile(
+        rb.StationaryStrategy(Player.ONE, stakes), rb.StationaryStrategy(Player.TWO, stakes)
+    )
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(game=_forced_games())
+# The cycle is left from 3 with probability 5e-324 only: singular in floating point.
+@example(game=_cycle_m4_game(1.0, _NEAR_ENDS[0]))
+# Left with probability 2**-53 from 1 and 5e-324 from 3: solves.
+@example(game=_cycle_m4_game(_NEAR_ENDS[1], _NEAR_ENDS[0]))
 def test_values_split_at_most_the_stake(game) -> None:
     """``q + t <= 1``; both are exactly 0 where no boundary is reachable; and
     ``q + t = 1`` everywhere exactly when absorption is certain."""
     table, profile = game
     M = table.M
-    values = rb.hitting_values(table, profile)
+    try:
+        values = rb.hitting_values(table, profile)
+    except np.linalg.LinAlgError as exc:
+        # Only a step one ulp inside [0, 1] can make the solve singular or
+        # ill-conditioned in floating point; it must raise as documented.
+        moves = _moves(table, profile).values()
+        assert any(float(p) in _NEAR_ENDS for steps in moves for p, _ in steps)
+        assert str(exc).startswith(("singular matrix", "ill-conditioned solve"))
+        return
     total = np.add(values.q, values.t)
     assert (total <= 1.0 + 1e-12).all()
     stuck = [x for x in range(1, M) if x not in _reaching(_moves(table, profile), {0, M})]

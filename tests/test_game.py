@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import redblack as rb
 
@@ -110,6 +112,16 @@ class TestWinProbTable:
         clone = rb.WinProbTable.from_json_dict(json.loads(text))
         assert rb.canonical_json(clone.to_json_dict()) == text
         assert clone.array.tobytes() == table.array.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=16))
+    @example(values=[
+        math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0), 2.0**-1022 - 2.0**-1074,
+        2.0**-1030, -5e-324, -0.0, 0.0, 1.0,
+    ])
+    def test_canonical_json_round_trips_floats_bit_exactly(self, values: list[float]) -> None:
+        read = json.loads(rb.canonical_json({"values": values}))["values"]
+        assert np.array(read, dtype=float).tobytes() == np.array(values, dtype=float).tobytes()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_canonical_json_refuses_non_finite_floats(self, value: float) -> None:

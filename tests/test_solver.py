@@ -25,10 +25,12 @@ assembled entry by entry.  The engine must reproduce it bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
 import random
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -562,6 +564,35 @@ class TestLinearSystem:
                 assert _same_bits(rhs, law[..., [M, 0]])
         assert seen.all()
 
+    def test_exact_one_without_zero_leaves_nothing_stuck(self, monkeypatch) -> None:
+        """With an exact 1 in the table but no exact 0, every up step has
+        positive probability and climbs, so every fortune reaches M and
+        ``_stuck`` skips the reachability passes.  The passes agree that
+        nothing is stuck, and ``hitting_values`` gives the bits it gave
+        with them."""
+        M = 5
+        table = rb.power_family(M, 2).with_entry(1, 1, 1.0).with_entry(2, 1, 1.0)
+        firsts = list(rb.all_strategies(Player.ONE, M))
+        seconds = list(rb.all_strategies(Player.TWO, M))
+        chain = _chain_arrays(table, _stake_rows(firsts), _stake_rows(seconds))
+        p = chain[0]
+        assert (p == 1.0).any() and (p > 0.0).all()
+        profiles = [rb.Profile(first, second) for first in firsts for second in seconds]
+        ranks = solver._ranks
+
+        def ranked(M, *chain):
+            return ranks(M, [0, M], *(a[..., None] for a in chain))[:, 1:M] == M
+
+        def values() -> np.ndarray:
+            return np.array([(v.q, v.t) for v in map(partial(rb.hitting_values, table), profiles)])
+
+        assert not ranked(M, *chain).any()
+        monkeypatch.setattr(solver, "_ranks", lambda *args: pytest.fail("the passes ran"))
+        assert not solver._stuck(M, *chain).any()
+        skipped = values()
+        monkeypatch.setattr(solver, "_stuck", ranked)
+        assert _same_bits(values(), skipped)
+
 
 class TestStrategyEnumeration:
     @pytest.mark.parametrize("M", [2, 3, 4, 5, 6])
@@ -983,3 +1014,62 @@ class TestEnumerateEquilibria:
     def test_start_out_of_range(self, pow2_m3: rb.WinProbTable) -> None:
         with pytest.raises(ValueError, match="outside"):
             rb.enumerate_equilibria(pow2_m3, 4)
+
+    def test_certificate_dicts_round_trip_through_json(self) -> None:
+        """An ``enum`` artifact's certificates read back as the dicts that
+        were written, every value to the bit."""
+        table = rb.min_exp_table(5, 1.0)
+        for x0 in range(1, 5):
+            for cert in rb.enumerate_equilibria(table, x0):
+                written = cert.to_json_dict()
+                read = json.loads(rb.canonical_json(written))
+                assert read == written
+                values = np.array([read["value_I"], read["value_II"]])
+                assert values.tobytes() == np.array([cert.value_I, cert.value_II]).tobytes()
+
+    def test_starts_share_each_pairs_profile(self) -> None:
+        """On power p = 2 the equilibria at x0 = 2 are among those at x0 = 3
+        (README, criterion 6); each such pair's certificates hold one
+        ``Profile``."""
+        table = rb.power_family(5, 2)
+        at_three = {cert.profile: cert.profile for cert in rb.enumerate_equilibria(table, 3)}
+        at_two = rb.enumerate_equilibria(table, 2)
+        assert at_two and all(at_three[cert.profile] is cert.profile for cert in at_two)
+
+
+class TestCollectorPause:
+    def test_enumeration_leaves_the_collector_as_found(
+        self, collector: bool, pow2_m3: rb.WinProbTable
+    ) -> None:
+        assert len(rb.enumerate_equilibria(pow2_m3, 1)) == 2
+        assert gc.isenabled() is collector
+
+    def test_a_raising_block_leaves_the_collector_as_found(self, collector: bool) -> None:
+        with pytest.raises(KeyError):
+            with solver._collector_paused():
+                assert not gc.isenabled()
+                raise KeyError
+        assert gc.isenabled() is collector
+
+    def test_no_collection_runs_while_certificates_are_built(self) -> None:
+        """The fair power p = 1 table makes all 120^2 profiles at M = 6
+        equilibria: 28 800 new objects, dozens of collections' worth.  The
+        allocation count still grows while the collector is paused, so one
+        young collection may run as it resumes."""
+        table = rb.power_family(6, 1)
+        _pairwise_value_tensors(table)
+        solver._pair_profiles.cache_clear()
+        starts = []
+
+        def record(phase: str, info: dict) -> None:
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            found = rb.enumerate_equilibria(table, 3)
+        finally:
+            gc.callbacks.remove(record)
+        assert len(found) == 120**2 and starts in ([], [0])
+
