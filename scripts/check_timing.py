@@ -9,16 +9,19 @@ suite ``redblack check`` runs (its six reports plus fairness), on
 ``min_exp_table(M, 0.3)`` at M = 100, 200, 500 and 1000.  Each figure is
 the best of a few runs.  The composition scans run one plane per middle
 index, M + 1 planes of up to (M + 1)^2 terms, and each line ends with the
-``supermultiplicative`` time per plane and per term.  The two show the two
-regimes: at M = 100 a plane holds a few thousand terms and the fixed cost
-of its numpy calls is a large share of its time, so the time per term is
-about twice the M = 1000 figure; from M = 500 on the time per term is flat,
-as the work per term dominates.  Before timing, it checks the frozen sha256 of
-``canonical_json`` over the suite's reports and the extended one, at the
-default witness cap and at cap 1000, and exits 1 on a mismatch, so a faster
-scan that changes a bit is caught at sizes the test suite does not reach.
-It is kept out of the test suite because the M = 1000 scans take seconds
-each.
+``supermultiplicative`` time per plane and per term, then the number of
+terms the extended scan visits and its time per term.  At a tolerance
+``>= 0`` the extended scan visits only the terms that can fail: the same
+planes ``0 <= a <= M`` of (M - a + 1)^2 terms, not the (M + 7)^3 of its
+cube.  The per-plane and per-term figures show two regimes: at M = 100 a
+plane holds a few thousand terms and the fixed cost of its numpy calls is a
+large share of its time, so the time per term is about twice the M = 1000
+figure; from M = 500 on the time per term is flat, as the work per term
+dominates.  Before timing, it checks the frozen sha256 of ``canonical_json``
+over the suite's reports and the extended one, at the default witness cap
+and at cap 1000, and exits 1 on a mismatch, so a faster scan that changes a
+bit is caught at sizes the test suite does not reach.  It is kept out of the
+test suite because the M = 1000 scans take seconds each.
 """
 
 from __future__ import annotations
@@ -152,9 +155,12 @@ def main() -> int:
             terms = (M + 1) * (M + 2) * (2 * M + 3) // 6  # sum of the plane sizes (M - a + 1)^2
             per_plane = timings["supermultiplicative"] / (M + 1) * 1e6
             per_term = timings["supermultiplicative"] / terms * 1e9
+            extended_terms = terms  # span 3 covers the planes a = 0..M of x, b in 0..M - a
+            extended_per_term = timings["extended"] / extended_terms * 1e9
             label = f"M = {M}, {name}: "
             line = ", ".join(f"{key} {t:.3f} s" for key, t in timings.items())
-            print(f"{label}{line}; {per_plane:.0f} us/plane, {per_term:.1f} ns/term", flush=True)
+            print(f"{label}{line}; {per_plane:.0f} us/plane, {per_term:.1f} ns/term; "
+                  f"extended {extended_terms} terms, {extended_per_term:.1f} ns/term", flush=True)
     return 1 if failures else 0
 
 

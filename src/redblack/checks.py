@@ -112,10 +112,11 @@ def check_supermultiplicative(
     ``sum_x x * (M - x + 1) = M (M + 1) (M + 2) / 6``.
     """
     P, x, b = table.array, np.arange(table.M + 1)[:, None], np.arange(table.M + 1)
-    tag = "supermultiplicative"
+    bound, tag = P + tol, "supermultiplicative"
     # plane a: x and b in 0..M - a, so a + b never passes M; row x = 0 of a = 0 is skipped
     planes = (
-        Slab(P[:n, a, None] * P[a:, :n], P[:n, a:], a > 0 or x > 0, (x[:n], a, b[:n]), tag)
+        Slab(P[:n, a, None] * P[a:, :n], P[:n, a:], a > 0 or x > 0, (x[:n], a, b[:n]), tag,
+             bound[:n, a:])
         for a, n in enumerate(range(table.M + 1, 0, -1))
     )
     flagged = math.comb(table.M + 2, 3)
@@ -133,27 +134,46 @@ def check_supermultiplicative_extended(
 ) -> CheckReport:
     """The composition inequality for the whole-plane evaluator.
 
-    Scans all integer triples with each of ``x``, ``a``, ``b`` in
+    Covers all integer triples with each of ``x``, ``a``, ``b`` in
     ``[-span, M + span]``, skipping exactly the triples that would evaluate
     the undefined pair ``(0, 0)``: for ``span >= 0`` there are
     ``M + 2 span + 1`` with ``(x, a) = (0, 0)``, plus ``2 span`` each with
     ``(x + a, b) = (0, 0)`` or ``(x, a + b) = (0, 0)`` but not ``x = a = 0``,
     so ``M + 6 span + 1`` in all, and none for ``span < 0``.
+
+    For ``tol >= 0`` only the planes ``0 <= a <= M`` are scanned, each over
+    ``0 <= x, b <= M - a``, clipped to the span: no other term can fail,
+    since every table entry lies in [0, 1].
+
+    * ``x < 0``: the term is 0 against 0.
+    * ``a < 0`` or ``b < 0``: the term is 0 against a value ``>= 0``.
+    * ``x + a > M``: the term is 1 against 1.
+    * ``x + a <= M < x + a + b``: the term is ``P(x, a) <= 1`` against 1.
+    * A term that reads the undefined pair is ``nan``, which fails every
+      comparison, so it is never violated.
+
+    For a negative or ``nan`` tolerance those terms can fail, and the same
+    planes run over the whole cube.
     """
-    lo, hi = -span, extended.M + span
-    # x + a and a + b range over 2 lo .. 2 hi; E[i + o, j + o] = value(i, j)
-    o = -min(lo, 2 * lo)
-    E = extended.grid(-o, max(hi, 2 * hi))
-    x, b = np.arange(lo, hi + 1)[:, None], np.arange(lo, hi + 1)
-    tag = "supermultiplicative-extended"
-    w = slice(lo + o, hi + o + 1)  # x or b in lo..hi
-    # plane a: nan, only at (0, 0), fails every comparison, so needs no mask
-    planes = (
-        Slab(E[w, a + o, None] * E[a + w.start : a + w.stop, w], E[w, a + w.start : a + w.stop],
-             True, (x, a, b), tag)
-        for a in range(lo, hi + 1)
-    )
-    skipped = extended.M + 6 * span + 1 if span >= 0 else 0
+    M, lo, hi = extended.M, -span, extended.M + span
+    # x, a and b run from floor; a up to min(hi, reach), x and b up to min(hi, reach - a)
+    floor, reach = (max(lo, 0), M) if tol >= 0 else (lo, 2 * hi)
+    # every index and sum lies in min(floor, 2 floor)..reach; E[i + o, j + o] = value(i, j)
+    o = -min(floor, 2 * floor)
+    E = extended.grid(-o, reach)
+    bound, tag = E + tol, "supermultiplicative-extended"
+
+    def plane(a: int) -> Slab:
+        top = min(hi, reach - a)
+        xs = np.arange(floor, top + 1)
+        w = slice(floor + o, top + o + 1)  # x or b
+        s = slice(w.start + a, w.stop + a)  # x + a or a + b
+        # nan, only at (0, 0), fails every comparison, so the plane needs no mask
+        return Slab(E[w, a + o, None] * E[s, w], E[w, s], True, (xs[:, None], a, xs), tag,
+                    bound[w, s])
+
+    planes = (plane(a) for a in range(floor, min(hi, reach) + 1))
+    skipped = M + 6 * span + 1 if span >= 0 else 0
     return scan_slabs(tag, planes, tol=tol, max_witnesses=max_witnesses, skipped=skipped)
 
 
@@ -173,8 +193,10 @@ def check_sincov(
     fortune ``a >= 1`` over the rectangle ``x <= a <= b``.
     """
     A, x, b = F.array, np.arange(F.M + 1)[:, None], np.arange(F.M + 1)
+    bound = A + tol
     planes = (
-        Slab(A[: a + 1, a, None] * A[a, a:], A[: a + 1, a:], True, (x[: a + 1], a, b[a:]), "sincov")
+        Slab(A[: a + 1, a, None] * A[a, a:], A[: a + 1, a:], True, (x[: a + 1], a, b[a:]), "sincov",
+             bound[: a + 1, a:])
         for a in range(1, F.M + 1)
     )
     return scan_slabs("sincov", planes, tol=tol, max_witnesses=max_witnesses, skipped=F.M + 1)

@@ -276,9 +276,11 @@ class SincovTable(_Grid):
 
 def sincov_of(table: WinProbTable) -> SincovTable:
     """Reindex stakes to fortunes: ``F(x, y) = P(x, y - x)``."""
-    x, y = np.ogrid[: table.M + 1, : table.M + 1]
-    F = np.where(y >= x, table.array[x, np.maximum(y - x, 0)], np.nan)
-    return SincovTable._of_array(table.M, F)
+    M = table.M
+    F = np.full((M + 1, M + 1), np.nan)
+    for x in range(M + 1):  # row x is P's row x shifted right by x
+        F[x, x:] = table.array[x, : M + 1 - x]
+    return SincovTable._of_array(M, F)
 
 
 def table_of_sincov(F: SincovTable) -> WinProbTable:

@@ -407,10 +407,11 @@ def check_fairness(
     with np.errstate(invalid="ignore"):
         benchmark = a / (a + b)
     playable = (a + b > 0) & (a + b <= table.M)
-    above_hit = value > benchmark + tol
+    bound = benchmark + tol
+    above_hit = value > bound
     above = scan_slabs(
         "fairness",
-        [Slab(value, benchmark, playable, (a, b), "above-even-odds")],
+        [Slab(value, benchmark, playable, (a, b), "above-even-odds", bound)],
         tol=tol,
         max_witnesses=max_witnesses,
     )

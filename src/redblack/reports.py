@@ -101,7 +101,11 @@ class Slab(NamedTuple):
     broadcastable to that shape; a violation at position ``p`` reports
     ``tuple(c[p] for c in index)``, and C order of the positions must be
     the order of their reported indices.  Every position of a slab carries
-    the tag ``constraint``.
+    the tag ``constraint``.  ``bound``, when given, must equal
+    ``np.add(rhs, tol)`` bit for bit under the tolerance of the scan; a
+    check that compares many planes with one table computes ``table + tol``
+    once and passes views of it, since ``(A + tol)[view]`` is
+    ``A[view] + tol`` elementwise.
     """
 
     lhs: Any
@@ -109,6 +113,7 @@ class Slab(NamedTuple):
     valid: Any
     index: tuple[Any, ...]
     constraint: str
+    bound: Any = None
 
 
 def scan_slabs(
@@ -130,6 +135,8 @@ def scan_slabs(
     witnesses kept are the first ``max_witnesses`` ordered by constraint, in
     the order the constraints first appear, then by reported index, so slabs
     may arrive in any order.  A negative ``max_witnesses`` keeps none.
+    A slab's ``bound`` stands in for ``rhs + tol`` in the comparison and
+    must be that sum to the bit; ``rhs`` is still what a witness reports.
     """
     cap = None if max_witnesses is None else max(0, max_witnesses)
     violations = 0
@@ -142,7 +149,8 @@ def scan_slabs(
 
     for slab in slabs:
         order = rank.setdefault(slab.constraint, len(rank))
-        hit = np.greater(slab.lhs, np.add(slab.rhs, tol))
+        bound = np.add(slab.rhs, tol) if slab.bound is None else slab.bound
+        hit = np.greater(slab.lhs, bound)
         if strict:
             hit = ~hit
         if slab.valid is not True:

@@ -16,15 +16,18 @@ import random
 import tracemalloc
 from typing import Callable, Iterator
 
+import numpy as np
 import pytest
 
 import redblack as rb
+import redblack.checks
+import redblack.game
 from redblack.reports import Slab, scan_slabs
 
 CAPS = (0, 1, 16, None, -1)
 # A negative tolerance is not rejected by the library; fairness then
 # counts an entry within |tol| of the benchmark as above only.
-TOLS = (0.0, 1e-12, 1e-6, -1e-6)
+TOLS = (0.0, -0.0, 1e-12, 1e-6, -1e-6)
 
 
 def _random_table(M: int, seed: int) -> rb.WinProbTable:
@@ -271,10 +274,11 @@ def _pair(check: str, table: rb.WinProbTable, tol: float, cap: int | None):
         terms, skipped = _sincov_terms(F)
         return rb.check_sincov(F, **kw), _scalar_report(
             "sincov", terms, tol=tol, cap=cap, skipped=skipped)
-    if check == "extended":
+    if check.startswith("extended"):
+        span = int(check.removeprefix("extended") or 2)
         ext = rb.extend_table(table)
-        terms, skipped = _extended_terms(ext, 2)
-        return rb.check_supermultiplicative_extended(ext, span=2, **kw), _scalar_report(
+        terms, skipped = _extended_terms(ext, span)
+        return rb.check_supermultiplicative_extended(ext, span=span, **kw), _scalar_report(
             "supermultiplicative-extended", terms, tol=tol, cap=cap, skipped=skipped)
     if check == "uniqueness":
         eps = tol or 1e-12
@@ -301,10 +305,13 @@ CHECKS = (
     "extended", "uniqueness", "submultiplicative", "bold-excessive", "timid-excessive",
     "fairness",
 )
+# "extended" scans span 2; for tol >= 0 the scan visits only the terms that
+# can fail, so its report must equal the whole cube's at every span.
+EXTENDED_SPANS = ("extended-1", "extended0", "extended1", "extended3")
 
 
 @pytest.mark.parametrize("table_name", sorted(TABLES))
-@pytest.mark.parametrize("check", CHECKS)
+@pytest.mark.parametrize("check", CHECKS + EXTENDED_SPANS)
 def test_kernel_equals_scalar_oracle(check: str, table_name: str) -> None:
     table = TABLES[table_name]()
     for cap in CAPS:
@@ -312,6 +319,61 @@ def test_kernel_equals_scalar_oracle(check: str, table_name: str) -> None:
             kernel, oracle = _pair(check, table, tol, cap)
             assert kernel == oracle, (cap, tol)
             assert repr(kernel.to_json_dict()) == repr(oracle.to_json_dict())
+
+
+def test_negative_tolerance_scans_the_whole_cube() -> None:
+    """Off the clipped region a term is 0 against 0 or 1 against 1, which a
+    negative tolerance counts as violated."""
+    ext = rb.extend_table(rb.power_family(5, 2))
+    clipped = rb.check_supermultiplicative_extended(ext, span=2, tol=0.0, max_witnesses=None)
+    whole = rb.check_supermultiplicative_extended(ext, span=2, tol=-1e-6, max_witnesses=None)
+    assert all(min(w.index) >= 0 for w in clipped.witnesses)
+    assert any(min(w.index) < 0 for w in whole.witnesses)
+    assert whole.witnesses[0].index == (-2, -2, -2)
+
+
+@pytest.mark.parametrize("tol", TOLS)
+def test_slab_bounds_are_rhs_plus_tol(monkeypatch: pytest.MonkeyPatch, tol: float) -> None:
+    """Every check that precomputes ``rhs + tol`` hands the kernel that sum
+    to the bit, for every plane."""
+    bounded: list[str] = []
+
+    def spy(name: str, slabs, **kwargs) -> rb.CheckReport:
+        def checked():
+            for slab in slabs:
+                if slab.bound is not None:
+                    expected = np.add(slab.rhs, kwargs["tol"])
+                    assert np.shape(slab.bound) == np.shape(expected), slab.constraint
+                    assert np.asarray(slab.bound).tobytes() == expected.tobytes(), slab.constraint
+                    bounded.append(slab.constraint)
+                yield slab
+
+        return scan_slabs(name, checked(), **kwargs)
+
+    monkeypatch.setattr(redblack.checks, "scan_slabs", spy)
+    monkeypatch.setattr(redblack.game, "scan_slabs", spy)
+    table = _random_table(9, 9)
+    rb.check_supermultiplicative(table, tol=tol)
+    rb.check_sincov(rb.sincov_of(table), tol=tol)
+    rb.check_supermultiplicative_extended(rb.extend_table(table), tol=tol)
+    rb.check_fairness(table, tol=tol)
+    assert bounded.count("supermultiplicative") == table.M + 1
+    assert bounded.count("sincov") == table.M
+    planes = table.M + 1 if tol >= 0 else table.M + 7  # a in 0..M, or the default span 3
+    assert bounded.count("supermultiplicative-extended") == planes
+    assert bounded.count("above-even-odds") == 1
+
+
+@pytest.mark.parametrize("table_name", sorted(TABLES))
+def test_sincov_of_equals_the_gather_formula(table_name: str) -> None:
+    """The row copies give ``F(x, y) = P(x, y - x)`` bit for bit, with nan
+    exactly below the diagonal and at the origin."""
+    table = TABLES[table_name]()
+    x, y = np.ogrid[: table.M + 1, : table.M + 1]
+    gathered = np.where(y >= x, table.array[x, np.maximum(y - x, 0)], np.nan)
+    F = rb.sincov_of(table).array
+    assert F.tobytes() == gathered.tobytes()
+    assert np.array_equal(np.isnan(F), (y < x) | ((x == 0) & (y == 0)))
 
 
 def test_every_check_is_broken_and_rounding_ties_occur() -> None:
@@ -414,7 +476,7 @@ def test_unreachable_entries_closed_form(M: int) -> None:
 
 
 def test_extended_scan_memory_is_per_slab() -> None:
-    """The whole-plane scan keeps O(M^2) memory: one plane per ``x``."""
+    """The whole-plane scan keeps O(M^2) memory: one plane per middle stake ``a``."""
     table = rb.power_family(100, 2)
     extended = rb.extend_table(table)
     tracemalloc.start()
