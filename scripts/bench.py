@@ -1,4 +1,4 @@
-"""Run the perfbench workloads on this checkout and on a second one, in pairs.
+"""Run the perfbench workloads and the timing scripts on this checkout and a second one.
 
     python scripts/bench.py BASE OUT
 
@@ -22,6 +22,13 @@ whose correctness gate fails, that prints no metrics or that outlives
 after OUT is written.  Nothing under ``perfbench/`` is changed; each run
 leaves its details in its own checkout's ``perfbench/out/``, as a direct run
 of ``perfbench/run.py`` does.
+
+Before the pairs, each ``scripts/*_timing.py`` of this checkout runs once
+per side, from the side's root with its ``src`` on ``PYTHONPATH``.  These
+are the per-layer timings; each script checks its own frozen counts or
+digests and exits 1 on a mismatch.  OUT records each run's exit code and
+printed lines, and a nonzero exit, a missing script or a run that outlives
+``RUN_TIMEOUT_S`` also makes the script exit 1 after OUT is written.
 """
 
 from __future__ import annotations
@@ -107,6 +114,19 @@ def _run(root: Path, workload: str, seed: int, seconds: float) -> dict[str, Any]
     return run
 
 
+def _timing(root: Path, name: str) -> dict[str, Any]:
+    """One run of a timing script: its exit code and printed lines."""
+    if not (root / "scripts" / name).is_file():
+        return {"exit": None, "lines": [f"{root} holds no scripts/{name}"]}
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    try:
+        proc = subprocess.run([sys.executable, f"scripts/{name}"], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"exit": None, "lines": [f"timed out after {RUN_TIMEOUT_S} s"]}
+    return {"exit": proc.returncode, "lines": (proc.stdout + proc.stderr).splitlines()}
+
+
 def _summary(runs: list[dict[str, Any]]) -> dict[str, dict[str, float]]:
     out = {}
     for name in METRICS:
@@ -132,8 +152,14 @@ def main() -> int:
     seconds = float(benchmark["run_seconds"])
     workloads = [w["name"] for w in benchmark["workloads"]]
 
+    timings: dict[str, Any] = {}
+    for name in sorted(p.name for p in (TREE / "scripts").glob("*_timing.py")):
+        timings[name] = {side: _timing(root, name) for side, root in roots.items()}
+        for side, run in timings[name].items():
+            print(f"{name} {side}: exit {run['exit']}", flush=True)
+    ok = all(run["exit"] == 0 for sides in timings.values() for run in sides.values())
+
     results: dict[str, Any] = {}
-    ok = True
     for workload in workloads:
         runs: dict[str, list[dict[str, Any]]] = {"tree": [], "base": []}
         for pair in range(PAIRS):
@@ -160,6 +186,7 @@ def main() -> int:
         "command": f"perfbench/run.py --workload W --seed {FIRST_SEED}+pair --seconds {seconds:g} --trace 0",
         "pairs": PAIRS,
         "sides": {side: _checkout(root) for side, root in roots.items()},
+        "timing_scripts": timings,
         "workloads": results,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")

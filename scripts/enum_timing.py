@@ -1,19 +1,27 @@
-"""Time exhaustive equilibrium enumeration on the p = 2 power family at M = 7.
+"""Time exhaustive equilibrium enumeration on the power family at M = 7 and 8.
 
     PYTHONPATH=src python scripts/enum_timing.py
 
 First checks the criterion-6 per-start counts at M = 6
 (120/120/240/720/2880).  Then enumerates every start x0 = 1..6 of
-``power_family(7, 2)`` from a cold cache, 720² profile pairs, and prints the
-per-start counts, the wall time split into the cold build of the value
-tensors (``_pairwise_value_tensors``) and the six enumerations that reuse
-them, the full (generation 2) garbage collections that ran during them, the
-time to turn the six starts' certificates into JSON dicts as ``redblack
-enum`` does, and the peak resident memory of the process.
-The M = 7 counts must be 720/720/1440/4320/17280/86400, that is
-(M - 1)! * (x0 - 1)! (README, criterion 6); the script exits 1 on any other
-count.  It is kept out of the test suite because the M = 7 run takes seconds
-and about 190 MiB.
+``power_family(7, 2)`` from a cold cache and prints the per-start counts,
+the wall time split into the cold build of the table's enumeration state
+(every strategy and both players' best responses to each of the other's,
+``table_enumeration``) and the six enumerations that solve their candidate
+pairs and build the certificates, the full (generation 2) garbage
+collections that ran during them, the time to turn the six starts' certificates into JSON
+dicts as ``redblack enum`` does, and the peak resident memory of the
+process.  The M = 7 counts must be 720/720/1440/4320/17280/86400, that is
+(M - 1)! * (x0 - 1)! (README, criterion 6).
+
+Then, with the enumeration cap raised to 8, it enumerates x0 = 1..5 of
+``power_family(8, 2)``, whose counts must be 5040 * (x0 - 1)!
+(5040/5040/10080/30240/120960), and of ``min_exp_table(8, 0.3)``, whose
+counts must be 8640 at x0 = 1 and 2880 at x0 = 2..5.  It prints each
+table's wall time and the peak resident memory, which must stay under
+``PEAK_RSS_LIMIT_MIB``.  The script exits 1 on any other count or a higher
+peak.  It is kept out of the test suite because it takes seconds and over
+100 MiB.
 """
 
 from __future__ import annotations
@@ -24,10 +32,20 @@ import sys
 import time
 
 import redblack as rb
-from redblack.solver import _collector_paused, _pairwise_value_tensors
+from redblack._enumeration import table_enumeration
+from redblack.solver import _collector_paused
 
 M6_COUNTS = [120, 120, 240, 720, 2880]
 M7_COUNTS = [720, 720, 1440, 4320, 17280, 86400]
+M8_COUNTS = {
+    "power p = 2": (rb.power_family(8, 2), [5040, 5040, 10080, 30240, 120960]),
+    "min-exp m = 0.3": (rb.min_exp_table(8, 0.3), [8640, 2880, 2880, 2880, 2880]),
+}
+PEAK_RSS_LIMIT_MIB = 300
+
+
+def _peak_mib() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def main() -> int:
@@ -41,21 +59,20 @@ def main() -> int:
     table = rb.power_family(7, 2)
     full_before = gc.get_stats()[2]["collections"]
     start = time.perf_counter()
-    _pairwise_value_tensors(table)
+    table_enumeration(table)
     built = time.perf_counter()
     found = [rb.enumerate_equilibria(table, x0) for x0 in range(1, 7)]
     end = time.perf_counter()
     full = gc.get_stats()[2]["collections"] - full_before
-    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     counts = [len(start_found) for start_found in found]
     if counts != M7_COUNTS:
         print(f"M = 7 counts {counts}, expected {M7_COUNTS}", file=sys.stderr)
         return 1
     print(f"M = 7 counts {counts}: ok")
     print(
-        f"M = 7 all starts: {end - start:.2f} s (cold tensor build {built - start:.2f} s, "
-        f"six warm enumerations {end - built:.2f} s), {full} full collection(s), "
-        f"peak RSS {peak_mib:.0f} MiB"
+        f"M = 7 all starts: {end - start:.2f} s (cold best responses {built - start:.3f} s, "
+        f"six enumerations {end - built:.2f} s), {full} full collection(s), "
+        f"peak RSS {_peak_mib():.0f} MiB"
     )
     # One start's dicts at a time, dropped before the next.
     converting = time.perf_counter()
@@ -64,9 +81,22 @@ def main() -> int:
             dicts = [certificate.to_json_dict() for certificate in start_found]
         del dicts
     converted = time.perf_counter()
-    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"M = 7 JSON dicts of all starts: {converted - converting:.2f} s, "
-          f"peak RSS {peak_mib:.0f} MiB")
+          f"peak RSS {_peak_mib():.0f} MiB")
+    del found
+
+    for name, (table, expected) in M8_COUNTS.items():
+        start = time.perf_counter()
+        counts = [len(rb.enumerate_equilibria(table, x0, cap=8)) for x0 in range(1, 6)]
+        end = time.perf_counter()
+        if counts != expected:
+            print(f"M = 8 {name} counts {counts}, expected {expected}", file=sys.stderr)
+            return 1
+        print(f"M = 8 {name} counts {counts}: ok, x0 = 1..5 in {end - start:.2f} s, "
+              f"peak RSS {_peak_mib():.0f} MiB")
+    if _peak_mib() >= PEAK_RSS_LIMIT_MIB:
+        print(f"peak RSS {_peak_mib():.0f} MiB, over {PEAK_RSS_LIMIT_MIB} MiB", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -27,23 +27,27 @@ included.  It gathers the chains of a block of profile pairs from two stake
 matrices at once, runs a vectorised backward-reachability fixpoint to find
 the stuck fortunes of every chain, and solves all chains with one stacked
 ``np.linalg.solve`` (:func:`_solve_chains`); one range rule,
-:func:`_in_range`, accepts its values.  Enumeration solves all
-``(M-1)!^2`` pairs in row blocks of player I's strategies, so its memory is
-the two value tensors of ``(M-1)!^2 * (M+1)`` floats each plus one small
-block: 1.6 MiB in all at ``M = 6``, 66 MiB at ``M = 7`` and 3.4 GiB at
-``M = 8``, which is why :data:`DEFAULT_ENUM_CAP` is 7.  Each hit's
-certificate is built from the cached strategies without re-validating them,
-and each pair's ``Profile`` is built once per table and shared by the
-certificates of every start.  The certificates are built with the cyclic
-garbage collector paused (:func:`_collector_paused`): none of them is in a
-reference cycle, so a collection would only walk every live one again.
+:func:`_in_range`, accepts its values.
 
-A best response is found by policy iteration (Howard) on the responder's
-``(M-1) x (M-1)`` grid of fortunes and stakes, gathered by
+A best response is found by policy iteration (Howard 1960) on the
+responder's ``(M-1) x (M-1)`` grid of fortunes and stakes, gathered by
 :func:`_chain_arrays` and ranked by the same reachability fixpoint: each
-policy's chain is solved by the same engine as a stack of one, then one
-argmax over the grid improves it.  The response is the last policy, and
-its values are that policy's own, to the bit those of ``hitting_values``.
+policy's chain is solved by the same engine, then one argmax over the grid
+improves it.  :func:`_best_responses` runs it for a stack of opponents at
+once, one stacked solve per round over those still switching, and
+:func:`best_response` is its stack of one.  The response is the last policy,
+and its values are that policy's own, to the bit those of
+``hitting_values``.
+
+Enumeration
+-----------
+
+:func:`enumerate_equilibria` finds every pair that neither player can
+improve by more than ``tol`` from both players' best responses to every
+strategy of the other: where every chain absorbs, it solves only the
+saddle-point candidates.  The state it keeps per table, the rule and the
+proof that the pruning loses no pair are in :mod:`redblack._enumeration`,
+loaded on the first enumeration.
 
 Equilibrium certification is by excessivity, else by exact best response
 at any ``M``:
@@ -63,9 +67,8 @@ import gc
 import itertools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
-from functools import lru_cache
-from typing import Any, Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -100,6 +103,8 @@ _IMPROVE_MARGIN = 1e-14
 _RANGE_SLACK = 1e-9
 # Profile pairs per block of the batched value engine (see _value_grid).
 _BLOCK_PAIRS = 1024
+# Action-grid entries per chunk of stacked best responses (see _best_responses).
+_RESPONSE_BLOCK = 2**18
 # Sweeps per convergence test of the value iteration (see _iterate_chain).
 _SWEEP_BLOCK = 128
 
@@ -451,6 +456,101 @@ class BestResponse:
     values: tuple[float, ...]
 
 
+def _policy_iteration(
+    M: int, goal: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Policy iteration on a stack of ``K`` action grids, one per opponent.
+
+    ``p``, ``up`` and ``dn`` are ``(K, M - 1, M - 1)``: entry ``[k, x - 1,
+    s - 1]`` is the step at interior fortune ``x`` under stake ``s`` against
+    opponent ``k``.  Returns each opponent's last policy, ``(K, M - 1)``
+    stake indices ``s - 1``, and the responder's ``(K, M + 1)`` values of
+    it, which have met the range rule.  Each round solves the policies of
+    the opponents still switching with one :func:`_solve_chains`; every
+    operation acts on each opponent's own rows alone, so each opponent's
+    rounds, and bits, are those of a stack of one.
+    """
+    K = len(p)
+    column = 0 if goal == M else 1
+    # Flat offsets of opponent k's value row and of its grid row at fortune x.
+    offsets = (M + 1) * np.arange(K)[:, None, None]
+    starts = (M - 1) * np.arange(K * (M - 1)).reshape(K, M - 1)
+    # Start at the smallest stake stepping into a lower rank; where none
+    # does, the fortune cannot reach the goal and stake 1 is as good as any.
+    rank = _ranks(M, [goal], p, up, dn)
+    here = rank[:, 1:M, None]
+    flat = rank.reshape(-1)
+    progress = ((p > 0.0) & (flat[offsets + up] < here)) | ((p < 1.0) & (flat[offsets + dn] < here))
+    policy = progress.argmax(axis=2)
+    policies = np.empty_like(policy)
+    values = np.empty((K, M + 1))
+    live = np.arange(K)  # the opponents whose policies still switch
+    seen: list[np.ndarray] = []  # their earlier policies, one array per round
+    while True:
+        chosen = starts[: len(live)] + policy
+        v = _solve_chains(M, *(a.reshape(-1)[chosen] for a in (p, up, dn)))[column]
+        flat = v.reshape(-1)
+        at = offsets[: len(live)]
+        one_stage = p * flat[at + up] + (1.0 - p) * flat[at + dn]
+        best = one_stage.argmax(axis=2)
+        stage = one_stage.reshape(-1)
+        switch = stage[starts[: len(live)] + best] > stage[chosen] + _IMPROVE_MARGIN
+        moving = switch.any(axis=1)
+        if not moving.all():
+            settled = ~moving
+            policies[live[settled]] = policy[settled]
+            values[live[settled]] = v[settled]
+            if not moving.any():
+                break
+            live, policy, switch, best = live[moving], policy[moving], switch[moving], best[moving]
+            p, up, dn = p[moving], up[moving], dn[moving]
+            seen = [earlier[moving] for earlier in seen]
+        seen.append(policy)
+        policy = np.where(switch, best, policy)
+        if any((earlier == policy).all(axis=1).any() for earlier in seen):
+            raise RuntimeError(
+                "policy iteration revisited a policy: the solves are too "
+                "ill-conditioned to rank the stakes"
+            )
+    return policies, _in_range(values)
+
+
+def _best_responses(
+    table: WinProbTable, responder: Player, opponents: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best responses of ``responder`` to a stack of opponent stake rows.
+
+    Returns :func:`_policy_iteration`'s policies and values, row ``k`` for
+    ``opponents[k]``.  Opponents go in chunks whose action grids hold at
+    most :data:`_RESPONSE_BLOCK` entries, so besides the two outputs the
+    working set stays under about ``80 * _RESPONSE_BLOCK`` bytes (20 MiB),
+    whatever the count.
+    """
+    M = table.M
+    goal = M if responder is Player.ONE else 0
+    # Row s - 1 stakes min(s, own fortune) at every own fortune.  Past the
+    # own fortune it repeats the largest legal stake, so the first maximum
+    # along the stake axis is always a legal stake.
+    own = np.arange(M + 1)
+    own[M] = 0
+    stakes = np.minimum.outer(np.arange(1, M), own)
+    chunk = max(1, _RESPONSE_BLOCK // (M - 1) ** 2)
+    policies = np.empty((len(opponents), M - 1), dtype=np.int64)
+    values = np.empty((len(opponents), M + 1))
+    for lo in range(0, len(opponents), chunk):
+        fixed = opponents[lo : lo + chunk]
+        # Action grids [k, x - 1, s - 1]: opponent k, interior fortune x, stake s.
+        if responder is Player.ONE:
+            grids = (a.reshape(M - 1, len(fixed), M - 1).transpose(1, 2, 0)
+                     for a in _chain_arrays(table, stakes, fixed))
+        else:
+            grids = (a.reshape(len(fixed), M - 1, M - 1).transpose(0, 2, 1)
+                     for a in _chain_arrays(table, fixed, stakes))
+        p, up, dn = (np.ascontiguousarray(a) for a in grids)
+        policies[lo : lo + chunk], values[lo : lo + chunk] = _policy_iteration(M, goal, p, up, dn)
+    return policies, values
+
+
 def best_response(table: WinProbTable, opponent: StationaryStrategy) -> BestResponse:
     """Optimal stationary response by policy iteration with exact evaluation.
 
@@ -469,50 +569,16 @@ def best_response(table: WinProbTable, opponent: StationaryStrategy) -> BestResp
     floating point one can when the solves are too ill-conditioned to rank
     the stakes, and then ``RuntimeError`` is raised instead of looping
     forever.  Only the responder's values of the last solve meet the range
-    rule (:func:`_in_range`): an intermediate policy may overshoot.
+    rule (:func:`_in_range`): an intermediate policy may overshoot.  This is
+    :func:`_best_responses` for a stack of one opponent.
     """
-    M = table.M
     responder = opponent.owner.other
-    goal = M if responder is Player.ONE else 0
-    # Row s - 1 stakes min(s, own fortune) at every own fortune.  Past the
-    # own fortune it repeats the largest legal stake, so the first maximum
-    # along the stake axis is always a legal stake.
-    stakes = np.minimum.outer(np.arange(1, M), np.r_[0:M, 0])
-    fixed = _stake_rows([opponent])
-    pair = (stakes, fixed) if responder is Player.ONE else (fixed, stakes)
-    # Action grids [x - 1, s - 1]: interior fortune x, stake s.
-    p, up, dn = (np.ascontiguousarray(a.T) for a in _chain_arrays(table, *pair))
-    rows = np.arange(M - 1)
-
-    # Start at the smallest stake stepping into a lower rank; where none
-    # does, the fortune cannot reach the goal and stake 1 is as good as any.
-    rank = _ranks(M, [goal], p[None], up[None], dn[None])[0]
-    here = rank[1:M, None]
-    progress = ((p > 0.0) & (rank[up] < here)) | ((p < 1.0) & (rank[dn] < here))
-    policy = progress.argmax(axis=1)
-    column = 0 if goal == M else 1
-    seen = set()
-    while True:
-        v = _solve_chains(M, *(a[rows, policy][None] for a in (p, up, dn)))[column, 0]
-        one_stage = p * v[up] + (1.0 - p) * v[dn]
-        best = one_stage.argmax(axis=1)
-        switch = one_stage[rows, best] > one_stage[rows, policy] + _IMPROVE_MARGIN
-        if not switch.any():
-            break
-        seen.add(policy.tobytes())
-        policy = np.where(switch, best, policy)
-        if policy.tobytes() in seen:
-            raise RuntimeError(
-                "policy iteration revisited a policy: the solves are too "
-                "ill-conditioned to rank the stakes"
-            )
-    v = _in_range(v)
-
-    own = (policy + 1).tolist()
+    policies, values = _best_responses(table, responder, _stake_rows([opponent]))
+    own = (policies[0] + 1).tolist()
     if responder is Player.TWO:
         own.reverse()
     strategy = StationaryStrategy(responder, (0, *own, 0))
-    return BestResponse(responder, strategy, tuple(v.tolist()))
+    return BestResponse(responder, strategy, tuple(values[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -726,30 +792,6 @@ def verify_nash(
     )
 
 
-@lru_cache(maxsize=1)
-def _pairwise_value_tensors(
-    table: WinProbTable,
-) -> tuple[tuple[StationaryStrategy, ...], tuple[StationaryStrategy, ...], np.ndarray, np.ndarray]:
-    """Value tensors ``[i, j, x]`` over all profile pairs, cached for the last table."""
-    firsts = tuple(all_strategies(Player.ONE, table.M))
-    seconds = tuple(all_strategies(Player.TWO, table.M))
-    VI, VII = _value_grid(table, _stake_rows(firsts), _stake_rows(seconds))
-    VI.setflags(write=False)
-    VII.setflags(write=False)
-    return firsts, seconds, VI, VII
-
-
-@lru_cache(maxsize=1)
-def _pair_profiles(table: WinProbTable) -> dict[int, Profile]:
-    """The ``Profile`` of pair ``i * K + j`` of :func:`_pairwise_value_tensors`,
-    over ``K`` player-II strategies, for the last table.
-
-    Empty at first; :func:`_enumerated_certificates` adds each pair the
-    first time a start hits it, so every start of the table shares it.
-    """
-    return {}
-
-
 @contextmanager
 def _collector_paused() -> Iterator[None]:
     """Run a block with CPython's cyclic garbage collector disabled.
@@ -770,57 +812,6 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _enumerated_certificates(
-    firsts: tuple[StationaryStrategy, ...],
-    seconds: tuple[StationaryStrategy, ...],
-    profiles: dict[int, Profile],
-    x0: int,
-    hits: Iterable[tuple[int, int, float, float]],
-) -> tuple[EquilibriumCertificate, ...]:
-    """One enumeration certificate per hit ``(i, j, value_I, value_II)``.
-
-    The profile of hit ``(i, j)`` is ``firsts[i]`` against ``seconds[j]``,
-    taken from ``profiles`` at key ``i * len(seconds) + j`` (see
-    :func:`_pair_profiles`), and added there if missing.  ``Profile(...)``
-    would check that player I's strategy comes first, player II's second,
-    and that both share the total money; that cannot fail here, because the
-    strategies come from :func:`all_strategies` for each player at the
-    table's ``M``.  So each frozen instance is allocated and its slots are
-    written through the class's own slot descriptors, skipping checks that
-    cost most of a hit when the hits number tens of thousands, and with the
-    collector paused (:func:`_collector_paused`).  The instances equal,
-    hash and print as the checked ones.
-    """
-    new = object.__new__
-    set_first, set_second = (Profile.__dict__[f.name].__set__ for f in fields(Profile))
-    (set_profile, set_x0, set_value_I, set_value_II, set_equilibrium, set_method,
-     set_coverage, set_deviation, set_reports) = (
-        EquilibriumCertificate.__dict__[f.name].__set__ for f in fields(EquilibriumCertificate)
-    )
-    K = len(seconds)
-    certificates = []
-    with _collector_paused():
-        for i, j, value_I, value_II in hits:
-            key = i * K + j
-            profile = profiles.get(key)
-            if profile is None:
-                profile = profiles[key] = new(Profile)
-                set_first(profile, firsts[i])
-                set_second(profile, seconds[j])
-            certificate = new(EquilibriumCertificate)
-            set_profile(certificate, profile)
-            set_x0(certificate, x0)
-            set_value_I(certificate, value_I)
-            set_value_II(certificate, value_II)
-            set_equilibrium(certificate, True)
-            set_method(certificate, "enumeration")
-            set_coverage(certificate, "stationary-deterministic")
-            set_deviation(certificate, None)
-            set_reports(certificate, ())
-            certificates.append(certificate)
-    return tuple(certificates)
-
-
 def enumerate_equilibria(
     table: WinProbTable,
     x0: int,
@@ -831,17 +822,20 @@ def enumerate_equilibria(
     """All stationary deterministic equilibria at fortune ``x0``.
 
     A profile qualifies when neither player has a strictly improving
-    (by more than ``tol``) unilateral stationary deterministic deviation.
-    Results are ordered lexicographically by both players' stakes.
+    (by more than ``tol``) unilateral stationary deterministic deviation,
+    measured against the best responses' values (see :mod:`redblack._enumeration`,
+    which also proves that the pairs left unsolved cannot qualify).  A
+    negative or nan ``tol`` asks even the deviation to the same strategy to
+    gain less than nothing, so no profile qualifies.  Results are ordered
+    lexicographically by both players' stakes.
     """
     M = table.M
     if not 0 <= x0 <= M:
         raise ValueError(f"initial fortune {x0} outside 0..{M}")
     _require_enumerable(M, cap)
-    firsts, seconds, VI, VII = _pairwise_value_tensors(table)
-    vI, vII = VI[:, :, x0], VII[:, :, x0]
-    # Player I's best value per opponent column, player II's per opponent row.
-    stable = (vI >= vI.max(axis=0) - tol) & (vII >= vII.max(axis=1)[:, None] - tol)
-    rows, cols = np.nonzero(stable)
-    hits = zip(rows.tolist(), cols.tolist(), vI[rows, cols].tolist(), vII[rows, cols].tolist())
-    return _enumerated_certificates(firsts, seconds, _pair_profiles(table), x0, hits)
+    if not tol >= 0.0:
+        return ()
+    # Imported on first use, so a process that never enumerates never compiles it.
+    from ._enumeration import table_enumeration
+
+    return table_enumeration(table).equilibria(table, x0, tol)

@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import redblack as rb
-from redblack import solver
+from redblack import _enumeration, solver
 from redblack.cli import main
 from redblack.game import Player
 
@@ -197,6 +197,47 @@ class TestExactOracle:
         assert "leaves [0, 1]" in capsys.readouterr().err
 
 
+# Seeds whose player I on exp_difference_table(80) makes best_response raise:
+# seeds 5, 27 and 40 in the first solve, seed 26 through the range rule.
+FAILING_RESPONSE_SEEDS = (5, 26, 27, 40)
+
+
+class TestStackedBestResponses:
+    @pytest.mark.parametrize("owner", ["first", "second"])
+    def test_seeded_opponents_stack_to_their_single_calls(self, owner: str) -> None:
+        """Against the 50 seeded players of either side on
+        exp_difference_table(80), all at once, each opponent's response and
+        values are those of its own call, to the bit."""
+        table = rb.exp_difference_table(80)
+        seeds = [s for s in range(50) if owner == "second" or s not in FAILING_RESPONSE_SEEDS]
+        opponents = [getattr(_seeded_profile(seed, 80), owner) for seed in seeds]
+        responder = opponents[0].owner.other
+        policies, values = solver._best_responses(table, responder, solver._stake_rows(opponents))
+        for opponent, policy, value in zip(opponents, policies, values):
+            single = rb.best_response(table, opponent)
+            assert single.player is responder
+            bets = single.strategy.bets
+            stakes = [bets[x] if responder is Player.ONE else bets[80 - x] for x in range(1, 80)]
+            assert (policy + 1).tolist() == stakes
+            assert value.tobytes() == np.array(single.values).tobytes()
+
+    @pytest.mark.parametrize("seed", FAILING_RESPONSE_SEEDS)
+    def test_a_failing_opponent_raises_in_a_stack_as_alone(self, seed: int) -> None:
+        """A stack holding one opponent whose response cannot be solved
+        raises the error, and message, of that opponent's own call: seed 26
+        still raises through the range rule."""
+        table = rb.exp_difference_table(80)
+        opponent = _seeded_profile(seed, 80).first
+        with pytest.raises(np.linalg.LinAlgError) as alone:
+            rb.best_response(table, opponent)
+        stack = [_seeded_profile(0, 80).first, opponent, _seeded_profile(1, 80).first]
+        with pytest.raises(np.linalg.LinAlgError) as stacked:
+            solver._best_responses(table, Player.TWO, solver._stake_rows(stack))
+        assert str(stacked.value) == str(alone.value)
+        if seed == 26:
+            assert "leaves [0, 1]" in str(stacked.value)
+
+
 class _Iterated(Exception):
     """Raised by the stand-in for the value iteration."""
 
@@ -208,10 +249,10 @@ def _refuse(*args, **kwargs):
 @pytest.fixture
 def no_iteration(monkeypatch):
     monkeypatch.setattr(solver, "_iterate_chain", _refuse)
-    # A cached tensor from another test would hide the solve.
-    solver._pairwise_value_tensors.cache_clear()
+    # Pair values cached by another test would hide the solve.
+    _enumeration.table_enumeration.cache_clear()
     yield
-    solver._pairwise_value_tensors.cache_clear()
+    _enumeration.table_enumeration.cache_clear()
 
 
 class TestNoDefaultPathIterates:

@@ -30,7 +30,7 @@ import json
 import math
 import random
 import tracemalloc
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -38,17 +38,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import redblack as rb
-from redblack import solver
+from redblack import _enumeration, solver
 from redblack.cli import main
 from redblack.game import Player
+from redblack.reports import DEFAULT_TOL
 from redblack.solver import (
     DEFAULT_TIE_TOL,
     _IMPROVE_MARGIN,
     _chain_arrays,
     _iterate_chain,
     _linear_system,
-    _pairwise_value_tensors,
     _stake_rows,
+    _value_grid,
 )
 
 
@@ -492,7 +493,9 @@ class TestBatchedEngine:
         self, maker: str, M: int, request
     ) -> None:
         table = _oracle_table(maker, M, request)
-        firsts, seconds, VI, VII = _pairwise_value_tensors(table)
+        firsts = list(rb.all_strategies(Player.ONE, M))
+        seconds = list(rb.all_strategies(Player.TWO, M))
+        VI, VII = _value_grid(table, _stake_rows(firsts), _stake_rows(seconds))
         verdicts = set()
         for i, first in enumerate(firsts):
             for j, second in enumerate(seconds):
@@ -523,16 +526,20 @@ class TestBatchedEngine:
                 )
 
     def test_cold_tensor_build_memory_is_blocked(self) -> None:
-        """Row blocks keep the working set near the 1.6 MiB of output tensors."""
+        """The cold enumeration state of a table holds both players' 120
+        best-response value vectors and no pairwise tensor: its build peaks
+        far below the 1.6 MiB that the two value tensors took at M = 6."""
         table = rb.power_family(6, 2)
+        _enumeration.strategies.cache_clear()
         tracemalloc.start()
         try:
-            _, _, VI, _ = _pairwise_value_tensors.__wrapped__(table)
+            state = _enumeration.TableEnumeration(table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert VI.shape == (120, 120, 7)
-        assert peak < 4 * 2**20
+        assert state.best_I.shape == state.best_II.shape == (120, 7)
+        assert len(state.keys) == 0
+        assert peak < 2**20
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -1037,6 +1044,144 @@ class TestEnumerateEquilibria:
         assert at_two and all(at_three[cert.profile] is cert.profile for cert in at_two)
 
 
+# The tables whose every start's equilibria must equal the exhaustive oracle's.
+ENUM_MAKERS = {
+    **MAKERS,
+    "pow2.5": lambda M: rb.power_family(M, 2.5),
+    "min_exp_0.3": lambda M: rb.min_exp_table(M, 0.3),
+}
+ENUM_CASES = [(maker, M) for maker in ENUM_MAKERS for M in (2, 3, 4, 5, 6)] + [("cycle", 4)]
+
+
+def _enum_table(maker: str, M: int) -> rb.WinProbTable:
+    if maker == "cycle":  # the ``cycle_m4`` fixture of conftest
+        return rb.power_family(4, 1).with_entry(1, 2, 1.0).with_entry(2, 1, 0.0)
+    return ENUM_MAKERS[maker](M)
+
+
+@lru_cache(maxsize=None)
+def _enum_oracle_grid(maker: str, M: int) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """Every strategy of each player and the value tensors ``[i, j, x]`` of
+    every pair, solved by the batched engine the oracle tests pin."""
+    firsts = list(rb.all_strategies(Player.ONE, M))
+    seconds = list(rb.all_strategies(Player.TWO, M))
+    VI, VII = _value_grid(_enum_table(maker, M), _stake_rows(firsts), _stake_rows(seconds))
+    return firsts, seconds, VI, VII
+
+
+def _enum_oracle_pairs(maker: str, M: int, x0: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The exhaustive rule: the pairs within ``tol`` of the best value over
+    every pair of each player's column or row, as row and column indices."""
+    _, _, VI, VII = _enum_oracle_grid(maker, M)
+    vI, vII = VI[:, :, x0], VII[:, :, x0]
+    return np.nonzero((vI >= vI.max(axis=0) - tol) & (vII >= vII.max(axis=1)[:, None] - tol))
+
+
+class TestStackedBestResponses:
+    STACK_MAKERS = {maker: ENUM_MAKERS[maker] for maker in ("pow2", "min_exp_0.3", "el")}
+
+    @pytest.mark.parametrize("M", [4, 5, 6, 7])
+    @pytest.mark.parametrize("maker", sorted(STACK_MAKERS))
+    def test_stack_equals_one_opponent_calls(self, maker: str, M: int) -> None:
+        """Policy iteration against every opponent at once gives each
+        opponent the strategy and the values, to the bit, of its own call."""
+        table = self.STACK_MAKERS[maker](M)
+        for owner in (Player.ONE, Player.TWO):
+            opponents = list(rb.all_strategies(owner, M))
+            policies, values = solver._best_responses(table, owner.other, _stake_rows(opponents))
+            for opponent, policy, value in zip(opponents, policies, values):
+                single = rb.best_response(table, opponent)
+                bets = single.strategy.bets
+                stakes = [bets[x] if owner is Player.TWO else bets[M - x] for x in range(1, M)]
+                assert (policy + 1).tolist() == stakes
+                assert _same_bits(value, np.array(single.values))
+
+    def test_a_revisiting_opponent_raises_in_a_stack(
+        self, cycling_first_m47: rb.StationaryStrategy, ten_second_alarm
+    ) -> None:
+        M = 47
+        opponents = [
+            rb.timid_strategy(Player.ONE, M), cycling_first_m47, rb.bold_strategy(Player.ONE, M)
+        ]
+        with pytest.raises(RuntimeError, match="ill-conditioned"):
+            solver._best_responses(rb.exp_difference_table(M), Player.TWO, _stake_rows(opponents))
+
+    def test_chunks_keep_the_bits(self, monkeypatch) -> None:
+        """Opponents split into chunks of one grid each answer as one stack."""
+        table = rb.min_exp_table(6, 0.3)
+        stakes = _stake_rows(list(rb.all_strategies(Player.TWO, 6)))
+        whole = solver._best_responses(table, Player.ONE, stakes)
+        monkeypatch.setattr(solver, "_RESPONSE_BLOCK", 25)
+        chunked = solver._best_responses(table, Player.ONE, stakes)
+        assert (whole[0] == chunked[0]).all() and _same_bits(whole[1], chunked[1])
+
+
+class TestEnumerationOracle:
+    @pytest.mark.parametrize("maker,M", ENUM_CASES)
+    def test_every_start_equals_the_exhaustive_oracle(self, maker: str, M: int) -> None:
+        """At every start, the certificates are those the exhaustive rule
+        builds with the checked constructors, in the same order, to the bit.
+        On the tables where every chain absorbs, ``q + t`` stays within
+        1.4e-15 of 1 over every pair, far inside ``SUM_SLACK``."""
+        table = _enum_table(maker, M)
+        firsts, seconds, VI, VII = _enum_oracle_grid(maker, M)
+        state = _enumeration.table_enumeration(table)
+        assert state.zero_sum is (maker != "cycle")
+        if state.zero_sum:
+            assert np.abs(VI + VII - 1.0).max() <= 1.4e-15 < _enumeration.SUM_SLACK / 400
+        for x0 in range(M + 1):
+            rows, cols = _enum_oracle_pairs(maker, M, x0, DEFAULT_TOL)
+            expected = tuple(
+                rb.EquilibriumCertificate(
+                    rb.Profile(firsts[i], seconds[j]), x0, float(VI[i, j, x0]),
+                    float(VII[i, j, x0]), True, "enumeration", "stationary-deterministic",
+                )
+                for i, j in zip(rows.tolist(), cols.tolist())
+            )
+            found = rb.enumerate_equilibria(table, x0)
+            assert len(found) == len(expected)
+            assert repr(found) == repr(expected)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        case=st.sampled_from([(maker, M) for maker, M in ENUM_CASES if M >= 3]),
+        x0=st.integers(0, 6),
+        tol=st.just(0.0) | st.floats(1e-15, 1e-6),
+    )
+    def test_oracle_pairs_lie_among_the_candidates(self, case, x0: int, tol: float) -> None:
+        """Every pair the exhaustive rule accepts lies in ``OI x OII``, and
+        enumeration, whose best-response maxima never exceed the oracle's,
+        accepts it too."""
+        maker, M = case
+        x0 = min(x0, M)
+        table = _enum_table(maker, M)
+        rows, cols = _enum_oracle_pairs(maker, M, x0, tol)
+        state = _enumeration.table_enumeration(table)
+        if state.zero_sum:
+            kept_rows, kept_cols = state.candidates(x0, tol)
+            assert set(rows.tolist()) <= set(kept_rows.tolist())
+            assert set(cols.tolist()) <= set(kept_cols.tolist())
+        firsts, seconds, _, _ = _enum_oracle_grid(maker, M)
+        found = rb.enumerate_equilibria(table, x0, tol=tol)
+        pairs = {(c.profile.first, c.profile.second) for c in found}
+        assert {(firsts[i], seconds[j]) for i, j in zip(rows.tolist(), cols.tolist())} <= pairs
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        case=st.sampled_from([(maker, M) for maker, M in ENUM_CASES if M >= 3]),
+        x0=st.integers(0, 6),
+        tol=st.floats(-1.0, -1e-15) | st.just(math.nan),
+    )
+    def test_negative_or_nan_tol_matches_the_oracle(self, case, x0: int, tol: float) -> None:
+        """The exhaustive rule accepts nothing at such a tolerance, and
+        neither does enumeration."""
+        maker, M = case
+        x0 = min(x0, M)
+        rows, _ = _enum_oracle_pairs(maker, M, x0, tol)
+        assert len(rows) == 0
+        assert rb.enumerate_equilibria(_enum_table(maker, M), x0, tol=tol) == ()
+
+
 class TestCollectorPause:
     def test_enumeration_leaves_the_collector_as_found(
         self, collector: bool, pow2_m3: rb.WinProbTable
@@ -1057,8 +1202,8 @@ class TestCollectorPause:
         allocation count still grows while the collector is paused, so one
         young collection may run as it resumes."""
         table = rb.power_family(6, 1)
-        _pairwise_value_tensors(table)
-        solver._pair_profiles.cache_clear()
+        rb.enumerate_equilibria(table, 3)  # solves and keeps every pair's values
+        _enumeration.table_enumeration(table).profiles.clear()
         starts = []
 
         def record(phase: str, info: dict) -> None:
