@@ -1,0 +1,74 @@
+"""Byte-identity of ``redblack enum`` artifacts.
+
+``DIGESTS`` holds the sha256 of ``enum`` artifacts written while every
+certificate was built eagerly, one frozen object per equilibrium, and turned
+into a dict by its own ``to_json_dict``.  The cases cover the saddle-point
+path on power p = 2 (whose tie sets grow with ``x0``), exp-diff and min-exp
+m = 0.3, the streamed path on the cycling ``cycle_m4`` table, and an empty
+set from a negative ``--tol``.  Runs happen inside ``tmp_path`` with relative
+paths, so the manifest holds no machine-specific path.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+import redblack as rb
+from redblack.cli import main
+
+# ``gen`` options per table; ``cycle`` is written from the library instead.
+TABLES = {
+    "power-2 5": ["--M", "5", "--family", "power", "--p", "2"],
+    "exp-diff 4": ["--M", "4", "--family", "exp-diff"],
+    "min-exp-0.3 5": ["--M", "5", "--family", "min-exp", "--m", "0.3"],
+    "cycle 4": None,
+}
+
+DIGESTS = {
+    "power-2 5 1": "ba5704b575af28f447db2313a0c53229204e16b2ec889d1d4b19fbeda20b92f1",
+    "power-2 5 2": "a6d1176617674e689555a39ab9344d895df9ef81d617e38484cafb43df4a5493",
+    "power-2 5 3": "7484b22be2e68783392ca7bf6d117a7e1e5611d7e140ef1ed4e8877cfff05391",
+    "power-2 5 4": "ef82ff0f71c53484080dde5f887ffc4bfbc902fbef40d97416714373743c0c19",
+    "exp-diff 4 1": "3deb6129bfd4a161e0da9cea040b087d06b5d58ce6031a3a50e74b9dc89b3ae9",
+    "exp-diff 4 2": "12076ac9be7bcc74a94c2080e67677a6a53aa27190d0ebbfe26a16398436eda7",
+    "exp-diff 4 3": "67e24c2d3799b392e956d54e13f6650466fa57650991b98d024b55360ef8ad93",
+    "min-exp-0.3 5 1": "bb6a6084f56cec00938cbb74137a63222684adaaf1493ae93a130b0e21c1ddc4",
+    "min-exp-0.3 5 2": "2bd0e959c8652d306c70f1685ec57a937084d2c453420300ff8dce614f7399f9",
+    "min-exp-0.3 5 3": "16dae3445331c8a996427e02874da1137d637596f089680333eb7ff752dbf3cc",
+    "min-exp-0.3 5 4": "db61c12af0c9a850e0add3f585016b4c2fc2178ae78c34dbd191c3e0c5a0bff8",
+    "cycle 4 1": "2c82b335f3adad7196fcff67cf60a1aa8710506eb4079a44a49c1aa8ba70c001",
+    "cycle 4 2": "0f7c13f370675fe42406491cb1e8ccd1ca9c947cafaf187c576dbe7a0593f940",
+    "cycle 4 3": "49f8a10150ff7728770c5af5739e33a0f40a5f1b9052068d64e180243d80ec54",
+    "power-2 5 3 --tol -1": "30f8cd780a2fbb4a6de20e3ce0d5b89c8f0b83debaf17c07cbf72700f7140300",
+}
+
+
+def _enum_artifact(tmp_path: Path, monkeypatch, table: str, x0: str, extra: list[str]) -> bytes:
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("REDBLACK_TOL", raising=False)
+    if TABLES[table] is None:  # the ``cycle_m4`` fixture of conftest
+        cycle = rb.power_family(4, 1).with_entry(1, 2, 1.0).with_entry(2, 1, 0.0)
+        Path("table.json").write_text(rb.canonical_json(cycle.to_json_dict()), encoding="utf-8")
+    else:
+        assert main(["gen", *TABLES[table], "--out", "table.json"]) == 0
+    argv = ["enum", "--table", "table.json", "--x0", x0, *extra, "--out", "enum.json"]
+    assert main(argv) == 0
+    return Path("enum.json").read_bytes()
+
+
+CASES = [
+    (table, x0, []) for table in TABLES for x0 in range(1, int(table.split()[1]))
+] + [("power-2 5", 3, ["--tol", "-1"])]
+
+
+@pytest.mark.parametrize(
+    "table,x0,extra", CASES, ids=[" ".join([t, str(x0), *extra]) for t, x0, extra in CASES]
+)
+def test_enum_artifact_is_byte_identical(
+    tmp_path: Path, monkeypatch, table: str, x0: int, extra: list[str]
+) -> None:
+    artifact = _enum_artifact(tmp_path, monkeypatch, table, str(x0), extra)
+    assert hashlib.sha256(artifact).hexdigest() == DIGESTS[" ".join([table, str(x0), *extra])]
