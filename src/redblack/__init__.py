@@ -71,7 +71,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "solver": (
         "BestResponse",
         "Deviation",
-        "EnumeratedBestResponse",
         "EnumerationLimitError",
         "EquilibriumCertificate",
         "ValueVector",
@@ -81,7 +80,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "bold_timid_values",
         "check_bold_excessive",
         "check_timid_excessive",
-        "enumerate_best_response",
         "enumerate_equilibria",
         "hitting_values",
         "strategy_count",

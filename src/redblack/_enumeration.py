@@ -68,21 +68,17 @@ rule.
 Where some chain can cycle, ``q + t < 1`` can hold and the argument fails:
 the candidates are every pair, solved in row blocks at each start and kept
 nowhere, and tested by the same rule (R).  Memory holds nothing of size
-``(M-1)!^2 * (M+1)`` unless every pair is a candidate.  Each hit's
-certificate is built from the cached strategies without re-validating them,
-and each pair's ``Profile`` is built once per table and shared by the
-certificates of every start.  The certificates are built with the cyclic
-garbage collector paused (:func:`redblack.solver._collector_paused`): none
-of them is in a reference cycle, so a collection would only walk every live
-one again.
+``(M-1)!^2 * (M+1)`` unless every pair is a candidate.  A start's hits are
+kept as four arrays, see :class:`Equilibria`, which builds each certificate
+only when it is read.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import fields
+from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -91,7 +87,6 @@ from .solver import (
     _BLOCK_PAIRS,
     EquilibriumCertificate,
     _best_responses,
-    _collector_paused,
     _stake_rows,
     _value_grid,
     all_strategies,
@@ -114,6 +109,73 @@ def strategies(
     return firsts, seconds, _stake_rows(firsts), _stake_rows(seconds)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class Equilibria(Sequence[EquilibriumCertificate]):
+    """The equilibria of one start, kept as arrays and certified on access.
+
+    Pair ``k`` is ``firsts[rows[k]]`` against ``seconds[cols[k]]``, worth
+    ``value_I[k]`` to player I and ``value_II[k]`` to player II at ``x0``.
+    Reading a pair builds its certificate with the checked ``Profile`` and
+    ``EquilibriumCertificate`` constructors, so a caller that counts or
+    samples pays for what it reads, and one that reads every pair pays for
+    every certificate.  A slice is a tuple.  The set equals a tuple or
+    another set of the same certificates, and prints as that tuple.
+    """
+
+    x0: int
+    firsts: tuple[StationaryStrategy, ...]
+    seconds: tuple[StationaryStrategy, ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    value_I: np.ndarray
+    value_II: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        at = range(len(self))[index]
+        if isinstance(at, range):
+            return tuple(self[k] for k in at)
+        return EquilibriumCertificate(
+            Profile(self.firsts[self.rows[at]], self.seconds[self.cols[at]]), self.x0,
+            float(self.value_I[at]), float(self.value_II[at]), True, "enumeration",
+            "stationary-deterministic",
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, Equilibria)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def to_json_dicts(self) -> list[dict[str, Any]]:
+        """``[c.to_json_dict() for c in self]``, written from the arrays: each
+        strategy's stake list is built once per call and shared by every
+        dict that holds it."""
+        rows, cols = self.rows.tolist(), self.cols.tolist()
+        stakes_I = {i: list(self.firsts[i].bets) for i in set(rows)}
+        stakes_II = {j: list(self.seconds[j].bets) for j in set(cols)}
+        return [
+            {
+                "profile": {
+                    "M": len(stakes_I[i]) - 1, "player_I": stakes_I[i], "player_II": stakes_II[j]
+                },
+                "x0": self.x0,
+                "value_I": value_I,
+                "value_II": value_II,
+                "equilibrium": True,
+                "method": "enumeration",
+                "coverage": "stationary-deterministic",
+                "deviation": None,
+                "reports": [],
+            }
+            for i, j, value_I, value_II in zip(rows, cols, self.value_I.tolist(), self.value_II.tolist())
+        ]
+
+
 class TableEnumeration:
     """What enumeration keeps of one table between starts.
 
@@ -122,9 +184,7 @@ class TableEnumeration:
     best-response values at every fortune against ``seconds[j]``, and
     ``best_II[i]``, player II's against ``firsts[i]``; and ``zero_sum``, the
     guard that every chain of the table absorbs.  Then, as the starts ask
-    for them, the values of every pair solved so far (see :meth:`solved`)
-    and each pair's ``Profile`` (see :meth:`certificates`), keyed by
-    ``i * K + j`` over ``K`` player-II strategies.
+    for them, the values of every pair solved so far (see :meth:`solved`).
     """
 
     def __init__(self, table: WinProbTable) -> None:
@@ -139,32 +199,25 @@ class TableEnumeration:
         self.zero_sum = bool((playable < 1.0).all() or (playable > 0.0).all())
         self.keys = np.empty(0, dtype=np.int64)
         self.values = np.empty((0, 2, M + 1))
-        self.profiles: dict[int, Profile] = {}
 
-    def equilibria(
-        self, table: WinProbTable, x0: int, tol: float
-    ) -> tuple[EquilibriumCertificate, ...]:
-        """The certificate of every pair that passes (R) at ``x0``, in
-        row-major order, for a ``tol >= 0``: of the saddle-point candidates if
-        ``zero_sum``, else of every pair."""
+    def equilibria(self, table: WinProbTable, x0: int, tol: float) -> Equilibria:
+        """Every pair that passes (R) at ``x0``, in row-major order, for a
+        ``tol >= 0``: of the saddle-point candidates if ``zero_sum``, else of
+        every pair."""
         if self.zero_sum:
             rows, cols = self.candidates(x0, tol)
             values = self.solved(table, rows, cols, x0)
-            blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]] = [
-                (rows, values[..., 0], values[..., 1])
-            ]
+            blocks = [(rows, values[..., 0], values[..., 1])]
         else:
             cols = np.arange(len(self.seconds))
             blocks = self.streamed(table, x0)
         limit_I, limit_II = self.best_I[:, x0] - tol, self.best_II[:, x0] - tol
-
-        def block_hits(rows: np.ndarray, vI: np.ndarray, vII: np.ndarray) -> Iterator[tuple]:
+        hits = []
+        for rows, vI, vII in blocks:
             # Rule (R): within tol of each player's best response to the other.
             r, c = np.nonzero((vI >= limit_I[cols]) & (vII >= limit_II[rows, None]))
-            return zip(rows[r].tolist(), cols[c].tolist(), vI[r, c].tolist(), vII[r, c].tolist())
-
-        hits = itertools.chain.from_iterable(itertools.starmap(block_hits, blocks))
-        return self.certificates(x0, hits)
+            hits.append((rows[r], cols[c], vI[r, c], vII[r, c]))
+        return Equilibria(x0, self.firsts, self.seconds, *map(np.concatenate, zip(*hits)))
 
     def candidates(self, x0: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
         """The saddle-point candidates ``OI`` and ``OII`` at ``x0``, as rows
@@ -219,53 +272,6 @@ class TableEnumeration:
             rows = np.arange(lo, min(lo + per_block, len(self.firsts)))
             VI, VII = _value_grid(table, self.first_rows[rows], self.second_rows)
             yield rows, VI[..., x0], VII[..., x0]
-
-    def certificates(
-        self, x0: int, hits: Iterable[tuple[int, int, float, float]]
-    ) -> tuple[EquilibriumCertificate, ...]:
-        """One enumeration certificate per hit ``(i, j, value_I, value_II)``.
-
-        The profile of hit ``(i, j)`` is ``firsts[i]`` against
-        ``seconds[j]``, taken from ``profiles`` at key ``i * len(seconds) + j``,
-        and added there if missing.  ``Profile(...)`` would check that player
-        I's strategy comes first, player II's second, and that both share the
-        total money; that cannot fail here, because the strategies come from
-        :func:`all_strategies` for each player at the table's ``M``.  So each
-        frozen instance is allocated and its slots are written through the
-        class's own slot descriptors, skipping checks that cost most of a hit
-        when the hits number tens of thousands, and with the collector paused
-        (:func:`redblack.solver._collector_paused`).  The instances equal, hash
-        and print as the checked ones.
-        """
-        new = object.__new__
-        set_first, set_second = (Profile.__dict__[f.name].__set__ for f in fields(Profile))
-        (set_profile, set_x0, set_value_I, set_value_II, set_equilibrium, set_method,
-         set_coverage, set_deviation, set_reports) = (
-            EquilibriumCertificate.__dict__[f.name].__set__ for f in fields(EquilibriumCertificate)
-        )
-        firsts, seconds, profiles = self.firsts, self.seconds, self.profiles
-        K = len(seconds)
-        certificates = []
-        with _collector_paused():
-            for i, j, value_I, value_II in hits:
-                key = i * K + j
-                profile = profiles.get(key)
-                if profile is None:
-                    profile = profiles[key] = new(Profile)
-                    set_first(profile, firsts[i])
-                    set_second(profile, seconds[j])
-                certificate = new(EquilibriumCertificate)
-                set_profile(certificate, profile)
-                set_x0(certificate, x0)
-                set_value_I(certificate, value_I)
-                set_value_II(certificate, value_II)
-                set_equilibrium(certificate, True)
-                set_method(certificate, "enumeration")
-                set_coverage(certificate, "stationary-deterministic")
-                set_deviation(certificate, None)
-                set_reports(certificate, ())
-                certificates.append(certificate)
-        return tuple(certificates)
 
 
 @lru_cache(maxsize=1)

@@ -294,14 +294,12 @@ def _cmd_nash(args: argparse.Namespace) -> int:
 
 
 def _cmd_enum(args: argparse.Namespace) -> int:
-    from .solver import DEFAULT_ENUM_CAP, _collector_paused, enumerate_equilibria, strategy_count
+    from .solver import DEFAULT_ENUM_CAP, enumerate_equilibria, strategy_count
 
     tol = _resolve_tol(args.tol)
     cap = DEFAULT_ENUM_CAP if args.cap is None else args.cap
     table = _load_table(args.table)
     found = enumerate_equilibria(table, args.x0, tol=tol, cap=cap)
-    with _collector_paused():
-        equilibria = [certificate.to_json_dict() for certificate in found]
     payload = {
         "manifest": _manifest(
             "enum",
@@ -313,7 +311,7 @@ def _cmd_enum(args: argparse.Namespace) -> int:
         "x0": args.x0,
         "strategies_per_player": strategy_count(table.M),
         "count": len(found),
-        "equilibria": equilibria,
+        "equilibria": found.to_json_dicts(),
     }
     _emit(payload, args.out)
     return 0

@@ -17,8 +17,7 @@ probabilistic model checking), which leaves a nonsingular system.
 
 The chain a profile induces is built only by :func:`_chain_arrays`, which
 :mod:`redblack.montecarlo` walks as well; it rejects a profile whose total
-money differs from the table's.  :data:`DEFAULT_TIE_TOL` is the tie
-tolerance of :func:`enumerate_best_response`; :data:`DEFAULT_VI_TOL` and
+money differs from the table's.  :data:`DEFAULT_VI_TOL` and
 :data:`DEFAULT_MAX_SWEEPS` serve only :func:`_iterate_chain`, the value
 iteration of ``hitting_values(..., method="iterate")``.
 
@@ -45,9 +44,10 @@ Enumeration
 :func:`enumerate_equilibria` finds every pair that neither player can
 improve by more than ``tol`` from both players' best responses to every
 strategy of the other: where every chain absorbs, it solves only the
-saddle-point candidates.  The state it keeps per table, the rule and the
-proof that the pruning loses no pair are in :mod:`redblack._enumeration`,
-loaded on the first enumeration.
+saddle-point candidates.  It keeps each start's equilibria as arrays and
+builds a certificate only when one is read.  The state it keeps per table,
+the rule and the proof that the pruning loses no pair are in
+:mod:`redblack._enumeration`, loaded on the first enumeration.
 
 Equilibrium certification is by excessivity, else by exact best response
 at any ``M``:
@@ -57,18 +57,15 @@ at any ``M``:
   I against a timid opponent, :func:`check_timid_excessive` for player II
   against a bold one);
 * otherwise by each player's :func:`best_response` to the other, which is
-  optimal among all strategies too (see :func:`verify_nash`);
-  :func:`enumerate_best_response` is the exhaustive oracle for the tests.
+  optimal among all strategies too (see :func:`verify_nash`).
 """
 
 from __future__ import annotations
 
-import gc
 import itertools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 import numpy as np
 
@@ -89,10 +86,12 @@ from .reports import (
     scan_slabs,
 )
 
+if TYPE_CHECKING:
+    from ._enumeration import Equilibria
+
 DEFAULT_VI_TOL = 1e-13
 DEFAULT_MAX_SWEEPS = 10**6
 DEFAULT_ENUM_CAP = 7
-DEFAULT_TIE_TOL = 1e-9
 # A policy-iteration stake switches only on a gain above this, so rounding
 # in the exact solves cannot make two stakes alternate forever.
 _IMPROVE_MARGIN = 1e-14
@@ -581,54 +580,6 @@ def best_response(table: WinProbTable, opponent: StationaryStrategy) -> BestResp
     return BestResponse(responder, strategy, tuple(values[0].tolist()))
 
 
-@dataclass(frozen=True)
-class EnumeratedBestResponse:
-    """Statewise maxima over every stationary deterministic response.
-
-    ``values[x]`` is the best achievable winning probability at player I's
-    fortune ``x``; ``per_state[x]`` lists indices (into ``strategies``) of
-    the responses attaining it within the tie tolerance; ``optimal`` lists
-    the responses attaining the maximum at every fortune simultaneously.
-    """
-
-    player: Player
-    strategies: tuple[StationaryStrategy, ...]
-    values: tuple[float, ...]
-    per_state: tuple[tuple[int, ...], ...]
-    optimal: tuple[StationaryStrategy, ...]
-
-
-def enumerate_best_response(
-    table: WinProbTable,
-    opponent: StationaryStrategy,
-    *,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> EnumeratedBestResponse:
-    """Exhaustive oracle for :func:`best_response` (factorial cost in ``M``)."""
-    M = table.M
-    _require_enumerable(M, cap)
-    responder = opponent.owner.other
-    strategies = tuple(all_strategies(responder, M))
-    stakes, fixed = _stake_rows(strategies), _stake_rows([opponent])
-    if responder is Player.ONE:
-        rows = _value_grid(table, stakes, fixed)[0][:, 0]
-    else:
-        rows = _value_grid(table, fixed, stakes)[1][0]
-    maxima = rows.max(axis=0)
-    per_state = tuple(
-        tuple(int(i) for i in np.nonzero(rows[:, x] >= maxima[x] - DEFAULT_TIE_TOL)[0])
-        for x in range(M + 1)
-    )
-    simultaneous = np.nonzero((rows >= maxima - DEFAULT_TIE_TOL).all(axis=1))[0]
-    return EnumeratedBestResponse(
-        player=responder,
-        strategies=strategies,
-        values=tuple(float(v) for v in maxima),
-        per_state=per_state,
-        optimal=tuple(strategies[int(i)] for i in simultaneous),
-    )
-
-
 def check_bold_excessive(
     curve: UnitBetCurve,
     values: ValueVector | None = None,
@@ -792,33 +743,13 @@ def verify_nash(
     )
 
 
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Run a block with CPython's cyclic garbage collector disabled.
-
-    A block that allocates tens of thousands of objects and keeps them all
-    triggers collections that walk every live object again, although none
-    is in a reference cycle.  Pausing only defers collection: reference
-    counting still frees what the block drops, so no result changes.  On
-    exit, also when the block raises, the collector is re-enabled only if
-    it was enabled on entry.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def enumerate_equilibria(
     table: WinProbTable,
     x0: int,
     *,
     tol: float = DEFAULT_TOL,
     cap: int = DEFAULT_ENUM_CAP,
-) -> tuple[EquilibriumCertificate, ...]:
+) -> Equilibria:
     """All stationary deterministic equilibria at fortune ``x0``.
 
     A profile qualifies when neither player has a strictly improving
@@ -826,16 +757,18 @@ def enumerate_equilibria(
     measured against the best responses' values (see :mod:`redblack._enumeration`,
     which also proves that the pairs left unsolved cannot qualify).  A
     negative or nan ``tol`` asks even the deviation to the same strategy to
-    gain less than nothing, so no profile qualifies.  Results are ordered
-    lexicographically by both players' stakes.
+    gain less than nothing, so no profile qualifies and nothing is solved.
+    Results are ordered lexicographically by both players' stakes, in a
+    read-only sequence that builds each certificate when it is read (see
+    :class:`redblack._enumeration.Equilibria`); ``tuple(...)`` builds them all.
     """
     M = table.M
     if not 0 <= x0 <= M:
         raise ValueError(f"initial fortune {x0} outside 0..{M}")
     _require_enumerable(M, cap)
-    if not tol >= 0.0:
-        return ()
     # Imported on first use, so a process that never enumerates never compiles it.
-    from ._enumeration import table_enumeration
+    from ._enumeration import Equilibria, table_enumeration
 
+    if not tol >= 0.0:
+        return Equilibria(x0, (), (), *np.empty((4, 0)))
     return table_enumeration(table).equilibria(table, x0, tol)

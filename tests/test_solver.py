@@ -25,7 +25,6 @@ assembled entry by entry.  The engine must reproduce it bit for bit.
 from __future__ import annotations
 
 import dataclasses
-import gc
 import json
 import math
 import random
@@ -38,12 +37,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import redblack as rb
+from oracles import DEFAULT_TIE_TOL, enumerate_best_response
 from redblack import _enumeration, solver
 from redblack.cli import main
 from redblack.game import Player
 from redblack.reports import DEFAULT_TOL
 from redblack.solver import (
-    DEFAULT_TIE_TOL,
     _IMPROVE_MARGIN,
     _chain_arrays,
     _iterate_chain,
@@ -518,7 +517,7 @@ class TestBatchedEngine:
                 else:
                     rows = np.array([_oracle_values(table, opponent, s)[1] for s in responses])
                 maxima = rows.max(axis=0)
-                got = rb.enumerate_best_response(table, opponent)
+                got = enumerate_best_response(table, opponent)
                 assert got.values == tuple(maxima.tolist())
                 assert got.per_state == tuple(
                     tuple(np.nonzero(rows[:, x] >= maxima[x] - DEFAULT_TIE_TOL)[0].tolist())
@@ -673,7 +672,7 @@ class TestBestResponse:
         response = rb.best_response(table, opponent)
         assert response.strategy.bets == (0, 1, 1, 1, 0)
         assert response.values == (0.0, 0.0, 0.0, 1.0, 1.0)
-        assert response.values == rb.enumerate_best_response(table, opponent).values
+        assert response.values == enumerate_best_response(table, opponent).values
 
     @pytest.mark.parametrize("maker,M", [
         (maker, M)
@@ -690,7 +689,7 @@ class TestBestResponse:
         ]
         for opponent in opponents:
             fast = rb.best_response(table, opponent)
-            oracle = rb.enumerate_best_response(table, opponent)
+            oracle = enumerate_best_response(table, opponent)
             for x in range(M + 1):
                 assert fast.values[x] == pytest.approx(oracle.values[x], abs=1e-9)
 
@@ -705,7 +704,7 @@ class TestBestResponse:
         for owner in (Player.ONE, Player.TWO):
             for opponent in rb.all_strategies(owner, M):
                 fast = rb.best_response(table, opponent)
-                oracle = rb.enumerate_best_response(table, opponent)
+                oracle = enumerate_best_response(table, opponent)
                 assert fast.strategy in oracle.optimal
                 for x in range(M + 1):
                     assert fast.values[x] == pytest.approx(oracle.values[x], abs=DEFAULT_TIE_TOL)
@@ -760,7 +759,7 @@ class TestBestResponse:
     def test_enumeration_respects_cap(self) -> None:
         table = rb.power_family(9, 1)
         with pytest.raises(rb.EnumerationLimitError, match="cap"):
-            rb.enumerate_best_response(table, rb.timid_strategy(Player.TWO, 9))
+            enumerate_best_response(table, rb.timid_strategy(Player.TWO, 9))
 
     def test_revisited_policy_raises(
         self, cycling_first_m47: rb.StationaryStrategy, ten_second_alarm
@@ -854,7 +853,7 @@ class TestVerifyNash:
         refutation names player I's deviation."""
         profile = rb.Profile.from_name("timid-bold", 4)
         cert = rb.verify_nash(pow2_m4, profile, 2)
-        assert rb.enumerate_best_response(pow2_m4, profile.first).values[2] > cert.value_II
+        assert enumerate_best_response(pow2_m4, profile.first).values[2] > cert.value_II
         assert not cert.equilibrium
         assert cert.deviation is not None and cert.deviation.player is Player.ONE
 
@@ -899,7 +898,7 @@ class TestVerifyNash:
                     (profile.second, cert.value_I), (profile.first, cert.value_II)
                 ):
                     if opponent not in oracle:
-                        oracle[opponent] = rb.enumerate_best_response(table, opponent)
+                        oracle[opponent] = enumerate_best_response(table, opponent)
                     response = oracle[opponent]
                     if response.values[x0] > baseline + rb.DEFAULT_TOL:
                         expected = response
@@ -980,9 +979,9 @@ class TestEnumerateEquilibria:
     @pytest.mark.parametrize("M", [3, 4, 5])
     @pytest.mark.parametrize("maker", ["pow2", "el", "min_exp"])
     def test_certificates_equal_the_checked_constructors(self, maker: str, M: int) -> None:
-        """Enumeration writes its certificates' slots without re-validation;
-        every hit must equal, hash, print and serialise as the certificate
-        the validating constructors build from the same stakes and values."""
+        """Every certificate enumeration returns must equal, hash, print and
+        serialise as the one built from the same stakes and the profile's
+        own solve."""
         table = MAKERS[maker](M)
         for x0 in range(M + 1):
             for cert in rb.enumerate_equilibria(table, x0):
@@ -1033,15 +1032,6 @@ class TestEnumerateEquilibria:
                 assert read == written
                 values = np.array([read["value_I"], read["value_II"]])
                 assert values.tobytes() == np.array([cert.value_I, cert.value_II]).tobytes()
-
-    def test_starts_share_each_pairs_profile(self) -> None:
-        """On power p = 2 the equilibria at x0 = 2 are among those at x0 = 3
-        (README, criterion 6); each such pair's certificates hold one
-        ``Profile``."""
-        table = rb.power_family(5, 2)
-        at_three = {cert.profile: cert.profile for cert in rb.enumerate_equilibria(table, 3)}
-        at_two = rb.enumerate_equilibria(table, 2)
-        assert at_two and all(at_three[cert.profile] is cert.profile for cert in at_two)
 
 
 # The tables whose every start's equilibria must equal the exhaustive oracle's.
@@ -1182,39 +1172,40 @@ class TestEnumerationOracle:
         assert rb.enumerate_equilibria(_enum_table(maker, M), x0, tol=tol) == ()
 
 
-class TestCollectorPause:
-    def test_enumeration_leaves_the_collector_as_found(
-        self, collector: bool, pow2_m3: rb.WinProbTable
-    ) -> None:
-        assert len(rb.enumerate_equilibria(pow2_m3, 1)) == 2
-        assert gc.isenabled() is collector
+class TestEquilibriaSequence:
+    def test_indexing_slicing_and_iteration_agree(self) -> None:
+        found = rb.enumerate_equilibria(rb.power_family(5, 2), 3)
+        n = len(found)
+        listed = tuple(found)
+        assert n == len(listed) == 48
+        assert listed == tuple(found[k] for k in range(n))
+        assert found[-1] == listed[-1] and found[-n] == listed[0]
+        for outside in (n, -n - 1):
+            with pytest.raises(IndexError):
+                found[outside]
+        with pytest.raises(TypeError):
+            found[1.0]  # type: ignore[index]
+        for index in (
+            slice(None), slice(1, None, 5), slice(None, None, -3), slice(-7, -1, 2),
+            slice(40, 10), slice(n + 5, None),
+        ):
+            assert type(found[index]) is tuple and found[index] == listed[index]
 
-    def test_a_raising_block_leaves_the_collector_as_found(self, collector: bool) -> None:
-        with pytest.raises(KeyError):
-            with solver._collector_paused():
-                assert not gc.isenabled()
-                raise KeyError
-        assert gc.isenabled() is collector
+    def test_equality_and_repr_follow_the_tuple(self) -> None:
+        table = rb.power_family(4, 2)
+        found, again = rb.enumerate_equilibria(table, 2), rb.enumerate_equilibria(table, 2)
+        assert found is not again and found == again
+        assert found == tuple(again) and tuple(found) == again
+        assert found != rb.enumerate_equilibria(table, 3) and found != list(found)
+        assert repr(found) == repr(tuple(found))
+        empty = rb.enumerate_equilibria(table, 2, tol=-1.0)
+        assert type(empty) is type(found)
+        assert len(empty) == 0 and not empty and empty == () and repr(empty) == "()"
+        assert empty.to_json_dicts() == []
 
-    def test_no_collection_runs_while_certificates_are_built(self) -> None:
-        """The fair power p = 1 table makes all 120^2 profiles at M = 6
-        equilibria: 28 800 new objects, dozens of collections' worth.  The
-        allocation count still grows while the collector is paused, so one
-        young collection may run as it resumes."""
-        table = rb.power_family(6, 1)
-        rb.enumerate_equilibria(table, 3)  # solves and keeps every pair's values
-        _enumeration.table_enumeration(table).profiles.clear()
-        starts = []
-
-        def record(phase: str, info: dict) -> None:
-            if phase == "start":
-                starts.append(info["generation"])
-
-        gc.collect()
-        gc.callbacks.append(record)
-        try:
-            found = rb.enumerate_equilibria(table, 3)
-        finally:
-            gc.callbacks.remove(record)
-        assert len(found) == 120**2 and starts in ([], [0])
-
+    @pytest.mark.parametrize("maker,M", ENUM_CASES)
+    def test_json_dicts_equal_the_certificates(self, maker: str, M: int) -> None:
+        table = _enum_table(maker, M)
+        for x0 in range(M + 1):
+            found = rb.enumerate_equilibria(table, x0)
+            assert found.to_json_dicts() == [c.to_json_dict() for c in found]
