@@ -133,7 +133,9 @@ class Equilibria(Sequence[EquilibriumCertificate]):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, index):
+    def __getitem__(
+        self, index: int | slice
+    ) -> EquilibriumCertificate | tuple[EquilibriumCertificate, ...]:
         at = range(len(self))[index]
         if isinstance(at, range):
             return tuple(self[k] for k in at)
