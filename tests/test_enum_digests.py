@@ -2,10 +2,12 @@
 
 ``DIGESTS`` holds the sha256 of ``enum`` artifacts written while every
 certificate was built eagerly, one frozen object per equilibrium, and turned
-into a dict by its own ``to_json_dict``.  The cases cover the saddle-point
-path on power p = 2 (whose tie sets grow with ``x0``), exp-diff and min-exp
-m = 0.3, the streamed path on the cycling ``cycle_m4`` table, and an empty
-set from a negative ``--tol``.  Runs happen inside ``tmp_path`` with relative
+into a dict by its own ``to_json_dict``.  The cases cover tables where
+every chain absorbs: power p = 2 (whose tie sets grow with ``x0``), exp-diff
+and min-exp m = 0.3; tables where some chain can cycle: ``cycle_m4`` and
+power p = 1 and p = 2 at M = 5 with the same two entries doctored, whose sets
+hold 66/48/48/66 and 0/0/12/36 equilibria at x0 = 1..4; and an empty set
+from a negative ``--tol``.  Runs happen inside ``tmp_path`` with relative
 paths, so the manifest holds no machine-specific path.
 """
 
@@ -19,12 +21,21 @@ import pytest
 import redblack as rb
 from redblack.cli import main
 
-# ``gen`` options per table; ``cycle`` is written from the library instead.
+
+def _cycling(M: int, p: float) -> rb.WinProbTable:
+    """``power_family(M, p)`` with the entries (1, 2) and (2, 1) forced to 1
+    and 0, as in ``cycle_m4``, so some profiles' chains never absorb."""
+    return rb.power_family(M, p).with_entry(1, 2, 1.0).with_entry(2, 1, 0.0)
+
+
+# ``gen`` options per table, or a builder for a table ``gen`` cannot write.
 TABLES = {
     "power-2 5": ["--M", "5", "--family", "power", "--p", "2"],
     "exp-diff 4": ["--M", "4", "--family", "exp-diff"],
     "min-exp-0.3 5": ["--M", "5", "--family", "min-exp", "--m", "0.3"],
-    "cycle 4": None,
+    "cycle 4": lambda: _cycling(4, 1),  # the ``cycle_m4`` fixture of conftest
+    "cycle-power-1 5": lambda: _cycling(5, 1),
+    "cycle-power-2 5": lambda: _cycling(5, 2),
 }
 
 DIGESTS = {
@@ -42,6 +53,14 @@ DIGESTS = {
     "cycle 4 1": "2c82b335f3adad7196fcff67cf60a1aa8710506eb4079a44a49c1aa8ba70c001",
     "cycle 4 2": "0f7c13f370675fe42406491cb1e8ccd1ca9c947cafaf187c576dbe7a0593f940",
     "cycle 4 3": "49f8a10150ff7728770c5af5739e33a0f40a5f1b9052068d64e180243d80ec54",
+    "cycle-power-1 5 1": "1580752b51cef163d7138f8db45992f75f9aab4bf7736fd9ec2e785ce614c8a9",
+    "cycle-power-1 5 2": "f430adabba953153490ba7a5fd10c2d6fec5ec3181e01d72890568a4b0513ba9",
+    "cycle-power-1 5 3": "d17c6e1215a7622785eaec03acf79fab6a76dbc918af5edc675b2c9617554a93",
+    "cycle-power-1 5 4": "5009f22d27c1604f2c903527cff04cd3d5514ee0fbe4071761503da0dc75a631",
+    "cycle-power-2 5 1": "19c81bf4263d2326e695a1cf0861ee34765d2dadd964b29f84b72db88dc6c72b",
+    "cycle-power-2 5 2": "967b77405b8145c4fdb395fb2ccbc92ec0939920d5ee9bd25a3140a4c6bcc3a6",
+    "cycle-power-2 5 3": "36b358548880fe05d275b89cb7c6f9838c7d00f84dcdec62e9270397ffc8eea0",
+    "cycle-power-2 5 4": "4fe5ae00c705e61a22e94f79e6e0c68b9426fe31afd295333ef7576877d554b5",
     "power-2 5 3 --tol -1": "30f8cd780a2fbb4a6de20e3ce0d5b89c8f0b83debaf17c07cbf72700f7140300",
 }
 
@@ -49,11 +68,11 @@ DIGESTS = {
 def _enum_artifact(tmp_path: Path, monkeypatch, table: str, x0: str, extra: list[str]) -> bytes:
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("REDBLACK_TOL", raising=False)
-    if TABLES[table] is None:  # the ``cycle_m4`` fixture of conftest
-        cycle = rb.power_family(4, 1).with_entry(1, 2, 1.0).with_entry(2, 1, 0.0)
-        Path("table.json").write_text(rb.canonical_json(cycle.to_json_dict()), encoding="utf-8")
+    source = TABLES[table]
+    if callable(source):
+        Path("table.json").write_text(rb.canonical_json(source().to_json_dict()), encoding="utf-8")
     else:
-        assert main(["gen", *TABLES[table], "--out", "table.json"]) == 0
+        assert main(["gen", *source, "--out", "table.json"]) == 0
     argv = ["enum", "--table", "table.json", "--x0", x0, *extra, "--out", "enum.json"]
     assert main(argv) == 0
     return Path("enum.json").read_bytes()
