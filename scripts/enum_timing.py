@@ -3,7 +3,12 @@
     PYTHONPATH=src python scripts/enum_timing.py
 
 First checks the criterion-6 per-start counts at M = 6
-(120/120/240/720/2880).  Then enumerates every start x0 = 1..6 of
+(120/120/240/720/2880).  Then enumerates every start x0 = 1..6 of two
+cycling tables, ``power_family(7, p)`` for p = 1 and 2 with the entries
+(1, 2) and (2, 1) forced to 1 and 0, from a cold cache, and prints each
+table's counts, wall time and the peak resident memory so far.  Their counts
+must be 29160/20400/19008/19008/20400/29160 and 0/0/390/1080/2880/14400.
+Then enumerates every start x0 = 1..6 of
 ``power_family(7, 2)`` from a cold cache and prints the per-start counts,
 the wall time split into the cold build of the table's enumeration state
 (every strategy and both players' best responses to each of the other's,
@@ -37,6 +42,10 @@ from redblack._enumeration import Equilibria, table_enumeration
 
 M6_COUNTS = [120, 120, 240, 720, 2880]
 M7_COUNTS = [720, 720, 1440, 4320, 17280, 86400]
+M7_CYCLING_COUNTS = {
+    1: [29160, 20400, 19008, 19008, 20400, 29160],
+    2: [0, 0, 390, 1080, 2880, 14400],
+}
 M8_COUNTS = {
     "power p = 2": (rb.power_family(8, 2), [5040, 5040, 10080, 30240, 120960]),
     "min-exp m = 0.3": (rb.min_exp_table(8, 0.3), [8640, 2880, 2880, 2880, 2880]),
@@ -55,6 +64,17 @@ def main() -> int:
         print(f"M = 6 counts {counts}, expected {M6_COUNTS}", file=sys.stderr)
         return 1
     print(f"M = 6 counts {counts}: ok")
+
+    for p, expected in M7_CYCLING_COUNTS.items():
+        table = rb.power_family(7, p).with_entry(1, 2, 1.0).with_entry(2, 1, 0.0)
+        start = time.perf_counter()
+        counts = [len(rb.enumerate_equilibria(table, x0)) for x0 in range(1, 7)]
+        end = time.perf_counter()
+        if counts != expected:
+            print(f"M = 7 cycling p = {p} counts {counts}, expected {expected}", file=sys.stderr)
+            return 1
+        print(f"M = 7 cycling p = {p} counts {counts}: ok, x0 = 1..6 in {end - start:.2f} s, "
+              f"peak RSS {_peak_mib():.0f} MiB")
 
     table = rb.power_family(7, 2)
     start = time.perf_counter()

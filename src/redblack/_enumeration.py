@@ -24,53 +24,34 @@ shortfall lies within that of ``tol``.  Over every pair of the shipped
 families at ``M <= 7`` the shortfalls are at most 8.3e-16 or at least
 4.65e-6, so at the default ``tol`` both rules accept the same pairs.
 
-*The saddle-point candidates.*  If every playable entry ``P(a, b)`` is
-below 1, every fortune can step down and so reach 0; if every one is above
-0, every fortune can climb to ``M``.  Either way (``zero_sum``) every chain
-absorbs and ``q + t = 1`` for every pair, so the game at ``x0`` is
-constant-sum, and its pure saddle points form a product of maximin and
-minimax strategies (Shapley 1953).  With
+*The pair bound.*  The players win on disjoint events, player I by
+reaching ``M`` and player II by reaching 0, so ``vI(i, j) + vII(i, j) <= 1``
+for every pair, whether its chain absorbs or cycles.  Adding the two halves
+of (R) gives ``BI(j) + BII(i) <= 1 + 2 tol`` for every pair that passes.
+So only the candidates, the pairs with
 
-    upper = min_j BI(j),   lower = max_i (1 - BII(i)),   s = 2 tol + eta,
+    BI(j) + BII(i) <= 1 + 2 tol + eta,
 
-``eta`` being :data:`SUM_SLACK`, only the pairs in ``OI x OII`` are
-solved and tested by (R), where ``OI = {i : 1 - BII(i) >= upper - s}`` and
-``OII = {j : BI(j) <= lower + s}``.  The largest ``1 - BII(i)`` is
-``lower``, so ``OI`` is empty, and the start has no equilibrium, when
-``upper - lower > s``.  Pairs that an earlier start solved are not solved
-again.
+``eta`` being :data:`SUM_SLACK`, are solved, once per table, and tested by
+(R).  The steps read the same ``B`` as (R) does, so policy iteration's
+stopping margin needs no slack.  A row holds a candidate exactly when
+``1 - BII(i) >= min_j BI(j) - 2 tol - eta``, and a column exactly when
+``BI(j) <= max_i (1 - BII(i)) + 2 tol + eta``: where every chain absorbs,
+the game at ``x0`` is constant-sum and these are the maximin and minimax
+strategies that Shapley's (1953) saddle-point argument keeps.
 
-Proof that this keeps every pair that passes (R), for every ``tol``.  Let
-``(i, j)`` pass (R) and let ``e`` bound ``|vI + vII - 1|`` over all pairs.
-In exact arithmetic:
-
-* ``upper <= BI(j) <= vI(i, j) + tol``, by the minimum and (R);
-* ``BII(i) <= vII(i, j) + tol <= 1 - vI(i, j) + e + tol`` by (R), so
-  ``lower >= 1 - BII(i) >= vI(i, j) - tol - e``.
-
-Hence ``1 - BII(i) >= vI(i, j) - tol - e >= upper - 2 tol - e``, so ``i``
-is in ``OI``, and ``BI(j) <= vI(i, j) + tol <= lower + 2 tol + e``, so ``j``
-is in ``OII``.  The steps read the same ``B`` as (R) does, so how far
-``B`` falls short of a maximum never enters: policy iteration's stopping
-margin needs no slack.  In floating point, for ``0 <= tol <= 1`` every
-quantity computed lies in ``[-3, 3]``, and the roundings along either chain
-(the two subtractions of (R), ``1 - BII``, ``s``, and ``upper - s`` or
-``lower + s``) add at most seven units of ``2**-53``.  So the pruning is
-sound whenever ``e`` stays below ``eta`` less those seven units; over every
-pair of the shipped families at ``M <= 7``, ``e`` is at most 1.4e-15, and
-``eta = 1e-12`` exceeds ``e`` and the rounding by a factor of over 400.
-For ``tol > 1`` the bounds admit every pair, as ``s > 2`` while every value
-lies in ``[0, 1]``.  A negative or nan ``tol`` admits no pair, and
-:func:`redblack.solver.enumerate_equilibria` returns before any of this.
-So no pair that passes (R) is pruned, nor any that passes the exhaustive
-rule.
-
-Where some chain can cycle, ``q + t < 1`` can hold and the argument fails:
-the candidates are every pair, solved in row blocks at each start and kept
-nowhere, and tested by the same rule (R).  Memory holds nothing of size
-``(M-1)!^2 * (M+1)`` unless every pair is a candidate.  A start's hits are
-kept as four arrays, see :class:`Equilibria`, which builds each certificate
-only when it is read.
+In floating point let ``e`` bound how far the computed ``vI + vII`` exceeds
+1 over all pairs.  For ``0 <= tol <= 1`` every quantity computed lies in
+``[-1, 4)``, and the roundings (the two subtractions of (R), the sum
+``BI + BII`` and the two additions of the bound) add at most eight units of
+``2**-53``.  So the bound is sound whenever ``e`` stays below ``eta`` less
+those eight units; over every pair of the shipped families at ``M <= 7``,
+``e`` is at most 1.4e-15, and ``eta = 1e-12`` exceeds ``e`` and the
+rounding by a factor of over 400.  For ``tol > 1`` the bound admits every
+pair, as it exceeds 3 while ``BI + BII <= 2``.  A negative or nan ``tol``
+admits no pair, and :func:`redblack.solver.enumerate_equilibria` returns
+before any of this.  So no pair that passes (R) is pruned, nor any that
+passes the exhaustive rule.
 """
 
 from __future__ import annotations
@@ -78,13 +59,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
 from .game import Player, Profile, StationaryStrategy, WinProbTable
 from .solver import (
-    _BLOCK_PAIRS,
     EquilibriumCertificate,
     _best_responses,
     _stake_rows,
@@ -92,9 +72,9 @@ from .solver import (
     all_strategies,
 )
 
-# Widens the candidate bounds past 2 * tol (module docstring): it covers
-# |q + t - 1| (at most 1.4e-15 over every pair of the shipped families at
-# M <= 7) and the rounding of the bounds' own arithmetic.
+# Widens the pair bound past 1 + 2 * tol (module docstring): it covers how
+# far q + t exceeds 1 (at most 1.4e-15 over every pair of the shipped
+# families at M <= 7) and the rounding of the bound's own arithmetic.
 SUM_SLACK = 1e-12
 
 
@@ -184,56 +164,40 @@ class TableEnumeration:
     Built cold once per table: every strategy of each player (shared by the
     tables of one ``M``, see :func:`strategies`); ``best_I[j]``, player I's
     best-response values at every fortune against ``seconds[j]``, and
-    ``best_II[i]``, player II's against ``firsts[i]``; and ``zero_sum``, the
-    guard that every chain of the table absorbs.  Then, as the starts ask
-    for them, the values of every pair solved so far (see :meth:`solved`).
+    ``best_II[i]``, player II's against ``firsts[i]``.  Then, as the starts
+    ask for them, the values of every candidate pair solved so far (see
+    :meth:`solved`).
     """
 
     def __init__(self, table: WinProbTable) -> None:
-        M = table.M
-        self.firsts, self.seconds, self.first_rows, self.second_rows = strategies(M)
+        self.firsts, self.seconds, self.first_rows, self.second_rows = strategies(table.M)
         self.best_I = _best_responses(table, Player.ONE, self.second_rows)[1]
         self.best_II = _best_responses(table, Player.TWO, self.first_rows)[1]
-        # Every playable entry below 1 lets every fortune step down, so every
-        # chain can fall to 0; every entry above 0 lets every chain climb to M.
-        stakes = np.arange(1, M)
-        playable = table.array[1:M, 1:M][np.add.outer(stakes, stakes) <= M]
-        self.zero_sum = bool((playable < 1.0).all() or (playable > 0.0).all())
         self.keys = np.empty(0, dtype=np.int64)
-        self.values = np.empty((0, 2, M + 1))
+        self.values = np.empty((0, 2, table.M + 1))
 
     def equilibria(self, table: WinProbTable, x0: int, tol: float) -> Equilibria:
         """Every pair that passes (R) at ``x0``, in row-major order, for a
-        ``tol >= 0``: of the saddle-point candidates if ``zero_sum``, else of
-        every pair."""
-        if self.zero_sum:
-            rows, cols = self.candidates(x0, tol)
-            values = self.solved(table, rows, cols, x0)
-            blocks = [(rows, values[..., 0], values[..., 1])]
-        else:
-            cols = np.arange(len(self.seconds))
-            blocks = self.streamed(table, x0)
-        limit_I, limit_II = self.best_I[:, x0] - tol, self.best_II[:, x0] - tol
-        hits = []
-        for rows, vI, vII in blocks:
-            # Rule (R): within tol of each player's best response to the other.
-            r, c = np.nonzero((vI >= limit_I[cols]) & (vII >= limit_II[rows, None]))
-            hits.append((rows[r], cols[c], vI[r, c], vII[r, c]))
-        return Equilibria(x0, self.firsts, self.seconds, *map(np.concatenate, zip(*hits)))
-
-    def candidates(self, x0: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-        """The saddle-point candidates ``OI`` and ``OII`` at ``x0``, as rows
-        and columns (module docstring); meaningful only if ``zero_sum``."""
+        ``tol >= 0``: of the candidates of the pair bound (module docstring)."""
         best_I, best_II = self.best_I[:, x0], self.best_II[:, x0]
-        slack = 2.0 * tol + SUM_SLACK
-        upper, lower = best_I.min(), (1.0 - best_II).max()
-        rows = np.flatnonzero(1.0 - best_II >= upper - slack)
-        return rows, np.flatnonzero(best_I <= lower + slack)
+        bound = 1.0 + 2.0 * tol + SUM_SLACK
+        # Exactly the rows and the columns that hold a candidate, as a rounded
+        # sum is monotone in each term; the mask spans these, not every pair.
+        rows = np.flatnonzero(best_II + best_I.min() <= bound)
+        cols = np.flatnonzero(best_I + best_II.min() <= bound)
+        candidate = np.add.outer(best_II[rows], best_I[cols]) <= bound
+        vI, vII = self.solved(table, rows, cols, candidate, x0)
+        r, c = np.nonzero(candidate)
+        rows, cols = rows[r], cols[c]
+        # Rule (R): within tol of each player's best response to the other.
+        hit = (vI >= best_I[cols] - tol) & (vII >= best_II[rows] - tol)
+        return Equilibria(x0, self.firsts, self.seconds, rows[hit], cols[hit], vI[hit], vII[hit])
 
     def solved(
-        self, table: WinProbTable, rows: np.ndarray, cols: np.ndarray, x0: int
-    ) -> np.ndarray:
-        """Both players' values at ``x0`` of the pairs ``rows x cols``, ``(R, C, 2)``.
+        self, table: WinProbTable, rows: np.ndarray, cols: np.ndarray, mask: np.ndarray, x0: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Both players' values at ``x0`` of the pairs of ``rows x cols``
+        where ``mask`` holds, in row-major order.
 
         Only the pairs no earlier call solved are solved, by
         :func:`redblack.solver._value_grid`, and kept: ``keys`` stays sorted, ``values[n]``
@@ -241,11 +205,9 @@ class TableEnumeration:
         """
         K = len(self.seconds)
         keys = rows[:, None] * K + cols
-        pos = np.searchsorted(self.keys, keys)
+        fresh = mask.copy()
         if len(self.keys):
-            fresh = self.keys.take(pos, mode="clip") != keys
-        else:
-            fresh = np.ones(keys.shape, dtype=bool)
+            fresh &= self.keys.take(np.searchsorted(self.keys, keys), mode="clip") != keys
         if fresh.any():
             # Rows that lack the same columns are solved as one product.
             lacking: dict[bytes, list[int]] = {}
@@ -260,20 +222,8 @@ class TableEnumeration:
             merged = np.concatenate(all_keys)
             order = np.argsort(merged, kind="stable")
             self.keys, self.values = merged[order], np.concatenate(all_values)[order]
-            pos = np.searchsorted(self.keys, keys)
-        return self.values[pos, :, x0]
-
-    def streamed(
-        self, table: WinProbTable, x0: int
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Every pair's values at ``x0``, solved in blocks of whole rows and
-        kept nowhere: per block, its rows and both ``(B, K)`` value slices."""
-        K = len(self.seconds)
-        per_block = max(1, _BLOCK_PAIRS // K)
-        for lo in range(0, len(self.firsts), per_block):
-            rows = np.arange(lo, min(lo + per_block, len(self.firsts)))
-            VI, VII = _value_grid(table, self.first_rows[rows], self.second_rows)
-            yield rows, VI[..., x0], VII[..., x0]
+        values = self.values[np.searchsorted(self.keys, keys[mask]), :, x0]
+        return values[:, 0], values[:, 1]
 
 
 @lru_cache(maxsize=1)

@@ -43,11 +43,11 @@ Enumeration
 
 :func:`enumerate_equilibria` finds every pair that neither player can
 improve by more than ``tol`` from both players' best responses to every
-strategy of the other: where every chain absorbs, it solves only the
-saddle-point candidates.  It keeps each start's equilibria as arrays and
-builds a certificate only when one is read.  The state it keeps per table,
-the rule and the proof that the pruning loses no pair are in
-:mod:`redblack._enumeration`, loaded on the first enumeration.
+strategy of the other, on every table solving only the pairs whose two
+best-response values sum to at most ``1 + 2 tol`` plus a rounding slack.
+It keeps each start's equilibria as arrays and builds a certificate only
+when one is read.  The state it keeps per table, the rule and the proof
+that the bound loses no pair are in :mod:`redblack._enumeration`.
 
 Equilibrium certification is by excessivity, else by exact best response
 at any ``M``:
