@@ -7,7 +7,10 @@ First checks the criterion-6 per-start counts at M = 6
 cycling tables, ``power_family(7, p)`` for p = 1 and 2 with the entries
 (1, 2) and (2, 1) forced to 1 and 0, from a cold cache, and prints each
 table's counts, wall time and the peak resident memory so far.  Their counts
-must be 29160/20400/19008/19008/20400/29160 and 0/0/390/1080/2880/14400.
+must be 29160/20400/19008/19008/20400/29160 and 0/0/390/1080/2880/14400, and
+the candidate pairs solved and kept after each start
+(``len(table_enumeration(table).keys)``)
+29160/29160/30888/32472/35592/44352 and 0/0/390/1170/3330/14850.
 Then enumerates every start x0 = 1..6 of
 ``power_family(7, 2)`` from a cold cache and prints the per-start counts,
 the wall time split into the cold build of the table's enumeration state
@@ -19,7 +22,8 @@ pays.  Then it times turning the six starts' sets into JSON dicts with
 certificate with ``tuple(...)``, as a caller that reads each one does, and
 prints the peak resident memory of the process.  The M = 7 counts must be
 720/720/1440/4320/17280/86400, that is (M - 1)! * (x0 - 1)! (README,
-criterion 6).
+criterion 6), and the pairs kept after each start
+720/720/1440/4320/17280/86400.
 
 Then, with the enumeration cap raised to 8, it enumerates x0 = 1..5 of
 ``power_family(8, 2)``, whose counts must be 5040 * (x0 - 1)!
@@ -42,9 +46,14 @@ from redblack._enumeration import Equilibria, table_enumeration
 
 M6_COUNTS = [120, 120, 240, 720, 2880]
 M7_COUNTS = [720, 720, 1440, 4320, 17280, 86400]
+M7_KEPT = [720, 720, 1440, 4320, 17280, 86400]
 M7_CYCLING_COUNTS = {
     1: [29160, 20400, 19008, 19008, 20400, 29160],
     2: [0, 0, 390, 1080, 2880, 14400],
+}
+M7_CYCLING_KEPT = {
+    1: [29160, 29160, 30888, 32472, 35592, 44352],
+    2: [0, 0, 390, 1170, 3330, 14850],
 }
 M8_COUNTS = {
     "power p = 2": (rb.power_family(8, 2), [5040, 5040, 10080, 30240, 120960]),
@@ -55,6 +64,15 @@ PEAK_RSS_LIMIT_MIB = 300
 
 def _peak_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def _starts(table: rb.WinProbTable) -> tuple[list, list[int]]:
+    """Each start's equilibria, x0 = 1..6, and the pairs kept after it."""
+    found, kept = [], []
+    for x0 in range(1, 7):
+        found.append(rb.enumerate_equilibria(table, x0))
+        kept.append(len(table_enumeration(table).keys))
+    return found, kept
 
 
 def main() -> int:
@@ -68,25 +86,33 @@ def main() -> int:
     for p, expected in M7_CYCLING_COUNTS.items():
         table = rb.power_family(7, p).with_entry(1, 2, 1.0).with_entry(2, 1, 0.0)
         start = time.perf_counter()
-        counts = [len(rb.enumerate_equilibria(table, x0)) for x0 in range(1, 7)]
+        found, kept = _starts(table)
         end = time.perf_counter()
+        counts = [len(start_found) for start_found in found]
         if counts != expected:
             print(f"M = 7 cycling p = {p} counts {counts}, expected {expected}", file=sys.stderr)
             return 1
-        print(f"M = 7 cycling p = {p} counts {counts}: ok, x0 = 1..6 in {end - start:.2f} s, "
-              f"peak RSS {_peak_mib():.0f} MiB")
+        if kept != M7_CYCLING_KEPT[p]:
+            print(f"M = 7 cycling p = {p} kept {kept}, expected {M7_CYCLING_KEPT[p]}",
+                  file=sys.stderr)
+            return 1
+        print(f"M = 7 cycling p = {p} counts {counts}, kept {kept}: ok, "
+              f"x0 = 1..6 in {end - start:.2f} s, peak RSS {_peak_mib():.0f} MiB")
 
     table = rb.power_family(7, 2)
     start = time.perf_counter()
     table_enumeration(table)
     built = time.perf_counter()
-    found = [rb.enumerate_equilibria(table, x0) for x0 in range(1, 7)]
+    found, kept = _starts(table)
     end = time.perf_counter()
     counts = [len(start_found) for start_found in found]
     if counts != M7_COUNTS:
         print(f"M = 7 counts {counts}, expected {M7_COUNTS}", file=sys.stderr)
         return 1
-    print(f"M = 7 counts {counts}: ok")
+    if kept != M7_KEPT:
+        print(f"M = 7 kept {kept}, expected {M7_KEPT}", file=sys.stderr)
+        return 1
+    print(f"M = 7 counts {counts}, kept {kept}: ok")
     print(
         f"M = 7 all starts, counted: {end - start:.2f} s (cold best responses "
         f"{built - start:.3f} s, six enumerations {end - built:.2f} s), "

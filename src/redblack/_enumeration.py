@@ -67,8 +67,8 @@ from .game import Player, Profile, StationaryStrategy, WinProbTable
 from .solver import (
     EquilibriumCertificate,
     _best_responses,
+    _pair_values,
     _stake_rows,
-    _value_grid,
     all_strategies,
 )
 
@@ -185,44 +185,36 @@ class TableEnumeration:
         # sum is monotone in each term; the mask spans these, not every pair.
         rows = np.flatnonzero(best_II + best_I.min() <= bound)
         cols = np.flatnonzero(best_I + best_II.min() <= bound)
-        candidate = np.add.outer(best_II[rows], best_I[cols]) <= bound
-        vI, vII = self.solved(table, rows, cols, candidate, x0)
-        r, c = np.nonzero(candidate)
+        r, c = np.nonzero(np.add.outer(best_II[rows], best_I[cols]) <= bound)
         rows, cols = rows[r], cols[c]
+        vI, vII = self.solved(table, rows, cols, x0)
         # Rule (R): within tol of each player's best response to the other.
         hit = (vI >= best_I[cols] - tol) & (vII >= best_II[rows] - tol)
         return Equilibria(x0, self.firsts, self.seconds, rows[hit], cols[hit], vI[hit], vII[hit])
 
     def solved(
-        self, table: WinProbTable, rows: np.ndarray, cols: np.ndarray, mask: np.ndarray, x0: int
+        self, table: WinProbTable, rows: np.ndarray, cols: np.ndarray, x0: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Both players' values at ``x0`` of the pairs of ``rows x cols``
-        where ``mask`` holds, in row-major order.
+        """Both players' values at ``x0`` of pair ``k``, ``firsts[rows[k]]``
+        against ``seconds[cols[k]]``, for pairs in row-major order.
 
-        Only the pairs no earlier call solved are solved, by
-        :func:`redblack.solver._value_grid`, and kept: ``keys`` stays sorted, ``values[n]``
-        holding both players' values at every fortune of pair ``keys[n]``.
+        Only the pairs no earlier call solved are solved, as one list by
+        :func:`redblack.solver._pair_values`, and kept: ``keys`` stays sorted,
+        ``values[n]`` holding both players' values at every fortune of pair
+        ``keys[n]``.
         """
-        K = len(self.seconds)
-        keys = rows[:, None] * K + cols
-        fresh = mask.copy()
+        keys = rows * len(self.seconds) + cols
+        fresh = np.ones(len(keys), dtype=bool)
         if len(self.keys):
-            fresh &= self.keys.take(np.searchsorted(self.keys, keys), mode="clip") != keys
+            fresh = self.keys.take(np.searchsorted(self.keys, keys), mode="clip") != keys
         if fresh.any():
-            # Rows that lack the same columns are solved as one product.
-            lacking: dict[bytes, list[int]] = {}
-            for k in np.flatnonzero(fresh.any(axis=1)).tolist():
-                lacking.setdefault(fresh[k].tobytes(), []).append(k)
-            all_keys, all_values = [self.keys], [self.values]
-            for members in lacking.values():
-                r, c = rows[members], cols[fresh[members[0]]]
-                VI, VII = _value_grid(table, self.first_rows[r], self.second_rows[c])
-                all_keys.append((r[:, None] * K + c).reshape(-1))
-                all_values.append(np.stack([VI, VII], axis=2).reshape(-1, 2, table.M + 1))
-            merged = np.concatenate(all_keys)
-            order = np.argsort(merged, kind="stable")
-            self.keys, self.values = merged[order], np.concatenate(all_values)[order]
-        values = self.values[np.searchsorted(self.keys, keys[mask]), :, x0]
+            values = _pair_values(
+                table, self.first_rows[rows[fresh]], self.second_rows[cols[fresh]]
+            )
+            at = np.searchsorted(self.keys, keys[fresh])
+            self.keys = np.insert(self.keys, at, keys[fresh])
+            self.values = np.insert(self.values, at, values, axis=0)
+        values = self.values[np.searchsorted(self.keys, keys), :, x0]
         return values[:, 0], values[:, 1]
 
 

@@ -17,16 +17,18 @@ probabilistic model checking), which leaves a nonsingular system.
 
 The chain a profile induces is built only by :func:`_chain_arrays`, which
 :mod:`redblack.montecarlo` walks as well; it rejects a profile whose total
-money differs from the table's.  :data:`DEFAULT_VI_TOL` and
+money differs from the table's.  Its stake rows broadcast, so one gather
+serves aligned pairs and products.  :data:`DEFAULT_VI_TOL` and
 :data:`DEFAULT_MAX_SWEEPS` serve only :func:`_iterate_chain`, the value
 iteration of ``hitting_values(..., method="iterate")``.
 
 One batched engine computes every profile's values, a single profile
-included.  It gathers the chains of a block of profile pairs from two stake
-matrices at once, runs a vectorised backward-reachability fixpoint to find
-the stuck fortunes of every chain, and solves all chains with one stacked
+included.  It gathers the chains of a block of aligned profile pairs at
+once, runs a vectorised backward-reachability fixpoint to find the stuck
+fortunes of every chain, and solves all chains with one stacked
 ``np.linalg.solve`` (:func:`_solve_chains`); one range rule,
-:func:`_in_range`, accepts its values.
+:func:`_in_range`, accepts its values.  :func:`_pair_values` runs it over
+a list of pairs, a block at a time.
 
 A best response is found by policy iteration (Howard 1960) on the
 responder's ``(M-1) x (M-1)`` grid of fortunes and stakes, gathered by
@@ -100,7 +102,7 @@ _IMPROVE_MARGIN = 1e-14
 # 0-49) on exp-diff M = 20, 30, ..., 80, rounding overshoots by 2.7e-12 at
 # most; a near-singular system, as against seed 26's player I, by 6.8e-5.
 _RANGE_SLACK = 1e-9
-# Profile pairs per block of the batched value engine (see _value_grid).
+# Profile pairs per block of the batched value engine (see _pair_values).
 _BLOCK_PAIRS = 1024
 # Action-grid entries per chunk of stacked best responses (see _best_responses).
 _RESPONSE_BLOCK = 2**18
@@ -178,23 +180,19 @@ def _chain_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Up-probability, up and down targets of every profile pair's chain.
 
-    ``firsts`` holds ``B`` player-I stake rows and ``seconds`` ``K``
-    player-II stake rows (see :func:`_stake_rows`).  Row ``i * K + j`` of
-    each ``(B * K, M - 1)`` result is the chain of first ``i`` against
-    second ``j``; column ``x - 1`` is interior fortune ``x``.  Stake rows
-    whose length is not ``M + 1`` raise ``ValueError``.
+    ``firsts`` holds player-I and ``seconds`` player-II stake rows (see
+    :func:`_stake_rows`), ``(..., M + 1)`` arrays whose leading axes
+    broadcast: aligned rows pair up, and a new axis on one side makes a
+    product.  Each ``(*broadcast, M - 1)`` result holds the chain of the
+    pair at that index; its last axis ``x - 1`` is interior fortune ``x``.
+    Stake rows whose length is not ``M + 1`` raise ``ValueError``.
     """
     M = table.M
-    if firsts.shape[1] != M + 1 or seconds.shape[1] != M + 1:
+    if firsts.shape[-1] != M + 1 or seconds.shape[-1] != M + 1:
         raise ValueError("profile and table disagree on the total money")
     xs = np.arange(1, M)
-    a = firsts[:, None, 1:M]
-    b = seconds[:, M - xs][None]
-    shape = (len(firsts), len(seconds), M - 1)
-    p = table.array[a, b].reshape(-1, M - 1)
-    up = np.broadcast_to(xs + b, shape).reshape(-1, M - 1)
-    dn = np.broadcast_to(xs - a, shape).reshape(-1, M - 1)
-    return p, up, dn
+    a, b = np.broadcast_arrays(firsts[..., 1:M], seconds[..., M - xs])
+    return table.array[a, b], xs + b, xs - a
 
 
 def _ranks(M: int, goals: list[int], p: np.ndarray, up: np.ndarray, dn: np.ndarray) -> np.ndarray:
@@ -380,25 +378,19 @@ def _in_range(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _value_grid(
-    table: WinProbTable, firsts: np.ndarray, seconds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Value tensors ``[i, j, x]`` of first ``i`` against second ``j``.
+def _pair_values(table: WinProbTable, firsts: np.ndarray, seconds: np.ndarray) -> np.ndarray:
+    """Both players' values ``[k, :, x]`` of ``firsts[k]`` against ``seconds[k]``.
 
-    Pairs are solved in blocks of whole rows of ``firsts``, about
-    ``_BLOCK_PAIRS`` pairs each, so the working set stays small next to
-    the two ``(B, K, M + 1)`` outputs.
+    The stake rows are aligned, one per pair.  Pairs are solved in blocks of
+    ``_BLOCK_PAIRS``, so the working set stays small next to the
+    ``(n, 2, M + 1)`` output.
     """
-    shape = (len(firsts), len(seconds), table.M + 1)
-    VI = np.empty(shape)
-    VII = np.empty(shape)
-    rows = max(1, _BLOCK_PAIRS // len(seconds))
-    for lo in range(0, len(firsts), rows):
-        chain = _chain_arrays(table, firsts[lo : lo + rows], seconds)
-        q, t = _in_range(_solve_chains(table.M, *chain))
-        VI[lo : lo + rows] = q.reshape(-1, *shape[1:])
-        VII[lo : lo + rows] = t.reshape(-1, *shape[1:])
-    return VI, VII
+    values = np.empty((len(firsts), 2, table.M + 1))
+    for lo in range(0, len(firsts), _BLOCK_PAIRS):
+        block = slice(lo, lo + _BLOCK_PAIRS)
+        chain = _chain_arrays(table, firsts[block], seconds[block])
+        values[block] = _in_range(_solve_chains(table.M, *chain)).transpose(1, 0, 2)
+    return values
 
 
 def hitting_values(
@@ -539,13 +531,9 @@ def _best_responses(
     for lo in range(0, len(opponents), chunk):
         fixed = opponents[lo : lo + chunk]
         # Action grids [k, x - 1, s - 1]: opponent k, interior fortune x, stake s.
-        if responder is Player.ONE:
-            grids = (a.reshape(M - 1, len(fixed), M - 1).transpose(1, 2, 0)
-                     for a in _chain_arrays(table, stakes, fixed))
-        else:
-            grids = (a.reshape(len(fixed), M - 1, M - 1).transpose(0, 2, 1)
-                     for a in _chain_arrays(table, fixed, stakes))
-        p, up, dn = (np.ascontiguousarray(a) for a in grids)
+        sides = (stakes[None], fixed[:, None])
+        chain = _chain_arrays(table, *(sides if responder is Player.ONE else sides[::-1]))
+        p, up, dn = (np.ascontiguousarray(a.transpose(0, 2, 1)) for a in chain)
         policies[lo : lo + chunk], values[lo : lo + chunk] = _policy_iteration(M, goal, p, up, dn)
     return policies, values
 

@@ -14,8 +14,8 @@ from redblack.game import Player, StationaryStrategy, WinProbTable
 from redblack.solver import (
     DEFAULT_ENUM_CAP,
     _require_enumerable,
+    _pair_values,
     _stake_rows,
-    _value_grid,
     all_strategies,
 )
 
@@ -51,11 +51,12 @@ def enumerate_best_response(
     _require_enumerable(M, cap)
     responder = opponent.owner.other
     strategies = tuple(all_strategies(responder, M))
-    stakes, fixed = _stake_rows(strategies), _stake_rows([opponent])
+    stakes = _stake_rows(strategies)
+    fixed = np.repeat(_stake_rows([opponent]), len(stakes), axis=0)
     if responder is Player.ONE:
-        rows = _value_grid(table, stakes, fixed)[0][:, 0]
+        rows = _pair_values(table, stakes, fixed)[:, 0]
     else:
-        rows = _value_grid(table, fixed, stakes)[1][0]
+        rows = _pair_values(table, fixed, stakes)[:, 1]
     maxima = rows.max(axis=0)
     per_state = tuple(
         tuple(int(i) for i in np.nonzero(rows[:, x] >= maxima[x] - DEFAULT_TIE_TOL)[0])

@@ -47,8 +47,8 @@ from redblack.solver import (
     _chain_arrays,
     _iterate_chain,
     _linear_system,
+    _pair_values,
     _stake_rows,
-    _value_grid,
 )
 
 
@@ -60,6 +60,17 @@ def _step_laws(M: int, p: np.ndarray, up: np.ndarray, dn: np.ndarray) -> np.ndar
     step[at, up.ravel()] = p.ravel()
     step[at, dn.ravel()] = 1.0 - p.ravel()
     return step.reshape(*p.shape, M + 1)
+
+
+def _product_values(
+    table: rb.WinProbTable, firsts: np.ndarray, seconds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both players' value tensors ``[i, j, x]`` of first ``i`` against
+    second ``j``, from :func:`_pair_values` of the product's pairs."""
+    B, K = len(firsts), len(seconds)
+    values = _pair_values(table, np.repeat(firsts, K, axis=0), np.tile(seconds, (B, 1)))
+    VI, VII = values.reshape(B, K, 2, -1).transpose(2, 0, 1, 3)
+    return VI, VII
 
 
 def _timid_timid(M: int) -> rb.Profile:
@@ -469,13 +480,37 @@ class TestChainArrays:
         profiles = [rb.Profile.from_name(name, M) for name in names]
         p, up, dn = _chain_arrays(
             table,
-            _stake_rows([profile.first for profile in profiles]),
-            _stake_rows([profile.second for profile in profiles]),
+            _stake_rows([profile.first for profile in profiles])[:, None],
+            _stake_rows([profile.second for profile in profiles])[None],
         )
         x = np.arange(1, M)
-        assert p.shape == up.shape == dn.shape == (len(profiles) ** 2, M - 1)
+        assert p.shape == up.shape == dn.shape == (len(profiles), len(profiles), M - 1)
         assert ((0.0 <= p) & (p <= 1.0)).all()
         assert ((0 <= dn) & (dn < x) & (x < up) & (up <= M)).all()
+
+    @pytest.mark.parametrize("maker", sorted(MAKERS))
+    def test_aligned_rows_pair_up_and_one_row_broadcasts(self, maker: str) -> None:
+        """Aligned stake rows give the diagonal of their product, bit for
+        bit; a side of one row meets every row of the other; a row of the
+        wrong length raises."""
+        M = 5
+        table = MAKERS[maker](M)
+        firsts = _stake_rows(list(rb.all_strategies(Player.ONE, M)))
+        seconds = _stake_rows(list(rb.all_strategies(Player.TWO, M)))
+        product = _chain_arrays(table, firsts[:, None], seconds[None])
+        at = np.arange(len(firsts))
+        cases = (
+            (_chain_arrays(table, firsts, seconds), lambda grid: grid[at, at]),
+            (_chain_arrays(table, firsts[3:4], seconds), lambda grid: grid[3]),
+            (_chain_arrays(table, firsts, seconds[5:6]), lambda grid: grid[:, 5]),
+        )
+        for chain, pick in cases:
+            for got, grid in zip(chain, product):
+                expected = pick(grid)
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="total money"):
+            _chain_arrays(table, firsts, seconds[:, :-1])
 
     @pytest.mark.parametrize("M", [2, 5])
     @pytest.mark.parametrize("entry", sorted(CHAIN_ENTRY_POINTS))
@@ -494,7 +529,7 @@ class TestBatchedEngine:
         table = _oracle_table(maker, M, request)
         firsts = list(rb.all_strategies(Player.ONE, M))
         seconds = list(rb.all_strategies(Player.TWO, M))
-        VI, VII = _value_grid(table, _stake_rows(firsts), _stake_rows(seconds))
+        VI, VII = _product_values(table, _stake_rows(firsts), _stake_rows(seconds))
         verdicts = set()
         for i, first in enumerate(firsts):
             for j, second in enumerate(seconds):
@@ -540,6 +575,81 @@ class TestBatchedEngine:
         assert len(state.keys) == 0
         assert peak < 2**20
 
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("case", ["cycle", "exp_diff_41"])
+    def test_pair_values_keep_their_bits_whatever_the_block(
+        self, case: str, block: int, monkeypatch
+    ) -> None:
+        """``_stuck`` decides per block whether to skip its passes, so pairs
+        solved in shuffled order in blocks of any size keep the bits of the
+        default blocks.  The cycling table has stuck fortunes.  On exp-diff
+        at M = 41, every pair of players who stake ``min(x, c)`` at fortune
+        ``x``, for c = 1..40, has a step of probability exactly 0 or 1, and
+        80 of these 1 600 chains have both, so only their blocks run the
+        reachability passes."""
+        if case == "cycle":
+            M = 5
+            table = rb.power_family(M, 1).with_entry(1, 2, 1.0).with_entry(2, 1, 0.0)
+            firsts = _stake_rows(list(rb.all_strategies(Player.ONE, M)))
+            seconds = _stake_rows(list(rb.all_strategies(Player.TWO, M)))
+        else:
+            M = 41
+            table = rb.exp_difference_table(M)
+            x = np.arange(M + 1)
+            firsts = seconds = np.array([np.where(x % M, np.minimum(x, c), 0) for c in range(1, M)])
+        B, K = len(firsts), len(seconds)
+        firsts, seconds = np.repeat(firsts, K, axis=0), np.tile(seconds, (B, 1))
+        p, up, dn = _chain_arrays(table, firsts, seconds)
+        if case == "cycle":
+            assert solver._stuck(M, p, up, dn).any()
+        else:
+            assert ((p == 0.0) | (p == 1.0)).any(axis=1).all()
+            assert ((p == 0.0).any(axis=1) & (p == 1.0).any(axis=1)).sum() == 80
+        default = _pair_values(table, firsts, seconds)
+        order = np.random.default_rng(block).permutation(len(default))
+        monkeypatch.setattr(solver, "_BLOCK_PAIRS", block)
+        assert _same_bits(_pair_values(table, firsts[order], seconds[order]), default[order])
+
+    @pytest.mark.parametrize(
+        "make,kept",
+        [
+            (lambda: rb.power_family(6, 2), [120, 120, 240, 720, 2880]),
+            (lambda: rb.exp_difference_table(6), [14400] * 5),
+            (lambda: rb.min_exp_table(6, 0.3), [960] * 5),
+        ],
+        ids=["pow2", "exp_diff", "min_exp_0.3"],
+    )
+    def test_pairs_kept_per_start(self, make, kept: list[int]) -> None:
+        """The candidate pairs solved and kept after each start x0 = 1..5
+        from a cold state, as the pair bound kept them before pairs and
+        products shared one chain gather."""
+        table = make()
+        _enumeration.table_enumeration.cache_clear()
+        counts = []
+        for x0 in range(1, 6):
+            rb.enumerate_equilibria(table, x0)
+            counts.append(len(_enumeration.table_enumeration(table).keys))
+        assert counts == kept
+
+    def test_last_start_memory_is_bounded_by_the_kept_values(self) -> None:
+        """The last start of ``power_family(7, 2)`` solves 69 120 fresh
+        pairs into one output array and merges them into the 86 400 kept:
+        its traced peak stays below 3.5 times the kept values (10.55 MiB)."""
+        table = rb.power_family(7, 2)
+        _enumeration.table_enumeration.cache_clear()
+        for x0 in range(1, 6):
+            rb.enumerate_equilibria(table, x0)
+        tracemalloc.start()
+        try:
+            rb.enumerate_equilibria(table, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        values = _enumeration.table_enumeration(table).values
+        _enumeration.table_enumeration.cache_clear()
+        assert values.shape == (86400, 2, 8)
+        assert peak < 3.5 * values.nbytes
+
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal shapes and equal float64 bit patterns, so -0.0 differs from 0.0."""
@@ -558,7 +668,8 @@ class TestLinearSystem:
             table = rb.exp_difference_table(M)
             rng = random.Random(M)
             stakes = [(0, *(rng.randint(1, x) for x in range(1, M)), 0) for _ in range(32)]
-            p, up, dn = _chain_arrays(table, np.array(stakes[:16]), np.array(stakes[16:]))
+            chain = _chain_arrays(table, np.array(stakes[:16])[:, None], np.array(stakes[16:])[None])
+            p, up, dn = (a.reshape(-1, M - 1) for a in chain)
             stuck = solver._stuck(M, p, up, dn)
             seen |= [(p == 0.0).any(), (p == 1.0).any(), stuck.any()]
             step = _step_laws(M, p, up, dn)
@@ -580,7 +691,8 @@ class TestLinearSystem:
         table = rb.power_family(M, 2).with_entry(1, 1, 1.0).with_entry(2, 1, 1.0)
         firsts = list(rb.all_strategies(Player.ONE, M))
         seconds = list(rb.all_strategies(Player.TWO, M))
-        chain = _chain_arrays(table, _stake_rows(firsts), _stake_rows(seconds))
+        product = _chain_arrays(table, _stake_rows(firsts)[:, None], _stake_rows(seconds)[None])
+        chain = tuple(a.reshape(-1, M - 1) for a in product)
         p = chain[0]
         assert (p == 1.0).any() and (p > 0.0).all()
         profiles = [rb.Profile(first, second) for first in firsts for second in seconds]
@@ -1061,7 +1173,7 @@ def _enum_oracle_grid(maker: str, M: int) -> tuple[list, list, np.ndarray, np.nd
     every pair, solved by the batched engine the oracle tests pin."""
     firsts = list(rb.all_strategies(Player.ONE, M))
     seconds = list(rb.all_strategies(Player.TWO, M))
-    VI, VII = _value_grid(_enum_table(maker, M), _stake_rows(firsts), _stake_rows(seconds))
+    VI, VII = _product_values(_enum_table(maker, M), _stake_rows(firsts), _stake_rows(seconds))
     return firsts, seconds, VI, VII
 
 
