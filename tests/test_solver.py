@@ -583,10 +583,10 @@ class TestBatchedEngine:
         """``_stuck`` decides per block whether to skip its passes, so pairs
         solved in shuffled order in blocks of any size keep the bits of the
         default blocks.  The cycling table has stuck fortunes.  On exp-diff
-        at M = 41, every pair of players who stake ``min(x, c)`` at fortune
-        ``x``, for c = 1..40, has a step of probability exactly 0 or 1, and
-        80 of these 1 600 chains have both, so only their blocks run the
-        reachability passes."""
+        at M = 41, with each player staking ``min(x, c)`` at own fortune
+        ``x`` for c = 1..40, each of the 1 600 chains has a step of
+        probability exactly 0 or 1, and 80 have both, so only the blocks
+        holding those run the reachability passes."""
         if case == "cycle":
             M = 5
             table = rb.power_family(M, 1).with_entry(1, 2, 1.0).with_entry(2, 1, 0.0)
@@ -621,8 +621,8 @@ class TestBatchedEngine:
     )
     def test_pairs_kept_per_start(self, make, kept: list[int]) -> None:
         """The candidate pairs solved and kept after each start x0 = 1..5
-        from a cold state, as the pair bound kept them before pairs and
-        products shared one chain gather."""
+        from a cold state: each start adds the candidates of the pair bound
+        that no earlier start solved."""
         table = make()
         _enumeration.table_enumeration.cache_clear()
         counts = []
