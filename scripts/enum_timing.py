@@ -1,4 +1,4 @@
-"""Time exhaustive equilibrium enumeration on the power family at M = 7 and 8.
+"""Time exhaustive equilibrium enumeration on the power family at M = 7, 8 and 9.
 
     PYTHONPATH=src python scripts/enum_timing.py
 
@@ -30,13 +30,22 @@ Then, with the enumeration cap raised to 8, it enumerates x0 = 1..5 of
 (5040/5040/10080/30240/120960), and of ``min_exp_table(8, 0.3)``, whose
 counts must be 8640 at x0 = 1 and 2880 at x0 = 2..5.  It prints each
 table's wall time and the peak resident memory, which must stay under
-``PEAK_RSS_LIMIT_MIB``.  The script exits 1 on any other count or a higher
-peak.  It is kept out of the test suite because it takes seconds and over
-100 MiB.
+``PEAK_RSS_LIMIT_MIB``.
+
+Last, with the cap raised to 9, it enumerates x0 = 1..5 of
+``power_family(9, 2)``, whose counts and pairs kept after each start must
+both be 40320 * (x0 - 1)! (40320/40320/80640/241920/967680), and of
+``min_exp_table(9, 0.3)``, whose counts must be 1592640/8640/2880/2880/2880
+with 1592640 pairs kept after every start.  Each table runs in a process of
+its own, as the peak resident memory is counted per process, and must peak
+under its limit in ``M9_TABLES``.  The script exits 1 on any other count or
+a higher peak.  It is kept out of the test suite because it takes about ten
+seconds and over 400 MiB.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import resource
 import sys
 import time
@@ -60,6 +69,22 @@ M8_COUNTS = {
     "min-exp m = 0.3": (rb.min_exp_table(8, 0.3), [8640, 2880, 2880, 2880, 2880]),
 }
 PEAK_RSS_LIMIT_MIB = 300
+# Per table: its maker, the counts and the pairs kept after x0 = 1..5, and
+# the limit in MiB on the peak resident memory of its own process.
+M9_TABLES = {
+    "power p = 2": (
+        lambda: rb.power_family(9, 2),
+        [40320, 40320, 80640, 241920, 967680],
+        [40320, 40320, 80640, 241920, 967680],
+        350,
+    ),
+    "min-exp m = 0.3": (
+        lambda: rb.min_exp_table(9, 0.3),
+        [1592640, 8640, 2880, 2880, 2880],
+        [1592640] * 5,
+        550,
+    ),
+}
 
 
 def _peak_mib() -> float:
@@ -141,7 +166,38 @@ def main() -> int:
     if _peak_mib() >= PEAK_RSS_LIMIT_MIB:
         print(f"peak RSS {_peak_mib():.0f} MiB, over {PEAK_RSS_LIMIT_MIB} MiB", file=sys.stderr)
         return 1
+
+    sys.stdout.flush()
+    spawn = multiprocessing.get_context("spawn")
+    for name in M9_TABLES:
+        child = spawn.Process(target=_enumerate_m9, args=(name,))
+        child.start()
+        child.join()
+        if child.exitcode != 0:
+            return 1
     return 0
+
+
+def _enumerate_m9(name: str) -> None:
+    """Enumerate x0 = 1..5 of one M = 9 table in this process and check its
+    counts, kept pairs and peak resident memory; exit 1 on a mismatch."""
+    make, expected, expected_kept, limit = M9_TABLES[name]
+    table = make()
+    start = time.perf_counter()
+    counts, kept = [], []
+    for x0 in range(1, 6):
+        counts.append(len(rb.enumerate_equilibria(table, x0, cap=9)))
+        kept.append(len(table_enumeration(table).keys))
+    end = time.perf_counter()
+    if counts != expected or kept != expected_kept:
+        print(f"M = 9 {name} counts {counts}, kept {kept}, expected {expected}, "
+              f"{expected_kept}", file=sys.stderr)
+        sys.exit(1)
+    print(f"M = 9 {name} counts {counts}, kept {kept}: ok, x0 = 1..5 in "
+          f"{end - start:.2f} s, peak RSS {_peak_mib():.0f} MiB", flush=True)
+    if _peak_mib() >= limit:
+        print(f"M = 9 {name} peak RSS {_peak_mib():.0f} MiB, over {limit} MiB", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

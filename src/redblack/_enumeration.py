@@ -165,8 +165,8 @@ class TableEnumeration:
     tables of one ``M``, see :func:`strategies`); ``best_I[j]``, player I's
     best-response values at every fortune against ``seconds[j]``, and
     ``best_II[i]``, player II's against ``firsts[i]``.  Then, as the starts
-    ask for them, the values of every candidate pair solved so far (see
-    :meth:`solved`).
+    ask for them, the values of every candidate pair solved so far: ``keys``
+    and ``values``, 8 and ``16 (M + 1)`` bytes a pair (see :meth:`solved`).
     """
 
     def __init__(self, table: WinProbTable) -> None:
@@ -198,22 +198,33 @@ class TableEnumeration:
         """Both players' values at ``x0`` of pair ``k``, ``firsts[rows[k]]``
         against ``seconds[cols[k]]``, for pairs in row-major order.
 
-        Only the pairs no earlier call solved are solved, as one list by
-        :func:`redblack.solver._pair_values`, and kept: ``keys`` stays sorted,
-        ``values[n]`` holding both players' values at every fortune of pair
-        ``keys[n]``.
+        Only the pairs no earlier call solved are solved, and kept: ``keys``
+        stays sorted, ``values[n]`` holding both players' values at every
+        fortune of pair ``keys[n]``.  The merged ``values`` is allocated once,
+        the kept rows move into it, and :func:`redblack.solver._pair_values`
+        solves the fresh pairs a block at a time straight into their slots,
+        so the call holds the old and the merged arrays and one block.
         """
         keys = rows * len(self.seconds) + cols
+        slots = np.searchsorted(self.keys, keys)
         fresh = np.ones(len(keys), dtype=bool)
         if len(self.keys):
-            fresh = self.keys.take(np.searchsorted(self.keys, keys), mode="clip") != keys
+            fresh = self.keys.take(slots, mode="clip") != keys
         if fresh.any():
-            values = _pair_values(
-                table, self.first_rows[rows[fresh]], self.second_rows[cols[fresh]]
+            # The fresh keys ascend, so the n-th lands n places past its
+            # insertion point among the kept ones.
+            slots = slots[fresh]
+            slots += np.arange(len(slots))
+            kept = np.ones(len(self.keys) + len(slots), dtype=bool)
+            kept[slots] = False
+            values = np.empty((len(kept), *self.values.shape[1:]))
+            values[kept] = self.values
+            _pair_values(
+                table, self.first_rows, self.second_rows, rows[fresh], cols[fresh], values, slots
             )
-            at = np.searchsorted(self.keys, keys[fresh])
-            self.keys = np.insert(self.keys, at, keys[fresh])
-            self.values = np.insert(self.values, at, values, axis=0)
+            merged = np.empty(len(kept), dtype=np.int64)
+            merged[kept], merged[slots] = self.keys, keys[fresh]
+            self.keys, self.values = merged, values
         values = self.values[np.searchsorted(self.keys, keys), :, x0]
         return values[:, 0], values[:, 1]
 

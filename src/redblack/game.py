@@ -73,6 +73,11 @@ def _check_money(M: Any) -> None:
         raise ValueError(f"total money must be an integer >= 2, got {M!r}")
 
 
+def _whole(value: object, least: int) -> bool:
+    """Whether ``value`` is an ``int`` (not a ``bool``) of at least ``least``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 _G = TypeVar("_G", bound="_Grid")
 
 

@@ -48,7 +48,7 @@ from typing import Any
 
 import numpy as np
 
-from .game import Profile, WinProbTable
+from .game import Profile, WinProbTable, _whole
 from .solver import ValueVector, _chain_arrays, _stake_rows
 
 _MASK = (1 << 64) - 1
@@ -66,11 +66,6 @@ _DROP_SHARE = 8
 # :func:`compare_exact`'s bounds on |z| and on the truncated fraction.
 Z_MAX = 4.0
 MAX_TRUNCATED_FRACTION = 0.01
-
-
-def _whole(value: object, least: int) -> bool:
-    """Whether ``value`` is an ``int`` (not a ``bool``) of at least ``least``."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def _mix64_int(z: int) -> int:

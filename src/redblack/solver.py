@@ -28,7 +28,8 @@ once, runs a vectorised backward-reachability fixpoint to find the stuck
 fortunes of every chain, and solves all chains with one stacked
 ``np.linalg.solve`` (:func:`_solve_chains`); one range rule,
 :func:`_in_range`, accepts its values.  :func:`_pair_values` runs it over
-a list of pairs, a block at a time.
+a list of pairs a block at a time, each block gathering its own stake rows
+and writing into the slots its caller names.
 
 A best response is found by policy iteration (Howard 1960) on the
 responder's ``(M-1) x (M-1)`` grid of fortunes and stakes, gathered by
@@ -78,6 +79,7 @@ from .game import (
     StationaryStrategy,
     UnitBetCurve,
     WinProbTable,
+    _whole,
     unit_bet_curve,
 )
 from .reports import (
@@ -378,19 +380,27 @@ def _in_range(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _pair_values(table: WinProbTable, firsts: np.ndarray, seconds: np.ndarray) -> np.ndarray:
-    """Both players' values ``[k, :, x]`` of ``firsts[k]`` against ``seconds[k]``.
+def _pair_values(
+    table: WinProbTable,
+    firsts: np.ndarray,
+    seconds: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    out: np.ndarray,
+    slots: np.ndarray,
+) -> None:
+    """Solve pair ``k``, ``firsts[rows[k]]`` against ``seconds[cols[k]]``,
+    into ``out[slots[k]]``: both players' values ``[:, x]`` at every fortune.
 
-    The stake rows are aligned, one per pair.  Pairs are solved in blocks of
-    ``_BLOCK_PAIRS``, so the working set stays small next to the
-    ``(n, 2, M + 1)`` output.
+    ``firsts`` and ``seconds`` are stake rows (see :func:`_stake_rows`) and
+    ``out`` is ``(N, 2, M + 1)``.  Pairs are solved in blocks of
+    ``_BLOCK_PAIRS``, each gathering only its own stake rows, so the working
+    set is one block whatever the number of pairs.
     """
-    values = np.empty((len(firsts), 2, table.M + 1))
-    for lo in range(0, len(firsts), _BLOCK_PAIRS):
+    for lo in range(0, len(rows), _BLOCK_PAIRS):
         block = slice(lo, lo + _BLOCK_PAIRS)
-        chain = _chain_arrays(table, firsts[block], seconds[block])
-        values[block] = _in_range(_solve_chains(table.M, *chain)).transpose(1, 0, 2)
-    return values
+        chain = _chain_arrays(table, firsts[rows[block]], seconds[cols[block]])
+        out[slots[block]] = _in_range(_solve_chains(table.M, *chain)).transpose(1, 0, 2)
 
 
 def hitting_values(
@@ -699,11 +709,12 @@ def verify_nash(
     policy iteration: a certified profile admits no deviation gaining more
     than ``tol`` plus ``_IMPROVE_MARGIN`` per expected stage of the best
     response's play from ``x0``.  A best response whose solves cannot rank
-    the stakes raises (see :func:`best_response`).
+    the stakes raises (see :func:`best_response`).  A start ``x0`` that is
+    not an ``int`` in ``0..M``, a ``bool`` included, raises ``ValueError``.
     """
     M = table.M
-    if not 0 <= x0 <= M:
-        raise ValueError(f"initial fortune {x0} outside 0..{M}")
+    if not _whole(x0, 0) or x0 > M:
+        raise ValueError(f"initial fortune {x0!r} outside the integers 0..{M}")
     values = hitting_values(table, profile)
     vI, vII = values.q[x0], values.t[x0]
     reports: tuple[CheckReport, ...] = ()
@@ -749,10 +760,12 @@ def enumerate_equilibria(
     Results are ordered lexicographically by both players' stakes, in a
     read-only sequence that builds each certificate when it is read (see
     :class:`redblack._enumeration.Equilibria`); ``tuple(...)`` builds them all.
+    A start ``x0`` that is not an ``int`` in ``0..M``, a ``bool`` included,
+    raises ``ValueError``.
     """
     M = table.M
-    if not 0 <= x0 <= M:
-        raise ValueError(f"initial fortune {x0} outside 0..{M}")
+    if not _whole(x0, 0) or x0 > M:
+        raise ValueError(f"initial fortune {x0!r} outside the integers 0..{M}")
     _require_enumerable(M, cap)
     # Imported on first use, so a process that never enumerates never compiles it.
     from ._enumeration import Equilibria, table_enumeration

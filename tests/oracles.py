@@ -23,6 +23,17 @@ from redblack.solver import (
 DEFAULT_TIE_TOL = 1e-9
 
 
+def pair_values(
+    table: WinProbTable, firsts: np.ndarray, seconds: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Both players' values ``[k, :, x]`` of ``firsts[rows[k]]`` against
+    ``seconds[cols[k]]``: :func:`redblack.solver._pair_values` into a new
+    array, in pair order."""
+    values = np.empty((len(rows), 2, table.M + 1))
+    _pair_values(table, firsts, seconds, rows, cols, values, np.arange(len(rows)))
+    return values
+
+
 @dataclass(frozen=True)
 class EnumeratedBestResponse:
     """Statewise maxima over every stationary deterministic response.
@@ -51,12 +62,12 @@ def enumerate_best_response(
     _require_enumerable(M, cap)
     responder = opponent.owner.other
     strategies = tuple(all_strategies(responder, M))
-    stakes = _stake_rows(strategies)
-    fixed = np.repeat(_stake_rows([opponent]), len(stakes), axis=0)
+    stakes, fixed = _stake_rows(strategies), _stake_rows([opponent])
+    every, alone = np.arange(len(stakes)), np.zeros(len(stakes), dtype=np.int64)
     if responder is Player.ONE:
-        rows = _pair_values(table, stakes, fixed)[:, 0]
+        rows = pair_values(table, stakes, fixed, every, alone)[:, 0]
     else:
-        rows = _pair_values(table, fixed, stakes)[:, 1]
+        rows = pair_values(table, fixed, stakes, alone, every)[:, 1]
     maxima = rows.max(axis=0)
     per_state = tuple(
         tuple(int(i) for i in np.nonzero(rows[:, x] >= maxima[x] - DEFAULT_TIE_TOL)[0])

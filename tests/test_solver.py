@@ -37,7 +37,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import redblack as rb
-from oracles import DEFAULT_TIE_TOL, enumerate_best_response
+from oracles import DEFAULT_TIE_TOL, enumerate_best_response, pair_values
 from redblack import _enumeration, solver
 from redblack.cli import main
 from redblack.game import Player
@@ -68,7 +68,8 @@ def _product_values(
     """Both players' value tensors ``[i, j, x]`` of first ``i`` against
     second ``j``, from :func:`_pair_values` of the product's pairs."""
     B, K = len(firsts), len(seconds)
-    values = _pair_values(table, np.repeat(firsts, K, axis=0), np.tile(seconds, (B, 1)))
+    rows, cols = np.repeat(np.arange(B), K), np.tile(np.arange(K), B)
+    values = pair_values(table, firsts, seconds, rows, cols)
     VI, VII = values.reshape(B, K, 2, -1).transpose(2, 0, 1, 3)
     return VI, VII
 
@@ -581,12 +582,12 @@ class TestBatchedEngine:
         self, case: str, block: int, monkeypatch
     ) -> None:
         """``_stuck`` decides per block whether to skip its passes, so pairs
-        solved in shuffled order in blocks of any size keep the bits of the
-        default blocks.  The cycling table has stuck fortunes.  On exp-diff
-        at M = 41, with each player staking ``min(x, c)`` at own fortune
-        ``x`` for c = 1..40, each of the 1 600 chains has a step of
-        probability exactly 0 or 1, and 80 have both, so only the blocks
-        holding those run the reachability passes."""
+        solved in shuffled order in blocks of any size, each into its own
+        slot, keep the bits of the default blocks.  The cycling table has
+        stuck fortunes.  On exp-diff at M = 41, with each player staking
+        ``min(x, c)`` at own fortune ``x`` for c = 1..40, each of the 1 600
+        chains has a step of probability exactly 0 or 1, and 80 have both, so
+        only the blocks holding those run the reachability passes."""
         if case == "cycle":
             M = 5
             table = rb.power_family(M, 1).with_entry(1, 2, 1.0).with_entry(2, 1, 0.0)
@@ -598,17 +599,19 @@ class TestBatchedEngine:
             x = np.arange(M + 1)
             firsts = seconds = np.array([np.where(x % M, np.minimum(x, c), 0) for c in range(1, M)])
         B, K = len(firsts), len(seconds)
-        firsts, seconds = np.repeat(firsts, K, axis=0), np.tile(seconds, (B, 1))
-        p, up, dn = _chain_arrays(table, firsts, seconds)
+        rows, cols = np.repeat(np.arange(B), K), np.tile(np.arange(K), B)
+        p, up, dn = _chain_arrays(table, firsts[rows], seconds[cols])
         if case == "cycle":
             assert solver._stuck(M, p, up, dn).any()
         else:
             assert ((p == 0.0) | (p == 1.0)).any(axis=1).all()
             assert ((p == 0.0).any(axis=1) & (p == 1.0).any(axis=1)).sum() == 80
-        default = _pair_values(table, firsts, seconds)
+        default = pair_values(table, firsts, seconds, rows, cols)
         order = np.random.default_rng(block).permutation(len(default))
         monkeypatch.setattr(solver, "_BLOCK_PAIRS", block)
-        assert _same_bits(_pair_values(table, firsts[order], seconds[order]), default[order])
+        shuffled = np.full_like(default, np.nan)
+        _pair_values(table, firsts, seconds, rows[order], cols[order], shuffled, order)
+        assert _same_bits(shuffled, default)
 
     @pytest.mark.parametrize(
         "make,kept",
@@ -631,10 +634,44 @@ class TestBatchedEngine:
             counts.append(len(_enumeration.table_enumeration(table).keys))
         assert counts == kept
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: rb.power_family(6, 2),
+            lambda: rb.power_family(7, 2).with_entry(1, 2, 1.0).with_entry(2, 1, 0.0),
+        ],
+        ids=["pow2", "cycling_7_pow2"],
+    )
+    def test_starts_out_of_order_merge_into_sorted_keys(self, make) -> None:
+        """Starts x0 = 5, 2, 4, 1, 3 merge their fresh pairs among the kept
+        ones: the keys stay sorted and unique, each kept row holds the bits
+        of its pair solved alone, and each start finds what it finds when
+        the starts run in order."""
+        table = make()
+        _enumeration.table_enumeration.cache_clear()
+        in_order = {x0: rb.enumerate_equilibria(table, x0) for x0 in range(1, 6)}
+        _enumeration.table_enumeration.cache_clear()
+        shuffled = {x0: rb.enumerate_equilibria(table, x0) for x0 in (5, 2, 4, 1, 3)}
+        state = _enumeration.table_enumeration(table)
+        _enumeration.table_enumeration.cache_clear()
+        assert (np.diff(state.keys) > 0).all()
+        rows, cols = np.divmod(state.keys, len(state.seconds))
+        alone = np.concatenate([
+            pair_values(table, state.first_rows, state.second_rows, rows[k, None], cols[k, None])
+            for k in range(len(rows))
+        ])
+        assert _same_bits(state.values, alone)
+        for x0, found in shuffled.items():
+            expected = in_order[x0]
+            assert np.array_equal(found.rows, expected.rows)
+            assert np.array_equal(found.cols, expected.cols)
+            assert _same_bits(found.value_I, expected.value_I)
+            assert _same_bits(found.value_II, expected.value_II)
+
     def test_last_start_memory_is_bounded_by_the_kept_values(self) -> None:
         """The last start of ``power_family(7, 2)`` solves 69 120 fresh
-        pairs into one output array and merges them into the 86 400 kept:
-        its traced peak stays below 3.5 times the kept values (10.55 MiB)."""
+        pairs straight into the merged array of the 86 400 kept, so its
+        traced peak stays below 2.0 times the kept values (10.55 MiB)."""
         table = rb.power_family(7, 2)
         _enumeration.table_enumeration.cache_clear()
         for x0 in range(1, 6):
@@ -648,7 +685,7 @@ class TestBatchedEngine:
         values = _enumeration.table_enumeration(table).values
         _enumeration.table_enumeration.cache_clear()
         assert values.shape == (86400, 2, 8)
-        assert peak < 3.5 * values.nbytes
+        assert peak < 2.0 * values.nbytes
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -970,10 +1007,10 @@ class TestVerifyNash:
         assert cert.deviation is not None and cert.deviation.player is Player.ONE
 
     def test_start_out_of_range(self, pow2_m4: rb.WinProbTable) -> None:
-        with pytest.raises(ValueError, match="outside"):
-            rb.verify_nash(pow2_m4, _bold_timid(4), 5)
-        with pytest.raises(ValueError, match="outside"):
-            rb.verify_nash(pow2_m4, _bold_timid(4), -1)
+        """A start outside 0..M, or not an ``int``, is named in a ``ValueError``."""
+        for x0 in (5, -1, True, False, 2.0):
+            with pytest.raises(ValueError, match=f"initial fortune {x0!r} outside"):
+                rb.verify_nash(pow2_m4, _bold_timid(4), x0)
 
     def test_non_special_profile_past_the_enumeration_cap(self) -> None:
         """At M = 9 enumeration is capped, but the best responses are not.
@@ -1130,8 +1167,10 @@ class TestEnumerateEquilibria:
         assert rb.enumerate_equilibria(pow2_m3, 1) == rb.enumerate_equilibria(pow2_m3, 1)
 
     def test_start_out_of_range(self, pow2_m3: rb.WinProbTable) -> None:
-        with pytest.raises(ValueError, match="outside"):
-            rb.enumerate_equilibria(pow2_m3, 4)
+        """A start outside 0..M, or not an ``int``, is named in a ``ValueError``."""
+        for x0 in (4, -1, True, False, 2.0):
+            with pytest.raises(ValueError, match=f"initial fortune {x0!r} outside"):
+                rb.enumerate_equilibria(pow2_m3, x0)
 
     def test_certificate_dicts_round_trip_through_json(self) -> None:
         """An ``enum`` artifact's certificates read back as the dicts that
