@@ -9,6 +9,14 @@ power p = 1 and p = 2 at M = 5 with the same two entries doctored, whose sets
 hold 66/48/48/66 and 0/0/12/36 equilibria at x0 = 1..4; and an empty set
 from a negative ``--tol``.  Runs happen inside ``tmp_path`` with relative
 paths, so the manifest holds no machine-specific path.
+
+``BOUNDARY_DIGESTS`` holds the same for the boundary starts ``x0 = 0`` and
+``x0 = M``, where every pair is an equilibrium worth the constants 0 and 1,
+as written when enumeration still solved every pair there.
+``BOUNDARY_ARRAYS`` holds the sha256 of such a start's ``rows``, ``cols``,
+``value_I`` and ``value_II`` bytes, in that order, from the same code; it
+covers the cycling M = 7 table too, whose 518 400 equilibria would make an
+artifact of about 270 MB.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import redblack as rb
@@ -65,10 +74,38 @@ DIGESTS = {
 }
 
 
+BOUNDARY_TABLES = {
+    "power-2 5": lambda: rb.power_family(5, 2),
+    "power-2 6": lambda: rb.power_family(6, 2),
+    "exp-diff 6": lambda: rb.exp_difference_table(6),
+    "cycle-power-2 7": lambda: _cycling(7, 2),
+}
+
+BOUNDARY_DIGESTS = {
+    "power-2 5 0": "77dc11b4e918eef4eef8b89bcaee121773d57bb754216d86a3bf839afd516098",
+    "power-2 5 5": "dd3f8dc414ddffb915763d3072df0fde14d67c1f2a7e3090a3ec522d4812b595",
+    "power-2 6 0": "a64d97da70366bd8358b574fed90dd53bd895aad36868feed3817ce1810de1f3",
+    "power-2 6 6": "be2a1ef8cd3a0d5aeb368517297e013f9a50efdddb7b2cfb25406c01fd271ee9",
+    "exp-diff 6 0": "a64d97da70366bd8358b574fed90dd53bd895aad36868feed3817ce1810de1f3",
+    "exp-diff 6 6": "be2a1ef8cd3a0d5aeb368517297e013f9a50efdddb7b2cfb25406c01fd271ee9",
+}
+
+BOUNDARY_ARRAYS = {
+    "power-2 5 0": "868468da9569db695f46f46fd327d926237e11f5d732df9522299baccedc59e9",
+    "power-2 5 5": "9d29ee3b999dcbfc5ef5919faec4dff7ea0cc402a92aba56eadcaa2cd6c035d8",
+    "power-2 6 0": "e775b2d4ad3704c3d1491a88b20fd117050b83c5c51d9dbde271a62b9252ed37",
+    "power-2 6 6": "55ba35cbcb129cab294f739e76a15d0dc4645f1ebf8f74d5b8a1c691fbed7c88",
+    "exp-diff 6 0": "e775b2d4ad3704c3d1491a88b20fd117050b83c5c51d9dbde271a62b9252ed37",
+    "exp-diff 6 6": "55ba35cbcb129cab294f739e76a15d0dc4645f1ebf8f74d5b8a1c691fbed7c88",
+    "cycle-power-2 7 0": "5836441a33e84b237cc0516792ae3d6eb793909c3287bebef59c079c10547026",
+    "cycle-power-2 7 7": "a760554d35062da6a9ff7aea95032d6034a16f42361dac19dd6a6ca181363f17",
+}
+
+
 def _enum_artifact(tmp_path: Path, monkeypatch, table: str, x0: str, extra: list[str]) -> bytes:
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("REDBLACK_TOL", raising=False)
-    source = TABLES[table]
+    source = TABLES.get(table) or BOUNDARY_TABLES[table]
     if callable(source):
         Path("table.json").write_text(rb.canonical_json(source().to_json_dict()), encoding="utf-8")
     else:
@@ -91,3 +128,22 @@ def test_enum_artifact_is_byte_identical(
 ) -> None:
     artifact = _enum_artifact(tmp_path, monkeypatch, table, str(x0), extra)
     assert hashlib.sha256(artifact).hexdigest() == DIGESTS[" ".join([table, str(x0), *extra])]
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_DIGESTS))
+def test_boundary_artifact_is_byte_identical(tmp_path: Path, monkeypatch, case: str) -> None:
+    table, x0 = case.rsplit(" ", 1)
+    artifact = _enum_artifact(tmp_path, monkeypatch, table, x0, [])
+    assert hashlib.sha256(artifact).hexdigest() == BOUNDARY_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_ARRAYS))
+def test_boundary_start_reads_the_constants(case: str) -> None:
+    """A boundary start finds every pair, each worth the constants 0 and 1,
+    with the parent's arrays to the bit."""
+    table, x0 = case.rsplit(" ", 1)
+    found = rb.enumerate_equilibria(BOUNDARY_TABLES[table](), int(x0))
+    digest = hashlib.sha256()
+    for array in (found.rows, found.cols, found.value_I, found.value_II):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == BOUNDARY_ARRAYS[case]
