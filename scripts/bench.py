@@ -15,8 +15,12 @@ session does not favour one side.
 OUT records the machine, each side's git sha (and whether its working tree
 differs from it) and ``src/redblack`` line count, every run's ``wall_s``,
 ``setup_s`` and ``peak_rss_mib`` with its seed and position in the pair, and
-per side and metric the median and quartiles over the runs.  For
-``wall_s`` it also counts the pairs in which this checkout was faster.  A run
+per side and metric the median and quartiles over the runs.  For every
+metric it also counts the pairs this checkout won, by the direction
+``BENCHMARK.json`` declares as better, and records and prints whether the
+claim rule holds: this checkout wins at least ``CLAIM_WINS`` of the
+``PAIRS`` pairs, and its median beats the other side's by more than that
+side's spread between quartiles.  A run
 whose correctness gate fails, that prints no metrics or that outlives
 ``RUN_TIMEOUT_S`` is recorded with its output and makes the script exit 1
 after OUT is written.  Nothing under ``perfbench/`` is changed; each run
@@ -48,6 +52,7 @@ import numpy as np
 TREE = Path(__file__).resolve().parent.parent
 METRICS = ("wall_s", "setup_s", "peak_rss_mib")
 PAIRS = 10
+CLAIM_WINS = 9
 FIRST_SEED = 1
 RUN_TIMEOUT_S = 600
 
@@ -138,6 +143,24 @@ def _summary(runs: list[dict[str, Any]]) -> dict[str, dict[str, float]]:
     return out
 
 
+def _claim(runs: dict[str, list[dict[str, Any]]], summary: dict[str, dict], name: str,
+           lower: bool) -> dict[str, Any]:
+    """The pairs this checkout won on one metric, its median gain over the
+    base (positive is better) and whether the claim rule holds."""
+    sign = 1.0 if lower else -1.0
+    won = sum(
+        sign * (b[name] - t[name]) > 0
+        for t, b in zip(runs["tree"], runs["base"])
+        if name in t and name in b
+    )
+    if name not in summary["tree"] or name not in summary["base"]:
+        return {"won": won, "gain": None, "base_iqr": None, "holds": False}
+    base = summary["base"][name]
+    gain = sign * (base["median"] - summary["tree"][name]["median"])
+    spread = base["q3"] - base["q1"]
+    return {"won": won, "gain": gain, "base_iqr": spread, "holds": won >= CLAIM_WINS and gain > spread}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("base", type=Path, help="root of the checkout to compare against")
@@ -151,6 +174,7 @@ def main() -> int:
     benchmark = json.loads((TREE / "BENCHMARK.json").read_text())
     seconds = float(benchmark["run_seconds"])
     workloads = [w["name"] for w in benchmark["workloads"]]
+    lower = {m["name"]: m["better"] == "lower" for m in benchmark["end_to_end"]}
 
     timings: dict[str, Any] = {}
     for name in sorted(p.name for p in (TREE / "scripts").glob("*_timing.py")):
@@ -171,15 +195,13 @@ def main() -> int:
                 ok = ok and run["correct"]
                 shown = ", ".join(f"{m} {run[m]:.4g}" for m in METRICS if m in run) or "no metrics"
                 print(f"{workload} pair {pair} seed {seed} {side}: {shown}", flush=True)
-        faster = sum(
-            t["wall_s"] < b["wall_s"]
-            for t, b in zip(runs["tree"], runs["base"])
-            if "wall_s" in t and "wall_s" in b
-        )
         results[workload] = {
             side: {"runs": side_runs, "summary": _summary(side_runs)} for side, side_runs in runs.items()
         }
-        results[workload]["tree_faster_pairs"] = faster
+        summaries = {side: results[workload][side]["summary"] for side in roots}
+        results[workload]["claims"] = {
+            name: _claim(runs, summaries, name, lower.get(name, True)) for name in METRICS
+        }
 
     payload = {
         "machine": _machine(),
@@ -191,9 +213,12 @@ def main() -> int:
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     for workload, result in results.items():
-        medians = {side: result[side]["summary"].get("wall_s", {}).get("median") for side in roots}
-        print(f"{workload}: wall_s median tree {medians['tree']}, base {medians['base']}; "
-              f"tree faster in {result['tree_faster_pairs']} of {PAIRS} pairs")
+        for name, claim in result["claims"].items():
+            medians = {side: result[side]["summary"].get(name, {}).get("median") for side in roots}
+            print(f"{workload} {name}: median tree {medians['tree']}, base {medians['base']}, "
+                  f"gain {claim['gain']}, base quartile spread {claim['base_iqr']}; tree better "
+                  f"in {claim['won']} of {PAIRS} pairs; claim rule "
+                  f"{'holds' if claim['holds'] else 'fails'}")
     return 0 if ok else 1
 
 

@@ -2,7 +2,15 @@
 
     PYTHONPATH=src python scripts/enum_timing.py
 
-First checks the criterion-6 per-start counts at M = 6
+First, in a process of its own, it enumerates the boundary start x0 = 0
+of ``power_family(7, 2)`` from a cold cache and prints its wall time and
+the peak resident memory of that process.  Every one of the 518 400 pairs
+is an equilibrium there, worth the constants 0 and 1, so the count must be
+518400 and no pair may be solved or kept.  It runs before anything else,
+as Linux starts a spawned process's peak from the resident size of its
+parent.
+
+Then it checks the criterion-6 per-start counts at M = 6
 (120/120/240/720/2880).  Then enumerates every start x0 = 1..6 of two
 cycling tables, ``power_family(7, p)`` for p = 1 and 2 with the entries
 (1, 2) and (2, 1) forced to 1 and 0, from a cold cache, and prints each
@@ -40,7 +48,7 @@ with 1592640 pairs kept after every start.  Each table runs in a process of
 its own, as the peak resident memory is counted per process, and must peak
 under its limit in ``M9_TABLES``.  The script exits 1 on any other count or
 a higher peak.  It is kept out of the test suite because it takes about ten
-seconds and over 400 MiB.
+seconds and over 300 MiB.
 """
 
 from __future__ import annotations
@@ -76,13 +84,13 @@ M9_TABLES = {
         lambda: rb.power_family(9, 2),
         [40320, 40320, 80640, 241920, 967680],
         [40320, 40320, 80640, 241920, 967680],
-        350,
+        270,
     ),
     "min-exp m = 0.3": (
         lambda: rb.min_exp_table(9, 0.3),
         [1592640, 8640, 2880, 2880, 2880],
         [1592640] * 5,
-        550,
+        340,
     ),
 }
 
@@ -100,7 +108,18 @@ def _starts(table: rb.WinProbTable) -> tuple[list, list[int]]:
     return found, kept
 
 
+def _in_own_process(target, *args) -> bool:
+    """Run ``target(*args)`` in a spawned process; whether it exited 0."""
+    sys.stdout.flush()
+    child = multiprocessing.get_context("spawn").Process(target=target, args=args)
+    child.start()
+    child.join()
+    return child.exitcode == 0
+
+
 def main() -> int:
+    if not _in_own_process(_boundary_m7):
+        return 1
     table = rb.power_family(6, 2)
     counts = [len(rb.enumerate_equilibria(table, x0)) for x0 in range(1, 6)]
     if counts != M6_COUNTS:
@@ -167,15 +186,22 @@ def main() -> int:
         print(f"peak RSS {_peak_mib():.0f} MiB, over {PEAK_RSS_LIMIT_MIB} MiB", file=sys.stderr)
         return 1
 
-    sys.stdout.flush()
-    spawn = multiprocessing.get_context("spawn")
-    for name in M9_TABLES:
-        child = spawn.Process(target=_enumerate_m9, args=(name,))
-        child.start()
-        child.join()
-        if child.exitcode != 0:
-            return 1
-    return 0
+    return 0 if all(_in_own_process(_enumerate_m9, name) for name in M9_TABLES) else 1
+
+
+def _boundary_m7() -> None:
+    """Enumerate x0 = 0 of ``power_family(7, 2)`` cold in this process and
+    check that every pair is found and none kept; exit 1 otherwise."""
+    table = rb.power_family(7, 2)
+    start = time.perf_counter()
+    count = len(rb.enumerate_equilibria(table, 0))
+    end = time.perf_counter()
+    kept = len(table_enumeration(table).keys)
+    if count != 720 * 720 or kept != 0:
+        print(f"M = 7 x0 = 0 count {count}, kept {kept}, expected {720 * 720}, 0", file=sys.stderr)
+        sys.exit(1)
+    print(f"M = 7 x0 = 0 count {count}, kept {kept}: ok, cold in {end - start:.2f} s, "
+          f"peak RSS {_peak_mib():.0f} MiB", flush=True)
 
 
 def _enumerate_m9(name: str) -> None:

@@ -5,8 +5,11 @@ first call, so a process that never enumerates never compiles it.
 
 :class:`TableEnumeration` keeps, per table, both players' best responses
 to every strategy of the other: ``2 (M-1)!`` value vectors, found by
-:func:`redblack.solver._best_responses` once.  At a start ``x0``
-write ``vI(i, j)`` and ``vII(i, j)`` for both players' values of player I's
+:func:`redblack.solver._best_responses` once from the strategies' stake
+rows, with no strategy object built until a certificate reads it.  It
+also keeps the interior values of every candidate pair an interior start
+solved; a boundary start reads the constants 0 and 1 instead.  At a start
+``x0`` write ``vI(i, j)`` and ``vII(i, j)`` for both players' values of player I's
 strategy ``i`` against player II's ``j``, ``BI(j)`` for player I's
 best-response value against ``j`` and ``BII(i)`` for player II's against
 ``i``, all at ``x0``.  A pair qualifies when
@@ -56,6 +59,7 @@ passes the exhaustive rule.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,13 +68,7 @@ from typing import Any
 import numpy as np
 
 from .game import Player, Profile, StationaryStrategy, WinProbTable
-from .solver import (
-    EquilibriumCertificate,
-    _best_responses,
-    _pair_values,
-    _stake_rows,
-    all_strategies,
-)
+from .solver import EquilibriumCertificate, _best_responses, _pair_values
 
 # Widens the pair bound past 1 + 2 * tol (module docstring): it covers how
 # far q + t exceeds 1 (at most 1.4e-15 over every pair of the shipped
@@ -78,33 +76,58 @@ from .solver import (
 SUM_SLACK = 1e-12
 
 
+class Strategies:
+    """Every stationary deterministic strategy of one player, in
+    lexicographic stake order: ``rows[k]`` holds strategy ``k``'s stakes
+    (see :func:`redblack.solver._stake_rows`).  Reading ``self[k]`` builds
+    its :class:`~redblack.game.StationaryStrategy` with the checked
+    constructor the first time, and returns that object from then on."""
+
+    def __init__(self, owner: Player, rows: np.ndarray) -> None:
+        self.owner, self.rows = owner, rows
+        self.built: dict[int, StationaryStrategy] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k: int) -> StationaryStrategy:
+        k = int(k)
+        if k not in self.built:
+            self.built[k] = StationaryStrategy(self.owner, tuple(self.rows[k].tolist()))
+        return self.built[k]
+
+
 @lru_cache(maxsize=1)
-def strategies(
-    M: int,
-) -> tuple[tuple[StationaryStrategy, ...], tuple[StationaryStrategy, ...], np.ndarray, np.ndarray]:
-    """Every strategy of player I, then of player II, and their stake rows,
-    for the last ``M``."""
-    firsts = tuple(all_strategies(Player.ONE, M))
-    seconds = tuple(all_strategies(Player.TWO, M))
-    return firsts, seconds, _stake_rows(firsts), _stake_rows(seconds)
+def strategies(M: int) -> tuple[Strategies, Strategies]:
+    """Every strategy of player I, then of player II, for the last ``M``.
+
+    Both share one array of stake rows, the order of
+    :func:`redblack.solver.all_strategies`: the stake at fortune ``x``
+    runs over ``1..x`` and the last fortune's varies fastest.
+    """
+    rows = np.zeros((math.factorial(M - 1), M + 1), dtype=np.int64)
+    rows[:, 1:M] = np.column_stack(np.unravel_index(np.arange(len(rows)), range(1, M))) + 1
+    return Strategies(Player.ONE, rows), Strategies(Player.TWO, rows)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Equilibria(Sequence[EquilibriumCertificate]):
     """The equilibria of one start, kept as arrays and certified on access.
 
-    Pair ``k`` is ``firsts[rows[k]]`` against ``seconds[cols[k]]``, worth
-    ``value_I[k]`` to player I and ``value_II[k]`` to player II at ``x0``.
-    Reading a pair builds its certificate with the checked ``Profile`` and
-    ``EquilibriumCertificate`` constructors, so a caller that counts or
-    samples pays for what it reads, and one that reads every pair pays for
-    every certificate.  A slice is a tuple.  The set equals a tuple or
-    another set of the same certificates, and prints as that tuple.
+    Pair ``k`` is ``firsts[rows[k]]`` against ``seconds[cols[k]]`` (see
+    :class:`Strategies`), worth ``value_I[k]`` to player I and
+    ``value_II[k]`` to player II at ``x0``.  Reading a pair builds its
+    certificate with the checked ``Profile`` and ``EquilibriumCertificate``
+    constructors, and each strategy the first time any certificate reads
+    it, so a caller that counts or samples pays for what it reads, and one
+    that reads every pair pays for every certificate.  A slice is a tuple.
+    The set equals a tuple or another set of the same certificates, and
+    prints as that tuple.
     """
 
     x0: int
-    firsts: tuple[StationaryStrategy, ...]
-    seconds: tuple[StationaryStrategy, ...]
+    firsts: Strategies
+    seconds: Strategies
     rows: np.ndarray
     cols: np.ndarray
     value_I: np.ndarray
@@ -134,12 +157,12 @@ class Equilibria(Sequence[EquilibriumCertificate]):
         return repr(tuple(self))
 
     def to_json_dicts(self) -> list[dict[str, Any]]:
-        """``[c.to_json_dict() for c in self]``, written from the arrays: each
-        strategy's stake list is built once per call and shared by every
-        dict that holds it."""
+        """``[c.to_json_dict() for c in self]``, written from the arrays and
+        the stake rows, building no strategy: each strategy's stake list is
+        built once per call and shared by every dict that holds it."""
         rows, cols = self.rows.tolist(), self.cols.tolist()
-        stakes_I = {i: list(self.firsts[i].bets) for i in set(rows)}
-        stakes_II = {j: list(self.seconds[j].bets) for j in set(cols)}
+        stakes_I = {i: self.firsts.rows[i].tolist() for i in set(rows)}
+        stakes_II = {j: self.seconds.rows[j].tolist() for j in set(cols)}
         return [
             {
                 "profile": {
@@ -164,21 +187,27 @@ class TableEnumeration:
     Built cold once per table: every strategy of each player (shared by the
     tables of one ``M``, see :func:`strategies`); ``best_I[j]``, player I's
     best-response values at every fortune against ``seconds[j]``, and
-    ``best_II[i]``, player II's against ``firsts[i]``.  Then, as the starts
-    ask for them, the values of every candidate pair solved so far: ``keys``
-    and ``values``, 8 and ``16 (M + 1)`` bytes a pair (see :meth:`solved`).
+    ``best_II[i]``, player II's against ``firsts[i]``.  Then, as the interior
+    starts ask for them, the values of every candidate pair solved so far:
+    ``keys`` and ``values``, the pair's key ``i * len(seconds) + j`` and both
+    players' values at the interior fortunes ``1..M-1``, ``8 + 16 (M - 1)``
+    bytes a pair (see :meth:`solved`).  A boundary start solves and keeps
+    nothing: every pair is worth 0 to the player who has lost and 1 to the
+    other there.
     """
 
     def __init__(self, table: WinProbTable) -> None:
-        self.firsts, self.seconds, self.first_rows, self.second_rows = strategies(table.M)
-        self.best_I = _best_responses(table, Player.ONE, self.second_rows)[1]
-        self.best_II = _best_responses(table, Player.TWO, self.first_rows)[1]
+        self.firsts, self.seconds = strategies(table.M)
+        self.best_I = _best_responses(table, Player.ONE, self.seconds.rows)[1]
+        self.best_II = _best_responses(table, Player.TWO, self.firsts.rows)[1]
         self.keys = np.empty(0, dtype=np.int64)
-        self.values = np.empty((0, 2, table.M + 1))
+        self.values = np.empty((0, 2, table.M - 1))
 
     def equilibria(self, table: WinProbTable, x0: int, tol: float) -> Equilibria:
         """Every pair that passes (R) at ``x0``, in row-major order, for a
-        ``tol >= 0``: of the candidates of the pair bound (module docstring)."""
+        ``tol >= 0``: of the candidates of the pair bound (module docstring).
+        Each index array is dropped once read, so besides the kept state the
+        call holds at most about six arrays of one entry per candidate."""
         best_I, best_II = self.best_I[:, x0], self.best_II[:, x0]
         bound = 1.0 + 2.0 * tol + SUM_SLACK
         # Exactly the rows and the columns that hold a candidate, as a rounded
@@ -186,47 +215,59 @@ class TableEnumeration:
         rows = np.flatnonzero(best_II + best_I.min() <= bound)
         cols = np.flatnonzero(best_I + best_II.min() <= bound)
         r, c = np.nonzero(np.add.outer(best_II[rows], best_I[cols]) <= bound)
-        rows, cols = rows[r], cols[c]
-        vI, vII = self.solved(table, rows, cols, x0)
+        keys = rows[r] * len(self.seconds) + cols[c]
+        del r, c
+        if 0 < x0 < table.M:
+            vI, vII = self.solved(table, keys, x0)
+        else:
+            vI = np.full(len(keys), float(x0 == table.M))
+            vII = np.full(len(keys), float(x0 == 0))
+        rows, cols = np.divmod(keys, len(self.seconds))
+        del keys
         # Rule (R): within tol of each player's best response to the other.
-        hit = (vI >= best_I[cols] - tol) & (vII >= best_II[rows] - tol)
-        return Equilibria(x0, self.firsts, self.seconds, rows[hit], cols[hit], vI[hit], vII[hit])
+        hit = (vI >= (best_I - tol)[cols]) & (vII >= (best_II - tol)[rows])
+        # One at a time, so each index array goes as its hits are taken.
+        rows = rows[hit]
+        cols = cols[hit]
+        vI = vI[hit]
+        vII = vII[hit]
+        return Equilibria(x0, self.firsts, self.seconds, rows, cols, vI, vII)
 
     def solved(
-        self, table: WinProbTable, rows: np.ndarray, cols: np.ndarray, x0: int
+        self, table: WinProbTable, keys: np.ndarray, x0: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Both players' values at ``x0`` of pair ``k``, ``firsts[rows[k]]``
-        against ``seconds[cols[k]]``, for pairs in row-major order.
+        """Both players' values at the interior start ``x0`` of the pairs with
+        the ascending ``keys``.
 
         Only the pairs no earlier call solved are solved, and kept: ``keys``
-        stays sorted, ``values[n]`` holding both players' values at every
-        fortune of pair ``keys[n]``.  The merged ``values`` is allocated once,
-        the kept rows move into it, and :func:`redblack.solver._pair_values`
-        solves the fresh pairs a block at a time straight into their slots,
-        so the call holds the old and the merged arrays and one block.
+        stays sorted, ``values[n]`` holding both players' values at the
+        interior fortunes of pair ``keys[n]``.  The merged ``values`` is
+        allocated once, the kept rows move into it, and
+        :func:`redblack.solver._pair_values` solves the fresh pairs a block
+        at a time straight into their slots, so the call holds the old and
+        the merged arrays and one block.  The state changes only once every
+        block has solved.
         """
-        keys = rows * len(self.seconds) + cols
         slots = np.searchsorted(self.keys, keys)
         fresh = np.ones(len(keys), dtype=bool)
         if len(self.keys):
             fresh = self.keys.take(slots, mode="clip") != keys
+        # Each key lands in the merged order past its insertion point among
+        # the kept keys by the number of fresh keys before it.
+        slots += np.cumsum(fresh)
+        slots -= fresh
         if fresh.any():
-            # The fresh keys ascend, so the n-th lands n places past its
-            # insertion point among the kept ones.
-            slots = slots[fresh]
-            slots += np.arange(len(slots))
-            kept = np.ones(len(self.keys) + len(slots), dtype=bool)
-            kept[slots] = False
+            at = slots[fresh]
+            kept = np.ones(len(self.keys) + len(at), dtype=bool)
+            kept[at] = False
+            merged = np.empty(len(kept), dtype=np.int64)
+            merged[kept], merged[at] = self.keys, keys[fresh]
             values = np.empty((len(kept), *self.values.shape[1:]))
             values[kept] = self.values
-            _pair_values(
-                table, self.first_rows, self.second_rows, rows[fresh], cols[fresh], values, slots
-            )
-            merged = np.empty(len(kept), dtype=np.int64)
-            merged[kept], merged[slots] = self.keys, keys[fresh]
+            _pair_values(table, self.firsts.rows, self.seconds.rows, merged, values, at)
+            del at
             self.keys, self.values = merged, values
-        values = self.values[np.searchsorted(self.keys, keys), :, x0]
-        return values[:, 0], values[:, 1]
+        return self.values[:, 0, x0 - 1][slots], self.values[:, 1, x0 - 1][slots]
 
 
 @lru_cache(maxsize=1)

@@ -28,8 +28,9 @@ once, runs a vectorised backward-reachability fixpoint to find the stuck
 fortunes of every chain, and solves all chains with one stacked
 ``np.linalg.solve`` (:func:`_solve_chains`); one range rule,
 :func:`_in_range`, accepts its values.  :func:`_pair_values` runs it over
-a list of pairs a block at a time, each block gathering its own stake rows
-and writing into the slots its caller names.
+the pairs at the slots its caller names, a block at a time, each block
+gathering its own stake rows and writing the interior values into those
+slots.
 
 A best response is found by policy iteration (Howard 1960) on the
 responder's ``(M-1) x (M-1)`` grid of fortunes and stakes, gathered by
@@ -384,23 +385,26 @@ def _pair_values(
     table: WinProbTable,
     firsts: np.ndarray,
     seconds: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
+    keys: np.ndarray,
     out: np.ndarray,
     slots: np.ndarray,
 ) -> None:
-    """Solve pair ``k``, ``firsts[rows[k]]`` against ``seconds[cols[k]]``,
-    into ``out[slots[k]]``: both players' values ``[:, x]`` at every fortune.
+    """For every slot ``s`` in ``slots``, solve the pair of key ``keys[s]``
+    into ``out[s]``: both players' values ``[:, x - 1]`` at every interior
+    fortune ``x``, as the boundary ones are the constants 0 and 1.
 
+    Key ``i * len(seconds) + j`` is ``firsts[i]`` against ``seconds[j]``;
     ``firsts`` and ``seconds`` are stake rows (see :func:`_stake_rows`) and
-    ``out`` is ``(N, 2, M + 1)``.  Pairs are solved in blocks of
-    ``_BLOCK_PAIRS``, each gathering only its own stake rows, so the working
-    set is one block whatever the number of pairs.
+    ``out`` is ``(N, 2, M - 1)``.  Pairs are solved in blocks of
+    ``_BLOCK_PAIRS`` slots, each gathering only its own stake rows, so the
+    working set is one block whatever the number of pairs.
     """
-    for lo in range(0, len(rows), _BLOCK_PAIRS):
-        block = slice(lo, lo + _BLOCK_PAIRS)
-        chain = _chain_arrays(table, firsts[rows[block]], seconds[cols[block]])
-        out[slots[block]] = _in_range(_solve_chains(table.M, *chain)).transpose(1, 0, 2)
+    M = table.M
+    for lo in range(0, len(slots), _BLOCK_PAIRS):
+        at = slots[lo : lo + _BLOCK_PAIRS]
+        rows, cols = np.divmod(keys[at], len(seconds))
+        chain = _chain_arrays(table, firsts[rows], seconds[cols])
+        out[at] = _in_range(_solve_chains(M, *chain)[:, :, 1:M]).transpose(1, 0, 2)
 
 
 def hitting_values(

@@ -26,11 +26,15 @@ DEFAULT_TIE_TOL = 1e-9
 def pair_values(
     table: WinProbTable, firsts: np.ndarray, seconds: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
-    """Both players' values ``[k, :, x]`` of ``firsts[rows[k]]`` against
-    ``seconds[cols[k]]``: :func:`redblack.solver._pair_values` into a new
-    array, in pair order."""
-    values = np.empty((len(rows), 2, table.M + 1))
-    _pair_values(table, firsts, seconds, rows, cols, values, np.arange(len(rows)))
+    """Both players' values ``[k, :, x]`` at every fortune ``x`` of
+    ``firsts[rows[k]]`` against ``seconds[cols[k]]``, in pair order: the
+    boundary constants, and :func:`redblack.solver._pair_values` at the
+    interior fortunes."""
+    M = table.M
+    values = np.zeros((len(rows), 2, M + 1))
+    values[:, 0, M] = values[:, 1, 0] = 1.0
+    keys = rows * len(seconds) + cols
+    _pair_values(table, firsts, seconds, keys, values[:, :, 1:M], np.arange(len(keys)))
     return values
 
 

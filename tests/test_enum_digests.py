@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 import redblack as rb
+from redblack import _enumeration
 from redblack.cli import main
 
 
@@ -140,10 +141,13 @@ def test_boundary_artifact_is_byte_identical(tmp_path: Path, monkeypatch, case: 
 @pytest.mark.parametrize("case", sorted(BOUNDARY_ARRAYS))
 def test_boundary_start_reads_the_constants(case: str) -> None:
     """A boundary start finds every pair, each worth the constants 0 and 1,
-    with the parent's arrays to the bit."""
-    table, x0 = case.rsplit(" ", 1)
-    found = rb.enumerate_equilibria(BOUNDARY_TABLES[table](), int(x0))
+    with the recorded arrays to the bit, and solves and keeps no pair."""
+    name, x0 = case.rsplit(" ", 1)
+    table = BOUNDARY_TABLES[name]()
+    _enumeration.table_enumeration.cache_clear()
+    found = rb.enumerate_equilibria(table, int(x0))
     digest = hashlib.sha256()
     for array in (found.rows, found.cols, found.value_I, found.value_II):
         digest.update(np.ascontiguousarray(array).tobytes())
     assert digest.hexdigest() == BOUNDARY_ARRAYS[case]
+    assert len(_enumeration.table_enumeration(table).keys) == 0

@@ -576,6 +576,27 @@ class TestBatchedEngine:
         assert len(state.keys) == 0
         assert peak < 2**20
 
+    def test_cold_first_start_memory(self) -> None:
+        """The cold first start of exp-diff at M = 6 builds the table's best
+        responses, then solves and keeps all 14 400 of its candidate pairs
+        (1.10 MiB of interior values): its traced peak stays below 2.5 MiB.
+        It was 3.20 MiB while the kept values held every fortune, the index
+        arrays lived through the solve and every strategy object was built
+        up front."""
+        table = rb.exp_difference_table(6)
+        _enumeration.strategies.cache_clear()
+        _enumeration.table_enumeration.cache_clear()
+        tracemalloc.start()
+        try:
+            rb.enumerate_equilibria(table, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        values = _enumeration.table_enumeration(table).values
+        _enumeration.table_enumeration.cache_clear()
+        assert values.shape == (14400, 2, 5)
+        assert peak < 2.5 * 2**20
+
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("case", ["cycle", "exp_diff_41"])
     def test_pair_values_keep_their_bits_whatever_the_block(
@@ -606,11 +627,11 @@ class TestBatchedEngine:
         else:
             assert ((p == 0.0) | (p == 1.0)).any(axis=1).all()
             assert ((p == 0.0).any(axis=1) & (p == 1.0).any(axis=1)).sum() == 80
-        default = pair_values(table, firsts, seconds, rows, cols)
+        default = pair_values(table, firsts, seconds, rows, cols)[:, :, 1:M]
         order = np.random.default_rng(block).permutation(len(default))
         monkeypatch.setattr(solver, "_BLOCK_PAIRS", block)
         shuffled = np.full_like(default, np.nan)
-        _pair_values(table, firsts, seconds, rows[order], cols[order], shuffled, order)
+        _pair_values(table, firsts, seconds, rows * K + cols, shuffled, order)
         assert _same_bits(shuffled, default)
 
     @pytest.mark.parametrize(
@@ -656,11 +677,12 @@ class TestBatchedEngine:
         _enumeration.table_enumeration.cache_clear()
         assert (np.diff(state.keys) > 0).all()
         rows, cols = np.divmod(state.keys, len(state.seconds))
+        firsts, seconds = state.firsts.rows, state.seconds.rows
         alone = np.concatenate([
-            pair_values(table, state.first_rows, state.second_rows, rows[k, None], cols[k, None])
+            pair_values(table, firsts, seconds, rows[k, None], cols[k, None])
             for k in range(len(rows))
         ])
-        assert _same_bits(state.values, alone)
+        assert _same_bits(state.values, alone[:, :, 1 : table.M])
         for x0, found in shuffled.items():
             expected = in_order[x0]
             assert np.array_equal(found.rows, expected.rows)
@@ -684,7 +706,7 @@ class TestBatchedEngine:
             tracemalloc.stop()
         values = _enumeration.table_enumeration(table).values
         _enumeration.table_enumeration.cache_clear()
-        assert values.shape == (86400, 2, 8)
+        assert values.shape == (86400, 2, 6)
         assert peak < 2.0 * values.nbytes
 
 
@@ -760,6 +782,15 @@ class TestStrategyEnumeration:
         assert strategies[0].is_timid
         assert strategies[-1].is_bold
         assert all(s.owner is Player.TWO for s in strategies)
+
+    @pytest.mark.parametrize("M", [2, 3, 4, 5, 6, 7])
+    def test_enumeration_rows_follow_all_strategies(self, M: int) -> None:
+        """Enumeration's stake rows, generated without strategy objects, are
+        those of ``all_strategies`` in its order, shared by both players."""
+        firsts, seconds = _enumeration.strategies(M)
+        assert firsts.owner is Player.ONE and seconds.owner is Player.TWO
+        assert firsts.rows is seconds.rows and firsts.rows.dtype == np.int64
+        assert np.array_equal(firsts.rows, _stake_rows(list(rb.all_strategies(Player.ONE, M))))
 
 
 class TestBestResponse:
@@ -1355,6 +1386,27 @@ class TestEquilibriaSequence:
         assert type(empty) is type(found)
         assert len(empty) == 0 and not empty and empty == () and repr(empty) == "()"
         assert empty.to_json_dicts() == []
+
+    def test_strategies_are_built_on_read_and_shared(self) -> None:
+        """Enumerating and writing the JSON dicts build no strategy object.
+        Reading a certificate builds each of its strategies once, equal to
+        the one ``all_strategies`` yields, and later reads share it."""
+        M = 5
+        _enumeration.strategies.cache_clear()
+        _enumeration.table_enumeration.cache_clear()
+        found = rb.enumerate_equilibria(rb.power_family(M, 2), 3)
+        found.to_json_dicts()
+        firsts, seconds = _enumeration.strategies(M)
+        assert found.firsts is firsts and found.seconds is seconds
+        assert not firsts.built and not seconds.built
+        listed = (list(rb.all_strategies(Player.ONE, M)), list(rb.all_strategies(Player.TWO, M)))
+        for k, certificate in enumerate(found):
+            i, j = found.rows[k], found.cols[k]
+            assert certificate.profile.first is firsts[i]
+            assert certificate.profile.second is seconds[j]
+            assert firsts[i] == listed[0][i] and seconds[j] == listed[1][j]
+        assert sorted(firsts.built) == sorted(set(found.rows.tolist()))
+        assert sorted(seconds.built) == sorted(set(found.cols.tolist()))
 
     @pytest.mark.parametrize("maker,M", ENUM_CASES)
     def test_json_dicts_equal_the_certificates(self, maker: str, M: int) -> None:
