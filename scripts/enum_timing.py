@@ -48,7 +48,7 @@ with 1592640 pairs kept after every start.  Each table runs in a process of
 its own, as the peak resident memory is counted per process, and must peak
 under its limit in ``M9_TABLES``.  The script exits 1 on any other count or
 a higher peak.  It is kept out of the test suite because it takes about ten
-seconds and over 300 MiB.
+seconds and over 250 MiB.
 """
 
 from __future__ import annotations
@@ -84,13 +84,13 @@ M9_TABLES = {
         lambda: rb.power_family(9, 2),
         [40320, 40320, 80640, 241920, 967680],
         [40320, 40320, 80640, 241920, 967680],
-        270,
+        250,
     ),
     "min-exp m = 0.3": (
         lambda: rb.min_exp_table(9, 0.3),
         [1592640, 8640, 2880, 2880, 2880],
         [1592640] * 5,
-        340,
+        300,
     ),
 }
 

@@ -68,7 +68,7 @@ from typing import Any
 import numpy as np
 
 from .game import Player, Profile, StationaryStrategy, WinProbTable
-from .solver import EquilibriumCertificate, _best_responses, _pair_values
+from .solver import _BLOCK_PAIRS, EquilibriumCertificate, _best_responses, _pair_values
 
 # Widens the pair bound past 1 + 2 * tol (module docstring): it covers how
 # far q + t exceeds 1 (at most 1.4e-15 over every pair of the shipped
@@ -114,27 +114,50 @@ def strategies(M: int) -> tuple[Strategies, Strategies]:
 class Equilibria(Sequence[EquilibriumCertificate]):
     """The equilibria of one start, kept as arrays and certified on access.
 
-    Pair ``k`` is ``firsts[rows[k]]`` against ``seconds[cols[k]]`` (see
-    :class:`Strategies`), worth ``value_I[k]`` to player I and
-    ``value_II[k]`` to player II at ``x0``.  Reading a pair builds its
-    certificate with the checked ``Profile`` and ``EquilibriumCertificate``
-    constructors, and each strategy the first time any certificate reads
-    it, so a caller that counts or samples pays for what it reads, and one
-    that reads every pair pays for every certificate.  A slice is a tuple.
-    The set equals a tuple or another set of the same certificates, and
-    prints as that tuple.
+    Pair ``keys[s]``, key ``i * len(seconds) + j`` for ``firsts[i]`` against
+    ``seconds[j]`` (see :class:`Strategies`), is worth ``values[s, 0]`` to
+    player I and ``values[s, 1]`` to player II at ``x0``; the equilibria are
+    the pairs at the ascending positions ``at``.  An interior start's
+    ``keys`` are the table's kept keys and its ``values`` a view of the kept
+    values at ``x0`` (see :class:`TableEnumeration`), shared, not copied: a
+    set that outlives a later start that kept fresh pairs holds the older
+    arrays.  A boundary start's are its candidates and the broadcast
+    constants.  Reading a pair builds its certificate with the checked
+    ``Profile`` and ``EquilibriumCertificate`` constructors, and each
+    strategy the first time any certificate reads it, so a caller that
+    counts or samples pays for what it reads, and one that reads every pair
+    pays for every certificate.  A slice is a tuple.  The set equals a
+    tuple or another set of the same certificates, and prints as that
+    tuple.
     """
 
     x0: int
     firsts: Strategies
     seconds: Strategies
-    rows: np.ndarray
-    cols: np.ndarray
-    value_I: np.ndarray
-    value_II: np.ndarray
+    keys: np.ndarray
+    values: np.ndarray
+    at: np.ndarray
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Player I's strategy index of each equilibrium."""
+        return self.keys[self.at] // len(self.seconds)
+
+    @property
+    def cols(self) -> np.ndarray:
+        """Player II's strategy index of each equilibrium."""
+        return self.keys[self.at] % len(self.seconds)
+
+    @property
+    def value_I(self) -> np.ndarray:
+        return self.values[self.at, 0]
+
+    @property
+    def value_II(self) -> np.ndarray:
+        return self.values[self.at, 1]
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.at)
 
     def __getitem__(
         self, index: int | slice
@@ -142,9 +165,11 @@ class Equilibria(Sequence[EquilibriumCertificate]):
         at = range(len(self))[index]
         if isinstance(at, range):
             return tuple(self[k] for k in at)
+        s = self.at[at]
+        i, j = divmod(int(self.keys[s]), len(self.seconds))
         return EquilibriumCertificate(
-            Profile(self.firsts[self.rows[at]], self.seconds[self.cols[at]]), self.x0,
-            float(self.value_I[at]), float(self.value_II[at]), True, "enumeration",
+            Profile(self.firsts[i], self.seconds[j]), self.x0,
+            float(self.values[s, 0]), float(self.values[s, 1]), True, "enumeration",
             "stationary-deterministic",
         )
 
@@ -160,7 +185,7 @@ class Equilibria(Sequence[EquilibriumCertificate]):
         """``[c.to_json_dict() for c in self]``, written from the arrays and
         the stake rows, building no strategy: each strategy's stake list is
         built once per call and shared by every dict that holds it."""
-        rows, cols = self.rows.tolist(), self.cols.tolist()
+        rows, cols = (a.tolist() for a in np.divmod(self.keys[self.at], len(self.seconds)))
         stakes_I = {i: self.firsts.rows[i].tolist() for i in set(rows)}
         stakes_II = {j: self.seconds.rows[j].tolist() for j in set(cols)}
         return [
@@ -191,9 +216,10 @@ class TableEnumeration:
     starts ask for them, the values of every candidate pair solved so far:
     ``keys`` and ``values``, the pair's key ``i * len(seconds) + j`` and both
     players' values at the interior fortunes ``1..M-1``, ``8 + 16 (M - 1)``
-    bytes a pair (see :meth:`solved`).  A boundary start solves and keeps
-    nothing: every pair is worth 0 to the player who has lost and 1 to the
-    other there.
+    bytes a pair (see :meth:`solved`).  Kept arrays are never written once
+    kept, so each start's :class:`Equilibria` reads them in place.  A
+    boundary start solves and keeps nothing: every pair is worth 0 to the
+    player who has lost and 1 to the other there.
     """
 
     def __init__(self, table: WinProbTable) -> None:
@@ -206,68 +232,90 @@ class TableEnumeration:
     def equilibria(self, table: WinProbTable, x0: int, tol: float) -> Equilibria:
         """Every pair that passes (R) at ``x0``, in row-major order, for a
         ``tol >= 0``: of the candidates of the pair bound (module docstring).
-        Each index array is dropped once read, so besides the kept state the
-        call holds at most about six arrays of one entry per candidate."""
-        best_I, best_II = self.best_I[:, x0], self.best_II[:, x0]
+        Besides the kept state the call holds a mask of the candidates, their
+        positions while :meth:`apply_rule` runs, and then the result's."""
         bound = 1.0 + 2.0 * tol + SUM_SLACK
+        if 0 < x0 < table.M:
+            chosen = self.solved(table, x0, bound)
+            keys, values = self.keys, self.values[:, :, x0 - 1]
+        else:
+            keys = self.candidates(x0, bound)
+            chosen = np.ones(len(keys), dtype=bool)
+            values = np.broadcast_to((float(x0 == table.M), float(x0 == 0)), (len(keys), 2))
+        self.apply_rule(keys, values, chosen, x0, tol)
+        return Equilibria(x0, self.firsts, self.seconds, keys, values, np.flatnonzero(chosen))
+
+    def apply_rule(
+        self, keys: np.ndarray, values: np.ndarray, chosen: np.ndarray, x0: int, tol: float
+    ) -> None:
+        """Clear in ``chosen`` every pair that fails (R) at ``x0``, a block of
+        ``_BLOCK_PAIRS`` chosen pairs at a time: pair ``keys[s]`` is worth
+        ``values[s]``."""
+        lowest_I, lowest_II = self.best_I[:, x0] - tol, self.best_II[:, x0] - tol
+        value_I, value_II = values.T
+        slots = np.flatnonzero(chosen)
+        for lo in range(0, len(slots), _BLOCK_PAIRS):
+            at = slots[lo : lo + _BLOCK_PAIRS]
+            i, j = np.divmod(keys[at], len(self.seconds))
+            chosen[at] = (value_I[at] >= lowest_I[j]) & (value_II[at] >= lowest_II[i])
+
+    def candidates(self, x0: int, bound: float) -> np.ndarray:
+        """The ascending keys of the pairs with ``BI(j) + BII(i) <= bound``
+        at ``x0``."""
+        best_I, best_II = self.best_I[:, x0], self.best_II[:, x0]
         # Exactly the rows and the columns that hold a candidate, as a rounded
         # sum is monotone in each term; the mask spans these, not every pair.
         rows = np.flatnonzero(best_II + best_I.min() <= bound)
         cols = np.flatnonzero(best_I + best_II.min() <= bound)
-        r, c = np.nonzero(np.add.outer(best_II[rows], best_I[cols]) <= bound)
-        keys = rows[r] * len(self.seconds) + cols[c]
-        del r, c
-        if 0 < x0 < table.M:
-            vI, vII = self.solved(table, keys, x0)
-        else:
-            vI = np.full(len(keys), float(x0 == table.M))
-            vII = np.full(len(keys), float(x0 == 0))
-        rows, cols = np.divmod(keys, len(self.seconds))
-        del keys
-        # Rule (R): within tol of each player's best response to the other.
-        hit = (vI >= (best_I - tol)[cols]) & (vII >= (best_II - tol)[rows])
-        # One at a time, so each index array goes as its hits are taken.
-        rows = rows[hit]
-        cols = cols[hit]
-        vI = vI[hit]
-        vII = vII[hit]
-        return Equilibria(x0, self.firsts, self.seconds, rows, cols, vI, vII)
+        at = np.flatnonzero(np.add.outer(best_II[rows], best_I[cols]) <= bound)
+        keys = rows[at // len(cols)]
+        keys *= len(self.seconds)
+        at %= len(cols)
+        keys += cols[at]
+        return keys
 
-    def solved(
-        self, table: WinProbTable, keys: np.ndarray, x0: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Both players' values at the interior start ``x0`` of the pairs with
-        the ascending ``keys``.
+    def solved(self, table: WinProbTable, x0: int, bound: float) -> np.ndarray:
+        """Which of the kept pairs are the candidates of the interior start
+        ``x0``, once every one is kept.
 
-        Only the pairs no earlier call solved are solved, and kept: ``keys``
-        stays sorted, ``values[n]`` holding both players' values at the
-        interior fortunes of pair ``keys[n]``.  The merged ``values`` is
-        allocated once, the kept rows move into it, and
-        :func:`redblack.solver._pair_values` solves the fresh pairs a block
-        at a time straight into their slots, so the call holds the old and
-        the merged arrays and one block.  The state changes only once every
-        block has solved.
+        Only the candidates no earlier call solved are solved, and kept:
+        ``keys`` stays sorted, ``values[n]`` holding both players' values at
+        the interior fortunes of pair ``keys[n]``.  The merged arrays are
+        allocated once, the kept rows move into them, and
+        :func:`redblack.solver._pair_values` solves the fresh pairs a block at
+        a time straight into their slots, so the call holds the old and the
+        merged arrays, the fresh pairs' positions, two masks and one block.
+        The state changes only once every block has solved.
         """
+        keys = self.candidates(x0, bound)
         slots = np.searchsorted(self.keys, keys)
         fresh = np.ones(len(keys), dtype=bool)
         if len(self.keys):
             fresh = self.keys.take(slots, mode="clip") != keys
         # Each key lands in the merged order past its insertion point among
-        # the kept keys by the number of fresh keys before it.
-        slots += np.cumsum(fresh)
+        # the kept keys by the number of fresh keys before it (summed in
+        # place: a cumsum of the mask itself would first cast a full copy).
+        ahead = fresh.astype(np.int64)
+        slots += np.cumsum(ahead, out=ahead)
         slots -= fresh
+        del ahead
+        chosen = np.zeros(len(self.keys) + np.count_nonzero(fresh), dtype=bool)
+        chosen[slots] = True
         if fresh.any():
-            at = slots[fresh]
-            kept = np.ones(len(self.keys) + len(at), dtype=bool)
-            kept[at] = False
+            kept = np.ones(len(chosen), dtype=bool)
+            kept[slots] = ~fresh
+            del slots, fresh
             merged = np.empty(len(kept), dtype=np.int64)
-            merged[kept], merged[at] = self.keys, keys[fresh]
+            merged[kept] = self.keys
+            merged[chosen] = keys
+            del keys
+            at = np.flatnonzero(~kept)
             values = np.empty((len(kept), *self.values.shape[1:]))
             values[kept] = self.values
+            del kept
             _pair_values(table, self.firsts.rows, self.seconds.rows, merged, values, at)
-            del at
             self.keys, self.values = merged, values
-        return self.values[:, 0, x0 - 1][slots], self.values[:, 1, x0 - 1][slots]
+        return chosen
 
 
 @lru_cache(maxsize=1)

@@ -775,5 +775,6 @@ def enumerate_equilibria(
     from ._enumeration import Equilibria, table_enumeration
 
     if not tol >= 0.0:
-        return Equilibria(x0, (), (), *np.empty((4, 0)))
+        none = np.empty(0, dtype=np.int64)
+        return Equilibria(x0, (), (), none, np.empty((0, 2)), none)
     return table_enumeration(table).equilibria(table, x0, tol)

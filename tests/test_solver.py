@@ -579,10 +579,8 @@ class TestBatchedEngine:
     def test_cold_first_start_memory(self) -> None:
         """The cold first start of exp-diff at M = 6 builds the table's best
         responses, then solves and keeps all 14 400 of its candidate pairs
-        (1.10 MiB of interior values): its traced peak stays below 2.5 MiB.
-        It was 3.20 MiB while the kept values held every fortune, the index
-        arrays lived through the solve and every strategy object was built
-        up front."""
+        (1.10 MiB of interior values): its traced peak, 2.05 MiB, stays
+        below 2.25 MiB."""
         table = rb.exp_difference_table(6)
         _enumeration.strategies.cache_clear()
         _enumeration.table_enumeration.cache_clear()
@@ -595,7 +593,7 @@ class TestBatchedEngine:
         values = _enumeration.table_enumeration(table).values
         _enumeration.table_enumeration.cache_clear()
         assert values.shape == (14400, 2, 5)
-        assert peak < 2.5 * 2**20
+        assert peak < 2.25 * 2**20
 
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("case", ["cycle", "exp_diff_41"])
@@ -667,7 +665,8 @@ class TestBatchedEngine:
         """Starts x0 = 5, 2, 4, 1, 3 merge their fresh pairs among the kept
         ones: the keys stay sorted and unique, each kept row holds the bits
         of its pair solved alone, and each start finds what it finds when
-        the starts run in order."""
+        the starts run in order, the earlier sets reading the kept arrays
+        they were given and the last one the table's own, in place."""
         table = make()
         _enumeration.table_enumeration.cache_clear()
         in_order = {x0: rb.enumerate_equilibria(table, x0) for x0 in range(1, 6)}
@@ -675,6 +674,7 @@ class TestBatchedEngine:
         shuffled = {x0: rb.enumerate_equilibria(table, x0) for x0 in (5, 2, 4, 1, 3)}
         state = _enumeration.table_enumeration(table)
         _enumeration.table_enumeration.cache_clear()
+        assert shuffled[3].keys is state.keys and np.shares_memory(shuffled[3].values, state.values)
         assert (np.diff(state.keys) > 0).all()
         rows, cols = np.divmod(state.keys, len(state.seconds))
         firsts, seconds = state.firsts.rows, state.seconds.rows
@@ -693,7 +693,8 @@ class TestBatchedEngine:
     def test_last_start_memory_is_bounded_by_the_kept_values(self) -> None:
         """The last start of ``power_family(7, 2)`` solves 69 120 fresh
         pairs straight into the merged array of the 86 400 kept, so its
-        traced peak stays below 2.0 times the kept values (10.55 MiB)."""
+        traced peak stays below 2.0 times the kept values (7.91 MiB of
+        interior values; the peak is 1.27 times that)."""
         table = rb.power_family(7, 2)
         _enumeration.table_enumeration.cache_clear()
         for x0 in range(1, 6):
