@@ -47,11 +47,11 @@ Enumeration
 
 :func:`enumerate_equilibria` finds every pair that neither player can
 improve by more than ``tol`` from both players' best responses to every
-strategy of the other, on every table solving only the pairs whose two
-best-response values sum to at most ``1 + 2 tol`` plus a rounding slack.
-It keeps each start's equilibria as arrays and builds a certificate only
-when one is read.  The state it keeps per table, the rule and the proof
-that the bound loses no pair are in :mod:`redblack._enumeration`.
+strategy of the other, solving only the pairs whose two best-response
+values sum to between about ``1 + tol`` and ``1 + 2 tol``, or to at most
+``1 + 2 tol`` where a chain can cycle.  It keeps each start's equilibria as
+keys and solves their values only when one is read.  The state it keeps
+per table, the rule and its proofs are in :mod:`redblack._enumeration`.
 
 Equilibrium certification is by excessivity, else by exact best response
 at any ``M``:
@@ -775,6 +775,5 @@ def enumerate_equilibria(
     from ._enumeration import Equilibria, table_enumeration
 
     if not tol >= 0.0:
-        none = np.empty(0, dtype=np.int64)
-        return Equilibria(x0, (), (), none, np.empty((0, 2)), none)
+        return Equilibria(table, x0, (), (), np.empty(0, dtype=np.int64))
     return table_enumeration(table).equilibria(table, x0, tol)

@@ -139,15 +139,20 @@ def test_boundary_artifact_is_byte_identical(tmp_path: Path, monkeypatch, case: 
 
 
 @pytest.mark.parametrize("case", sorted(BOUNDARY_ARRAYS))
-def test_boundary_start_reads_the_constants(case: str) -> None:
+def test_boundary_start_reads_the_constants(case: str, monkeypatch) -> None:
     """A boundary start finds every pair, each worth the constants 0 and 1,
-    with the recorded arrays to the bit, and solves and keeps no pair."""
+    with the recorded arrays to the bit, and solves no pair, neither to
+    enumerate nor to read the values."""
     name, x0 = case.rsplit(" ", 1)
     table = BOUNDARY_TABLES[name]()
     _enumeration.table_enumeration.cache_clear()
+    monkeypatch.setattr(_enumeration, "_pair_values", _no_solve)
     found = rb.enumerate_equilibria(table, int(x0))
     digest = hashlib.sha256()
     for array in (found.rows, found.cols, found.value_I, found.value_II):
         digest.update(np.ascontiguousarray(array).tobytes())
     assert digest.hexdigest() == BOUNDARY_ARRAYS[case]
-    assert len(_enumeration.table_enumeration(table).keys) == 0
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a pair was solved")

@@ -249,7 +249,7 @@ def _refuse(*args, **kwargs):
 @pytest.fixture
 def no_iteration(monkeypatch):
     monkeypatch.setattr(solver, "_iterate_chain", _refuse)
-    # Pair values cached by another test would hide the solve.
+    # Best responses cached by another test would hide their solves.
     _enumeration.table_enumeration.cache_clear()
     yield
     _enumeration.table_enumeration.cache_clear()
@@ -274,7 +274,7 @@ class TestNoDefaultPathIterates:
         for profile in _cycle_profiles():
             rb.hitting_values(cycle_m4, profile)
         for x0 in range(5):
-            rb.enumerate_equilibria(cycle_m4, x0)
+            rb.enumerate_equilibria(cycle_m4, x0).value_I  # members solve when read
             assert rb.verify_nash(cycle_m4, cycle_profile, x0).x0 == x0
 
     def test_exp_difference_seed_22(self, no_iteration) -> None:

@@ -25,10 +25,12 @@ assembled entry by entry.  The engine must reproduce it bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
 import random
 import tracemalloc
+import weakref
 from functools import lru_cache, partial
 
 import numpy as np
@@ -562,8 +564,9 @@ class TestBatchedEngine:
 
     def test_cold_tensor_build_memory_is_blocked(self) -> None:
         """The cold enumeration state of a table holds both players' 120
-        best-response value vectors and no pairwise tensor: its build peaks
-        far below the 1.6 MiB that the two value tensors took at M = 6."""
+        best-response value vectors, the guard, and nothing per pair: its
+        build peaks far below the 1.6 MiB that the two value tensors took at
+        M = 6."""
         table = rb.power_family(6, 2)
         _enumeration.strategies.cache_clear()
         tracemalloc.start()
@@ -573,27 +576,27 @@ class TestBatchedEngine:
         finally:
             tracemalloc.stop()
         assert state.best_I.shape == state.best_II.shape == (120, 7)
-        assert len(state.keys) == 0
+        assert vars(state).keys() == STATE_ATTRIBUTES and state.absorbs
         assert peak < 2**20
 
-    def test_cold_first_start_memory(self) -> None:
+    def test_cold_first_start_memory(self, monkeypatch) -> None:
         """The cold first start of exp-diff at M = 6 builds the table's best
-        responses, then solves and keeps all 14 400 of its candidate pairs
-        (1.10 MiB of interior values): its traced peak, 2.05 MiB, stays
-        below 2.25 MiB."""
+        responses and accepts all 14 400 of its candidate pairs with no
+        solve: its traced peak, 0.37 MiB, stays below 0.5 MiB (2.05 MiB when
+        it solved and kept every candidate's interior values)."""
         table = rb.exp_difference_table(6)
         _enumeration.strategies.cache_clear()
         _enumeration.table_enumeration.cache_clear()
+        monkeypatch.setattr(_enumeration, "_pair_values", _no_solve)
         tracemalloc.start()
         try:
-            rb.enumerate_equilibria(table, 1)
+            found = rb.enumerate_equilibria(table, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        values = _enumeration.table_enumeration(table).values
         _enumeration.table_enumeration.cache_clear()
-        assert values.shape == (14400, 2, 5)
-        assert peak < 2.25 * 2**20
+        assert len(found) == 14400
+        assert peak < 0.5 * 2**20
 
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("case", ["cycle", "exp_diff_41"])
@@ -633,82 +636,105 @@ class TestBatchedEngine:
         assert _same_bits(shuffled, default)
 
     @pytest.mark.parametrize(
-        "make,kept",
+        "make,tol,solved",
         [
-            (lambda: rb.power_family(6, 2), [120, 120, 240, 720, 2880]),
-            (lambda: rb.exp_difference_table(6), [14400] * 5),
-            (lambda: rb.min_exp_table(6, 0.3), [960] * 5),
+            (lambda: rb.power_family(6, 2), DEFAULT_TOL, [0] * 5),
+            (lambda: rb.exp_difference_table(6), DEFAULT_TOL, [0] * 5),
+            (lambda: rb.min_exp_table(6, 0.3), DEFAULT_TOL, [0] * 5),
+            (lambda: rb.min_exp_table(6, 0.3), 1e-3, [480, 0, 0, 0, 0]),
+            (lambda: _enum_table("cycle_pow2", 7), DEFAULT_TOL, [0, 0, 390, 1080, 2880]),
         ],
-        ids=["pow2", "exp_diff", "min_exp_0.3"],
+        ids=["pow2", "exp_diff", "min_exp_0.3", "min_exp_0.3_tol_1e-3", "cycling_7_pow2"],
     )
-    def test_pairs_kept_per_start(self, make, kept: list[int]) -> None:
-        """The candidate pairs solved and kept after each start x0 = 1..5
-        from a cold state: each start adds the candidates of the pair bound
-        that no earlier start solved."""
+    def test_pairs_solved_per_start(self, make, tol: float, solved: list[int], monkeypatch) -> None:
+        """The pairs each start x0 = 1..5 solves, from a cold state, and the
+        table's state keeps nothing per pair after any of them.  At the
+        default tol the guarded tables' band is empty; at tol = 1e-3 it holds
+        480 of min-exp's 1 440 candidates at x0 = 1; off the guard it holds
+        every candidate, each an equilibrium on this table."""
         table = make()
         _enumeration.table_enumeration.cache_clear()
         counts = []
+        monkeypatch.setattr(_enumeration, "_pair_values", _counting(counts))
         for x0 in range(1, 6):
-            rb.enumerate_equilibria(table, x0)
-            counts.append(len(_enumeration.table_enumeration(table).keys))
-        assert counts == kept
+            counts.append(0)
+            rb.enumerate_equilibria(table, x0, tol=tol)
+            assert vars(_enumeration.table_enumeration(table)).keys() == STATE_ATTRIBUTES
+        _enumeration.table_enumeration.cache_clear()
+        assert counts == solved
 
     @pytest.mark.parametrize(
         "make",
-        [
-            lambda: rb.power_family(6, 2),
-            lambda: rb.power_family(7, 2).with_entry(1, 2, 1.0).with_entry(2, 1, 0.0),
-        ],
+        [lambda: rb.power_family(6, 2), lambda: _enum_table("cycle_pow2", 7)],
         ids=["pow2", "cycling_7_pow2"],
     )
-    def test_starts_out_of_order_merge_into_sorted_keys(self, make) -> None:
-        """Starts x0 = 5, 2, 4, 1, 3 merge their fresh pairs among the kept
-        ones: the keys stay sorted and unique, each kept row holds the bits
-        of its pair solved alone, and each start finds what it finds when
-        the starts run in order, the earlier sets reading the kept arrays
-        they were given and the last one the table's own, in place."""
+    def test_starts_out_of_order_equal_the_starts_in_order(self, make) -> None:
+        """Starts x0 = 5, 2, 4, 1, 3 find what the starts in order find, and
+        each equilibrium's values, solved in blocks when the set is read,
+        hold the bits of its pair solved alone."""
         table = make()
         _enumeration.table_enumeration.cache_clear()
         in_order = {x0: rb.enumerate_equilibria(table, x0) for x0 in range(1, 6)}
         _enumeration.table_enumeration.cache_clear()
         shuffled = {x0: rb.enumerate_equilibria(table, x0) for x0 in (5, 2, 4, 1, 3)}
-        state = _enumeration.table_enumeration(table)
         _enumeration.table_enumeration.cache_clear()
-        assert shuffled[3].keys is state.keys and np.shares_memory(shuffled[3].values, state.values)
-        assert (np.diff(state.keys) > 0).all()
-        rows, cols = np.divmod(state.keys, len(state.seconds))
-        firsts, seconds = state.firsts.rows, state.seconds.rows
-        alone = np.concatenate([
-            pair_values(table, firsts, seconds, rows[k, None], cols[k, None])
-            for k in range(len(rows))
-        ])
-        assert _same_bits(state.values, alone[:, :, 1 : table.M])
+        firsts, seconds = _enumeration.strategies(table.M)
         for x0, found in shuffled.items():
             expected = in_order[x0]
             assert np.array_equal(found.rows, expected.rows)
             assert np.array_equal(found.cols, expected.cols)
-            assert _same_bits(found.value_I, expected.value_I)
-            assert _same_bits(found.value_II, expected.value_II)
+            assert _same_bits(found.values, expected.values)
+            alone = [
+                pair_values(table, firsts.rows, seconds.rows, found.rows[k, None], found.cols[k, None])
+                for k in range(len(found))
+            ]
+            assert _same_bits(found.values, np.reshape([a[0, :, x0] for a in alone], (-1, 2)))
 
-    def test_last_start_memory_is_bounded_by_the_kept_values(self) -> None:
-        """The last start of ``power_family(7, 2)`` solves 69 120 fresh
-        pairs straight into the merged array of the 86 400 kept, so its
-        traced peak stays below 2.0 times the kept values (7.91 MiB of
-        interior values; the peak is 1.27 times that)."""
+    def test_last_start_memory_is_bounded_by_its_keys(self) -> None:
+        """The last start of ``power_family(7, 2)`` accepts its 86 400
+        candidates with no solve, so its traced peak stays below 3.5 times
+        the keys it keeps (0.66 MiB; the peak is 3.1 times that).  Reading
+        its values solves them a block at a time, and that read peaks below
+        twice the (86 400, 2) values it keeps (1.74 times)."""
         table = rb.power_family(7, 2)
         _enumeration.table_enumeration.cache_clear()
         for x0 in range(1, 6):
             rb.enumerate_equilibria(table, x0)
         tracemalloc.start()
         try:
-            rb.enumerate_equilibria(table, 6)
-            peak = tracemalloc.get_traced_memory()[1]
+            found = rb.enumerate_equilibria(table, 6)
+            peaks = [tracemalloc.get_traced_memory()[1]]
         finally:
             tracemalloc.stop()
-        values = _enumeration.table_enumeration(table).values
+        tracemalloc.start()
+        try:
+            found.value_I
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
         _enumeration.table_enumeration.cache_clear()
-        assert values.shape == (86400, 2, 6)
-        assert peak < 2.0 * values.nbytes
+        assert found.keys.shape == (86400,) and found.values.shape == (86400, 2)
+        assert peaks[0] < 3.5 * found.keys.nbytes
+        assert peaks[1] < 2.0 * found.values.nbytes
+
+
+# What a table's enumeration state holds, whatever the starts enumerated.
+STATE_ATTRIBUTES = {"firsts", "seconds", "best_I", "best_II", "absorbs"}
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a pair was solved")
+
+
+def _counting(counts: list[int]):
+    """A stand-in for ``_pair_values`` that adds the pairs it solves to
+    ``counts[-1]``."""
+
+    def solve(table, firsts, seconds, keys, out, slots):
+        counts[-1] += len(slots)
+        _pair_values(table, firsts, seconds, keys, out, slots)
+
+    return solve
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -991,6 +1017,35 @@ class TestExcessivityChecks:
         assert witness.lhs == pytest.approx((1 - math.exp(-1)) * (1 - math.exp(-2)), abs=1e-12)
         assert witness.rhs == 0.0
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        table=st.one_of(
+            st.builds(rb.power_family, st.integers(3, 80), st.floats(1.0, 4.0)),
+            st.builds(rb.min_exp_table, st.integers(3, 80), st.floats(0.02, 3.0)),
+            st.builds(rb.exp_difference_table, st.integers(3, 80)),
+        )
+    )
+    def test_both_pass_exactly_when_no_best_response_gains(self, table: rb.WinProbTable) -> None:
+        """Both excessivity checks pass for bold-timid exactly when neither
+        player's exact best response to the other's strategy gains more
+        than ``tol`` over the profile's values at any fortune: the checks
+        are the one-stage optimality conditions of bold and timid play, so
+        ``verify_nash``'s shortcut certifies what the best responses would.
+        Power tables pass, min-exp tables fail, and exp-diff fails from
+        M = 4 on."""
+        M = table.M
+        curve = rb.unit_bet_curve(table)
+        closed = rb.bold_timid_values(curve)
+        passed = rb.check_bold_excessive(curve, closed).passed and (
+            rb.check_timid_excessive(table, closed).passed
+        )
+        values = rb.hitting_values(table, _bold_timid(M))
+        gains = (
+            np.subtract(rb.best_response(table, rb.timid_strategy(Player.TWO, M)).values, values.q),
+            np.subtract(rb.best_response(table, rb.bold_strategy(Player.ONE, M)).values, values.t),
+        )
+        assert passed == (max(gain.max() for gain in gains) <= DEFAULT_TOL)
+
 
 class TestVerifyNash:
     def test_power_two_certified_for_all_strategies(self, pow2_m4: rb.WinProbTable) -> None:
@@ -1256,6 +1311,21 @@ def _enum_oracle_pairs(maker: str, M: int, x0: int, tol: float) -> tuple[np.ndar
     return np.nonzero((vI >= vI.max(axis=0) - tol) & (vII >= vII.max(axis=1)[:, None] - tol))
 
 
+def _oracle_certificates(
+    maker: str, M: int, x0: int, rows: np.ndarray, cols: np.ndarray
+) -> tuple[rb.EquilibriumCertificate, ...]:
+    """The certificates of the pairs ``(rows[k], cols[k])`` at ``x0``, built
+    with the checked constructors from the oracle grid's values."""
+    firsts, seconds, VI, VII = _enum_oracle_grid(maker, M)
+    return tuple(
+        rb.EquilibriumCertificate(
+            rb.Profile(firsts[i], seconds[j]), x0, float(VI[i, j, x0]),
+            float(VII[i, j, x0]), True, "enumeration", "stationary-deterministic",
+        )
+        for i, j in zip(rows.tolist(), cols.tolist())
+    )
+
+
 class TestStackedBestResponses:
     STACK_MAKERS = {maker: ENUM_MAKERS[maker] for maker in ("pow2", "min_exp_0.3", "el")}
 
@@ -1307,16 +1377,38 @@ class TestEnumerationOracle:
         assert (VI + VII - 1.0).max() <= 1.4e-15 < _enumeration.SUM_SLACK / 400
         for x0 in range(M + 1):
             rows, cols = _enum_oracle_pairs(maker, M, x0, DEFAULT_TOL)
-            expected = tuple(
-                rb.EquilibriumCertificate(
-                    rb.Profile(firsts[i], seconds[j]), x0, float(VI[i, j, x0]),
-                    float(VII[i, j, x0]), True, "enumeration", "stationary-deterministic",
-                )
-                for i, j in zip(rows.tolist(), cols.tolist())
-            )
+            expected = _oracle_certificates(maker, M, x0, rows, cols)
             found = rb.enumerate_equilibria(table, x0)
             assert len(found) == len(expected)
             assert repr(found) == repr(expected)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-3])
+    @pytest.mark.parametrize("maker,M", ENUM_CASES)
+    def test_band_path_equals_rule_R_on_every_pair(self, maker: str, M: int, tol: float) -> None:
+        """Where the band holds candidates, at every start the equilibria and
+        their values are those of rule (R) tested on every pair with the
+        best responses' values, to the bit.  At tol = 1e-3 the band holds some of a guarded
+        table's candidates, and these are also the exhaustive rule's; at
+        tol = 0 it holds all of them, and rounding decides ties that the two
+        rules break apart (pow1 at M = 6, x0 = 1: 11 896 against 2 335).  On
+        the cycling tables the guard fails and the band holds every
+        candidate at any tol."""
+        table = _enum_table(maker, M)
+        firsts, seconds, VI, VII = _enum_oracle_grid(maker, M)
+        best_I = solver._best_responses(table, Player.ONE, _stake_rows(seconds))[1]
+        best_II = solver._best_responses(table, Player.TWO, _stake_rows(firsts))[1]
+        for x0 in range(M + 1):
+            rows, cols = np.nonzero(
+                (VI[:, :, x0] >= best_I[:, x0] - tol)
+                & (VII[:, :, x0] >= (best_II[:, x0] - tol)[:, None])
+            )
+            if tol > 0.0:
+                exhaustive = _enum_oracle_pairs(maker, M, x0, tol)
+                assert np.array_equal(rows, exhaustive[0]) and np.array_equal(cols, exhaustive[1])
+            found = rb.enumerate_equilibria(table, x0, tol=tol)
+            assert np.array_equal(found.rows, rows) and np.array_equal(found.cols, cols)
+            assert _same_bits(found.value_I, VI[rows, cols, x0])
+            assert _same_bits(found.value_II, VII[rows, cols, x0])
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
@@ -1358,6 +1450,39 @@ class TestEnumerationOracle:
 
 
 class TestEquilibriaSequence:
+    def test_power_counts_follow_the_closed_form_without_a_solve(self, monkeypatch) -> None:
+        """``power_family(7, 2)`` has the README's tie set, (M - 1)! (x0 - 1)!
+        equilibria, at every interior start, found with no pair solved."""
+        monkeypatch.setattr(_enumeration, "_pair_values", _no_solve)
+        monkeypatch.setattr(solver, "_pair_values", _no_solve)
+        table = rb.power_family(7, 2)
+        for x0 in range(1, 7):
+            assert len(rb.enumerate_equilibria(table, x0)) == math.factorial(6) * math.factorial(x0 - 1)
+
+    def test_a_kept_set_outlives_its_table_state(self) -> None:
+        """A set holds no array of its table's enumeration state, so once the
+        one-entry cache moves to another table that state is freed while the
+        set lives, and the set's certificates, first read then, hold the
+        bits of a fresh enumeration's."""
+        table = rb.power_family(6, 2)
+        _enumeration.table_enumeration.cache_clear()
+        found = rb.enumerate_equilibria(table, 1)
+        state = _enumeration.table_enumeration(table)
+        assert found.keys.flags.owndata
+        assert not any(
+            np.shares_memory(found.keys, held)
+            for held in vars(state).values()
+            if isinstance(held, np.ndarray)
+        )
+        state = weakref.ref(state)
+        rb.enumerate_equilibria(rb.exp_difference_table(6), 1)
+        gc.collect()
+        assert state() is None
+        _enumeration.table_enumeration.cache_clear()
+        fresh = rb.enumerate_equilibria(table, 1)
+        assert repr(found) == repr(fresh)
+        assert _same_bits(found.values, fresh.values)
+
     def test_indexing_slicing_and_iteration_agree(self) -> None:
         found = rb.enumerate_equilibria(rb.power_family(5, 2), 3)
         n = len(found)
