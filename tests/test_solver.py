@@ -669,9 +669,10 @@ class TestBatchedEngine:
         ids=["pow2", "cycling_7_pow2"],
     )
     def test_starts_out_of_order_equal_the_starts_in_order(self, make) -> None:
-        """Starts x0 = 5, 2, 4, 1, 3 find what the starts in order find, and
-        each equilibrium's values, solved in blocks when the set is read,
-        hold the bits of its pair solved alone."""
+        """Starts x0 = 5, 2, 4, 1, 3 find what the starts in order find, each
+        set's keys strictly ascending, and each equilibrium's values, solved
+        in blocks when the set is read, hold the bits of its pair solved
+        alone."""
         table = make()
         _enumeration.table_enumeration.cache_clear()
         in_order = {x0: rb.enumerate_equilibria(table, x0) for x0 in range(1, 6)}
@@ -681,6 +682,7 @@ class TestBatchedEngine:
         firsts, seconds = _enumeration.strategies(table.M)
         for x0, found in shuffled.items():
             expected = in_order[x0]
+            assert (np.diff(found.keys) > 0).all()
             assert np.array_equal(found.rows, expected.rows)
             assert np.array_equal(found.cols, expected.cols)
             assert _same_bits(found.values, expected.values)
