@@ -24,10 +24,11 @@ cycling tables, ``power_family(7, p)`` for p = 1 and 2 with the entries
 table's counts, wall time and the peak resident memory so far.  Their counts
 must be 29160/20400/19008/19008/20400/29160 and 0/0/390/1080/2880/14400.
 Off the guard every candidate is in the band, so the pairs each start solves
-while it enumerates (counted through ``_pair_values``) must equal these
-counts, each candidate being an equilibrium there.  Then enumerates every
-start x0 = 1..6 of ``power_family(7, 2)`` from a cold cache and prints the
-per-start counts, the wall time split into the cold build of the table's
+while it enumerates, counted through ``redblack._enumeration._pair_values``,
+the one pair solve, must equal these counts, each candidate being an
+equilibrium there.  Then enumerates every start x0 = 1..6 of
+``power_family(7, 2)`` from a cold cache and prints the per-start counts,
+the wall time split into the cold build of the table's
 enumeration state (every strategy and both players' best responses to each
 of the other's, ``table_enumeration``) and the six enumerations that keep
 their members' keys, which is all a caller that only counts pays.  Then it
@@ -83,9 +84,9 @@ M9_TABLES = {
 SOLVED = [0]
 
 
-def _counting_pair_values(table, firsts, seconds, keys, out, slots):
-    SOLVED[0] += len(slots)
-    _pair_values(table, firsts, seconds, keys, out, slots)
+def _counting_pair_values(table, firsts, seconds, keys, x0):
+    SOLVED[0] += len(keys)
+    return _pair_values(table, firsts, seconds, keys, x0)
 
 
 _pair_values = _enumeration._pair_values

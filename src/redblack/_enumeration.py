@@ -1,7 +1,11 @@
 """Equilibrium enumeration: the per-table state and the per-start rule.
 
 :func:`redblack.solver.enumerate_equilibria` imports this module on its
-first call, so a process that never enumerates never compiles it.
+first call, so a process that never enumerates never compiles it.  Every
+pair it solves goes through :func:`_pair_values`, which runs the solver's
+batched engine over the pairs of the keys it is given, a block of
+``_BLOCK_PAIRS`` at a time, each block gathering its own stake rows, and
+keeps both players' values at one start.
 
 :class:`TableEnumeration` keeps, per table, both players' best responses
 to every strategy of the other: ``2 (M-1)!`` value vectors, found by
@@ -51,15 +55,15 @@ it equals where every chain absorbs.  There a candidate with
 >= 1 - e - delta - BII(i) >= BI(j) - tol + mu - e - delta``, and the same
 for player II, so it passes (R) with no solve once ``mu`` covers ``delta +
 e`` and the rounding.  Only the band between this side and the pair bound
-is solved, a block of ``_BLOCK_PAIRS`` at a time, and tested by (R); a
-start keeps its members' keys, and :class:`Equilibria` solves their values
-when they are read.  Every chain absorbs under the guard, checked once per
-table: every playable entry ``P(a, b)``, ``a, b >= 1`` and ``a + b <= M``,
-is below 1, so every fortune steps down with positive probability and
-reaches 0, or every one is above 0, so every fortune reaches ``M``.  Off
-the guard a chain may cycle and every candidate is in the band.  A boundary
-start solves nothing: every value there and every ``B`` is the constant 0
-or 1, so every candidate passes (R).
+is solved, in one call, and tested by (R); a start keeps its members' keys,
+and :class:`Equilibria` solves their values when they are read.  Every
+chain absorbs under the guard, checked once per table: every playable entry
+``P(a, b)``, ``a, b >= 1`` and ``a + b <= M``, is below 1, so every fortune
+steps down with positive probability and reaches 0, or every one is above
+0, so every fortune reaches ``M``.  Off the guard a chain may cycle and
+every candidate is in the band.  A boundary start solves nothing: every
+value there and every ``B`` is the constant 0 or 1, so every candidate
+passes (R).
 
 In floating point let ``e`` also bound how far a computed ``vI + vII``
 exceeds 1.  For ``0 <= tol <= 1`` every quantity computed lies in
@@ -97,7 +101,7 @@ from typing import Any
 import numpy as np
 
 from .game import Player, Profile, StationaryStrategy, WinProbTable
-from .solver import _BLOCK_PAIRS, EquilibriumCertificate, _best_responses, _pair_values
+from .solver import EquilibriumCertificate, _best_responses, _chain_arrays, _in_range, _solve_chains
 
 # Widens the pair bound past 1 + 2 * tol (module docstring): it covers how
 # far q + t exceeds 1 (at most 1.4e-15 over every pair of the shipped
@@ -106,6 +110,8 @@ SUM_SLACK = 1e-12
 # Narrows the accept side below 1 + tol (module docstring): it covers policy
 # iteration's shortfall, how far q + t falls below 1 and the rounding.
 ACCEPT_MARGIN = 1e-13
+# Pairs per block of _pair_values.
+_BLOCK_PAIRS = 1024
 
 
 class Strategies:
@@ -152,8 +158,8 @@ class Equilibria(Sequence[EquilibriumCertificate]):
     table's enumeration state.  Its ``values``, both players' values at
     ``x0`` of every equilibrium, ``(N, 2)``, are solved the first time any
     is read (``value_I``, ``value_II``, a certificate or
-    :meth:`to_json_dicts`), a block of ``_BLOCK_PAIRS`` at a time, and kept,
-    so a set read twice solves once; a boundary start's are the constants.
+    :meth:`to_json_dicts`), by :func:`_pair_values`, and kept, so a set
+    read twice solves once; a boundary start's are the constants.
     Reading a pair builds its certificate with the checked ``Profile`` and
     ``EquilibriumCertificate`` constructors, and each strategy the first
     time any certificate reads it, so a caller that counts pays for no
@@ -181,7 +187,7 @@ class Equilibria(Sequence[EquilibriumCertificate]):
     @cached_property
     def values(self) -> np.ndarray:
         if 0 < self.x0 < self.table.M:
-            return _values_at(self.table, self.firsts, self.seconds, self.keys, self.x0)
+            return _pair_values(self.table, self.firsts.rows, self.seconds.rows, self.keys, self.x0)
         constants = (float(self.x0 == self.table.M), float(self.x0 == 0))
         return np.broadcast_to(constants, (len(self.keys), 2))
 
@@ -221,7 +227,7 @@ class Equilibria(Sequence[EquilibriumCertificate]):
         """``[c.to_json_dict() for c in self]``, written from the arrays and
         the stake rows, building no strategy: each strategy's stake list is
         built once per call and shared by every dict that holds it."""
-        rows, cols = (a.tolist() for a in np.divmod(self.keys, len(self.seconds)))
+        rows, cols = self.rows.tolist(), self.cols.tolist()
         stakes_I = {i: self.firsts.rows[i].tolist() for i in set(rows)}
         stakes_II = {j: self.seconds.rows[j].tolist() for j in set(cols)}
         return [
@@ -242,19 +248,24 @@ class Equilibria(Sequence[EquilibriumCertificate]):
         ]
 
 
-def _values_at(
-    table: WinProbTable, firsts: Strategies, seconds: Strategies, keys: np.ndarray, x0: int
+def _pair_values(
+    table: WinProbTable, firsts: np.ndarray, seconds: np.ndarray, keys: np.ndarray, x0: int
 ) -> np.ndarray:
     """Both players' values at the interior start ``x0`` of the pair of
-    each key, ``(N, 2)``: :func:`redblack.solver._pair_values` solves a
-    block of ``_BLOCK_PAIRS`` pairs at a time, and only ``x0`` is kept of
-    each.  A pair's bits do not depend on the block it is solved in."""
+    each key, ``(N, 2)``.
+
+    Key ``i * len(seconds) + j`` is ``firsts[i]`` against ``seconds[j]``,
+    both stake rows (see :func:`redblack.solver._stake_rows`).  Pairs are
+    solved in blocks of ``_BLOCK_PAIRS`` keys, each gathering only its own
+    stake rows, so the working set is one block whatever the number of
+    pairs; the range rule checks every fortune of a block, and only ``x0``
+    is kept.  A pair's bits do not depend on the block it is solved in.
+    """
     values = np.empty((len(keys), 2))
-    block = np.empty((min(len(keys), _BLOCK_PAIRS), 2, table.M - 1))
     for lo in range(0, len(keys), _BLOCK_PAIRS):
-        at = keys[lo : lo + _BLOCK_PAIRS]
-        _pair_values(table, firsts.rows, seconds.rows, at, block, np.arange(len(at)))
-        values[lo : lo + len(at)] = block[: len(at), :, x0 - 1]
+        rows, cols = np.divmod(keys[lo : lo + _BLOCK_PAIRS], len(seconds))
+        chain = _chain_arrays(table, firsts[rows], seconds[cols])
+        values[lo : lo + len(rows)] = _in_range(_solve_chains(table.M, *chain))[:, :, x0].T
     return values
 
 
@@ -281,7 +292,7 @@ class TableEnumeration:
     def equilibria(self, table: WinProbTable, x0: int, tol: float) -> Equilibria:
         """Every pair that passes (R) at ``x0``, in row-major order, for a
         ``tol >= 0``: the candidates of the pair bound less the band pairs
-        that fail (R), solved a block at a time (module docstring)."""
+        that fail (R) (module docstring)."""
         if not 0 < x0 < table.M:
             accept = math.inf  # each pair's values and each B are the constants
         elif self.absorbs:
@@ -290,11 +301,10 @@ class TableEnumeration:
             accept = -math.inf
         keys, band = self.candidates(x0, 1.0 + 2.0 * tol + SUM_SLACK, accept)
         members = np.ones(len(keys), dtype=bool)
-        for lo in range(0, len(band), _BLOCK_PAIRS):
-            at = band[lo : lo + _BLOCK_PAIRS]
-            i, j = np.divmod(keys[at], len(self.seconds))
-            value_I, value_II = _values_at(table, self.firsts, self.seconds, keys[at], x0).T
-            members[at] = (value_I >= self.best_I[j, x0] - tol) & (value_II >= self.best_II[i, x0] - tol)
+        if band.size:
+            i, j = np.divmod(keys[band], len(self.seconds))
+            value_I, value_II = _pair_values(table, self.firsts.rows, self.seconds.rows, keys[band], x0).T
+            members[band] = (value_I >= self.best_I[j, x0] - tol) & (value_II >= self.best_II[i, x0] - tol)
         return Equilibria(table, x0, self.firsts, self.seconds, keys[members])
 
     def candidates(self, x0: int, bound: float, accept: float) -> tuple[np.ndarray, np.ndarray]:

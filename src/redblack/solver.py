@@ -27,10 +27,7 @@ included.  It gathers the chains of a block of aligned profile pairs at
 once, runs a vectorised backward-reachability fixpoint to find the stuck
 fortunes of every chain, and solves all chains with one stacked
 ``np.linalg.solve`` (:func:`_solve_chains`); one range rule,
-:func:`_in_range`, accepts its values.  :func:`_pair_values` runs it over
-the pairs at the slots its caller names, a block at a time, each block
-gathering its own stake rows and writing the interior values into those
-slots.
+:func:`_in_range`, accepts its values.
 
 A best response is found by policy iteration (Howard 1960) on the
 responder's ``(M-1) x (M-1)`` grid of fortunes and stakes, gathered by
@@ -105,8 +102,6 @@ _IMPROVE_MARGIN = 1e-14
 # 0-49) on exp-diff M = 20, 30, ..., 80, rounding overshoots by 2.7e-12 at
 # most; a near-singular system, as against seed 26's player I, by 6.8e-5.
 _RANGE_SLACK = 1e-9
-# Profile pairs per block of the batched value engine (see _pair_values).
-_BLOCK_PAIRS = 1024
 # Action-grid entries per chunk of stacked best responses (see _best_responses).
 _RESPONSE_BLOCK = 2**18
 # Sweeps per convergence test of the value iteration (see _iterate_chain).
@@ -379,32 +374,6 @@ def _in_range(values: np.ndarray) -> np.ndarray:
     np.clip(values, 0.0, 1.0, out=values)
     values += 0.0  # turns -0.0 into 0.0
     return values
-
-
-def _pair_values(
-    table: WinProbTable,
-    firsts: np.ndarray,
-    seconds: np.ndarray,
-    keys: np.ndarray,
-    out: np.ndarray,
-    slots: np.ndarray,
-) -> None:
-    """For every slot ``s`` in ``slots``, solve the pair of key ``keys[s]``
-    into ``out[s]``: both players' values ``[:, x - 1]`` at every interior
-    fortune ``x``, as the boundary ones are the constants 0 and 1.
-
-    Key ``i * len(seconds) + j`` is ``firsts[i]`` against ``seconds[j]``;
-    ``firsts`` and ``seconds`` are stake rows (see :func:`_stake_rows`) and
-    ``out`` is ``(N, 2, M - 1)``.  Pairs are solved in blocks of
-    ``_BLOCK_PAIRS`` slots, each gathering only its own stake rows, so the
-    working set is one block whatever the number of pairs.
-    """
-    M = table.M
-    for lo in range(0, len(slots), _BLOCK_PAIRS):
-        at = slots[lo : lo + _BLOCK_PAIRS]
-        rows, cols = np.divmod(keys[at], len(seconds))
-        chain = _chain_arrays(table, firsts[rows], seconds[cols])
-        out[at] = _in_range(_solve_chains(M, *chain)[:, :, 1:M]).transpose(1, 0, 2)
 
 
 def hitting_values(
@@ -772,8 +741,8 @@ def enumerate_equilibria(
         raise ValueError(f"initial fortune {x0!r} outside the integers 0..{M}")
     _require_enumerable(M, cap)
     # Imported on first use, so a process that never enumerates never compiles it.
-    from ._enumeration import Equilibria, table_enumeration
+    from ._enumeration import Equilibria, strategies, table_enumeration
 
     if not tol >= 0.0:
-        return Equilibria(table, x0, (), (), np.empty(0, dtype=np.int64))
+        return Equilibria(table, x0, *strategies(M), np.empty(0, dtype=np.int64))
     return table_enumeration(table).equilibria(table, x0, tol)

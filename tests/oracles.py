@@ -1,7 +1,10 @@
-"""The exhaustive best-response oracle the tests check ``best_response`` against.
+"""The oracles the tests check the solver and enumeration against.
 
-It solves the responder's every stationary deterministic strategy against
-one opponent and takes the maximum at each fortune: factorial cost in ``M``.
+:func:`enumerate_best_response`, the exhaustive best-response oracle of
+``best_response``, solves the responder's every stationary deterministic
+strategy against one opponent and takes the maximum at each fortune:
+factorial cost in ``M``.  :func:`pair_values` solves every pair it is given
+in one stack, the unblocked reference of enumeration's blocked pair solve.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ import numpy as np
 from redblack.game import Player, StationaryStrategy, WinProbTable
 from redblack.solver import (
     DEFAULT_ENUM_CAP,
+    _chain_arrays,
+    _in_range,
     _require_enumerable,
-    _pair_values,
+    _solve_chains,
     _stake_rows,
     all_strategies,
 )
@@ -27,15 +32,11 @@ def pair_values(
     table: WinProbTable, firsts: np.ndarray, seconds: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
     """Both players' values ``[k, :, x]`` at every fortune ``x`` of
-    ``firsts[rows[k]]`` against ``seconds[cols[k]]``, in pair order: the
-    boundary constants, and :func:`redblack.solver._pair_values` at the
-    interior fortunes."""
-    M = table.M
-    values = np.zeros((len(rows), 2, M + 1))
-    values[:, 0, M] = values[:, 1, 0] = 1.0
-    keys = rows * len(seconds) + cols
-    _pair_values(table, firsts, seconds, keys, values[:, :, 1:M], np.arange(len(keys)))
-    return values
+    ``firsts[rows[k]]`` against ``seconds[cols[k]]``, in pair order: one
+    unblocked solve of every pair by :func:`redblack.solver._solve_chains`,
+    accepted by its range rule."""
+    chain = _chain_arrays(table, firsts[rows], seconds[cols])
+    return _in_range(_solve_chains(table.M, *chain)).transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from hypothesis import strategies as st
 import redblack as rb
 from oracles import DEFAULT_TIE_TOL, enumerate_best_response, pair_values
 from redblack import _enumeration, solver
+from redblack._enumeration import _pair_values
 from redblack.cli import main
 from redblack.game import Player
 from redblack.reports import DEFAULT_TOL
@@ -49,7 +50,6 @@ from redblack.solver import (
     _chain_arrays,
     _iterate_chain,
     _linear_system,
-    _pair_values,
     _stake_rows,
 )
 
@@ -68,7 +68,7 @@ def _product_values(
     table: rb.WinProbTable, firsts: np.ndarray, seconds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both players' value tensors ``[i, j, x]`` of first ``i`` against
-    second ``j``, from :func:`_pair_values` of the product's pairs."""
+    second ``j``, from the oracle :func:`pair_values` of the product's pairs."""
     B, K = len(firsts), len(seconds)
     rows, cols = np.repeat(np.arange(B), K), np.tile(np.arange(K), B)
     values = pair_values(table, firsts, seconds, rows, cols)
@@ -604,9 +604,9 @@ class TestBatchedEngine:
         self, case: str, block: int, monkeypatch
     ) -> None:
         """``_stuck`` decides per block whether to skip its passes, so pairs
-        solved in shuffled order in blocks of any size, each into its own
-        slot, keep the bits of the default blocks.  The cycling table has
-        stuck fortunes.  On exp-diff at M = 41, with each player staking
+        solved in shuffled order in blocks of any size keep, at every
+        interior start, the bits of one unblocked solve.  The cycling table
+        has stuck fortunes.  On exp-diff at M = 41, with each player staking
         ``min(x, c)`` at own fortune ``x`` for c = 1..40, each of the 1 600
         chains has a step of probability exactly 0 or 1, and 80 have both, so
         only the blocks holding those run the reachability passes."""
@@ -628,12 +628,13 @@ class TestBatchedEngine:
         else:
             assert ((p == 0.0) | (p == 1.0)).any(axis=1).all()
             assert ((p == 0.0).any(axis=1) & (p == 1.0).any(axis=1)).sum() == 80
-        default = pair_values(table, firsts, seconds, rows, cols)[:, :, 1:M]
-        order = np.random.default_rng(block).permutation(len(default))
-        monkeypatch.setattr(solver, "_BLOCK_PAIRS", block)
-        shuffled = np.full_like(default, np.nan)
-        _pair_values(table, firsts, seconds, rows * K + cols, shuffled, order)
-        assert _same_bits(shuffled, default)
+        unblocked = pair_values(table, firsts, seconds, rows, cols)
+        order = np.random.default_rng(block).permutation(len(unblocked))
+        monkeypatch.setattr(_enumeration, "_BLOCK_PAIRS", block)
+        keys = (rows * K + cols)[order]
+        for x0 in range(1, M):
+            shuffled = _pair_values(table, firsts, seconds, keys, x0)
+            assert _same_bits(shuffled, unblocked[order, :, x0])
 
     @pytest.mark.parametrize(
         "make,tol,solved",
@@ -692,6 +693,23 @@ class TestBatchedEngine:
             ]
             assert _same_bits(found.values, np.reshape([a[0, :, x0] for a in alone], (-1, 2)))
 
+    @pytest.mark.parametrize(
+        "make,x0",
+        [(lambda: rb.power_family(6, 2), 3), (lambda: _enum_table("cycle_pow2", 7), 5)],
+        ids=["pow2", "cycling_7_pow2"],
+    )
+    def test_member_values_are_their_hitting_values(self, make, x0: int) -> None:
+        """Each member's ``value_I`` and ``value_II`` hold the bits, signed
+        zeros included, of ``hitting_values`` of its profile at ``x0``."""
+        table = make()
+        _enumeration.table_enumeration.cache_clear()
+        found = rb.enumerate_equilibria(table, x0)
+        _enumeration.table_enumeration.cache_clear()
+        exact = [rb.hitting_values(table, certificate.profile) for certificate in found]
+        assert len(found) > 0
+        assert _same_bits(found.value_I, np.array([values.q[x0] for values in exact]))
+        assert _same_bits(found.value_II, np.array([values.t[x0] for values in exact]))
+
     def test_last_start_memory_is_bounded_by_its_keys(self) -> None:
         """The last start of ``power_family(7, 2)`` accepts its 86 400
         candidates with no solve, so its traced peak stays below 3.5 times
@@ -732,9 +750,9 @@ def _counting(counts: list[int]):
     """A stand-in for ``_pair_values`` that adds the pairs it solves to
     ``counts[-1]``."""
 
-    def solve(table, firsts, seconds, keys, out, slots):
-        counts[-1] += len(slots)
-        _pair_values(table, firsts, seconds, keys, out, slots)
+    def solve(table, firsts, seconds, keys, x0):
+        counts[-1] += len(keys)
+        return _pair_values(table, firsts, seconds, keys, x0)
 
     return solve
 
@@ -1456,7 +1474,6 @@ class TestEquilibriaSequence:
         """``power_family(7, 2)`` has the README's tie set, (M - 1)! (x0 - 1)!
         equilibria, at every interior start, found with no pair solved."""
         monkeypatch.setattr(_enumeration, "_pair_values", _no_solve)
-        monkeypatch.setattr(solver, "_pair_values", _no_solve)
         table = rb.power_family(7, 2)
         for x0 in range(1, 7):
             assert len(rb.enumerate_equilibria(table, x0)) == math.factorial(6) * math.factorial(x0 - 1)
